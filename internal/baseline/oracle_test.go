@@ -60,8 +60,8 @@ func TestReliabilityHandComputed(t *testing.T) {
 		want float64
 	}{
 		{0, 0, 1}, {0, 1, 0.5}, {0, 2, 0.25},
-		{0, 3, 0.2},  // the direct 0.2 edge beats the 0.125 path
-		{1, 3, 0.25}, // via 2, not via 0 (0.5·0.2 = 0.1)
+		{0, 3, 0.2},          // the direct 0.2 edge beats the 0.125 path
+		{1, 3, 0.25},         // via 2, not via 0 (0.5·0.2 = 0.1)
 		{0, 4, 0}, {4, 4, 1}, // vertex 4 is isolated
 	}
 	for _, c := range cases {

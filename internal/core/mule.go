@@ -106,19 +106,19 @@ func (e *enumerator) releasePooled() {
 	}
 }
 
-// runSerial performs Algorithm 1: initialize Î with every vertex paired with
-// multiplier 1 (a singleton is a clique with probability 1) and recurse. The
-// root candidate and witness sets live in the arena like every other node's.
+// runSerial performs Algorithm 1. The root node has C = ∅, every vertex in
+// Î with multiplier 1, and an X that gains each vertex as the loop passes
+// it, so the child for u receives exactly the I and X that branch(u) builds
+// from u's adjacency row (parallel.go spells out why). The root therefore
+// runs as a loop over branch instead of materializing n-entry root sets in
+// the pooled arena; it counts as one search node, as before.
 func (e *enumerator) runSerial() {
-	n := e.g.NumVertices()
-	m := e.arena.mark()
-	rootI := e.arena.alloc(n)
-	for v := 0; v < n; v++ {
-		rootI = rootI.push(int32(v), 1)
+	if e.countNode() {
+		return
 	}
-	rootX := e.arena.alloc(n) // filled by the root loop's witness pushes
-	e.recurse(e.cbuf[:0], 1, rootI, rootX)
-	e.arena.release(m)
+	for u, n := 0, e.g.NumVertices(); u < n && !e.stopped; u++ {
+		e.branch(int32(u))
+	}
 }
 
 // recurse is Enum-Uncertain-MC (Algorithm 2), with the |C'|+|I'| < t cut of

@@ -111,24 +111,17 @@ func (e *enumerator) runTopLevel(x *exec.Executor, workers int) {
 }
 
 // branch runs the top-level iteration for vertex u: it reproduces exactly
-// the state the serial loop would pass to the recursive call for u. Like
-// the serial driver, it builds I and X in the worker's arena — the row is
-// sorted, so neighbors < u (the witnesses) form the prefix and neighbors
-// > u (the candidates) the suffix.
+// the state the serial loop would pass to the recursive call for u, and
+// accounts for it the same way (candidates, then the size cut, then
+// witnesses). It builds I and X in the worker's arena — the row is sorted,
+// so neighbors < u (the witnesses) form the prefix and neighbors > u (the
+// candidates) the suffix.
 func (e *enumerator) branch(u int32) {
 	row, probs := e.g.Adjacency(int(u))
 	irow, iprobs := e.g.AdjacencySuffix(int(u), u)
 	k := len(row) - len(irow) // witnesses: row[:k]
 
 	m := e.arena.mark()
-	// X holds ≤ k filtered witnesses plus ≤ len(irow) pushes from the
-	// recursion's loop, so the full row length bounds its capacity.
-	X := e.arena.alloc(len(row))
-	for i := 0; i < k; i++ {
-		if p := probs[i]; p >= e.alpha {
-			X = X.push(row[i], p)
-		}
-	}
 	I := e.arena.alloc(len(irow))
 	for i, w := range irow {
 		if p := iprobs[i]; p >= e.alpha {
@@ -136,17 +129,47 @@ func (e *enumerator) branch(u int32) {
 		}
 	}
 	e.arena.shrink(len(irow), I.length())
-	// The p < α skips above are only reachable with SkipPrune.
+	// The p < α skips here and below are only reachable with SkipPrune.
 	e.stats.CandidateOps += int64(I.length())
-	e.stats.WitnessOps += int64(X.length())
 	if e.minSize >= 2 && 1+I.length() < e.minSize {
 		e.stats.SizePruned++
 		e.arena.release(m)
 		return
 	}
+	// X holds ≤ k filtered witnesses plus one push per candidate from the
+	// recursion's loop.
+	X := e.arena.alloc(k + I.length())
+	for i := 0; i < k; i++ {
+		if p := probs[i]; p >= e.alpha && !e.rootCut(row[i]) {
+			X = X.push(row[i], p)
+		}
+	}
+	e.arena.shrink(k+I.length(), X.length()+I.length())
+	e.stats.WitnessOps += int64(X.length())
 	C := append(e.cbuf[:0], u)
 	e.recurse(C, 1, I, X)
 	e.arena.release(m)
+}
+
+// rootCut reports whether LARGE-MULE's size cut (Algorithm 6) drops the
+// top-level branch of vertex x: x and its candidates — the later neighbors
+// whose edge meets α — number fewer than minSize. The serial loop never
+// pushes such an x onto the root witness set, so branch leaves it out of X
+// as well; every clique it could witness against is below minSize anyway.
+func (e *enumerator) rootCut(x int32) bool {
+	if e.minSize < 2 {
+		return false
+	}
+	_, probs := e.g.AdjacencySuffix(int(x), x)
+	need := e.minSize - 1
+	for _, p := range probs {
+		if p >= e.alpha {
+			if need--; need == 0 {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // merge folds o into s. All counter fields are sums or maxes, so merging

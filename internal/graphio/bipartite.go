@@ -26,8 +26,10 @@ func WriteBipartiteText(w io.Writer, g *ubiclique.Bipartite) error {
 	if _, err := fmt.Fprintf(bw, "bipartite %d %d\n", g.NumLeft(), g.NumRight()); err != nil {
 		return err
 	}
+	var line []byte
 	for _, e := range g.Edges() {
-		if _, err := fmt.Fprintf(bw, "%d %d %s\n", e.L, e.R, strconv.FormatFloat(e.P, 'g', 17, 64)); err != nil {
+		line = appendEdgeLine(line[:0], e.L, e.R, e.P)
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}
@@ -88,33 +90,34 @@ func LoadBipartite(r io.Reader) (*ubiclique.Bipartite, error) {
 }
 
 // ReadBipartiteText parses the bipartite text format. The "bipartite nL nR"
-// directive must precede every edge line.
+// directive must precede every edge line. Lines are tokenized in place by
+// the tokenizer the unipartite text format uses (lineFields).
 func ReadBipartiteText(r io.Reader) (*ubiclique.Bipartite, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	var b *ubiclique.Builder
 	line := 0
+	var lf lineFields
 	for sc.Scan() {
 		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
+		lf.split(sc.Bytes())
+		if lf.n == 0 || lf.field(0)[0] == '#' {
 			continue
 		}
-		fields := strings.Fields(text)
-		if fields[0] == "bipartite" {
+		if string(lf.field(0)) == "bipartite" {
 			if b != nil {
 				return nil, fmt.Errorf("graphio: line %d: repeated bipartite directive", line)
 			}
-			if len(fields) != 3 {
+			if lf.n != 3 {
 				return nil, fmt.Errorf("graphio: line %d: want 'bipartite nL nR'", line)
 			}
-			nL, err := strconv.Atoi(fields[1])
+			nL, err := strconv.Atoi(string(lf.field(1)))
 			if err != nil || nL < 0 {
-				return nil, fmt.Errorf("graphio: line %d: bad left size %q", line, fields[1])
+				return nil, fmt.Errorf("graphio: line %d: bad left size %q", line, lf.field(1))
 			}
-			nR, err := strconv.Atoi(fields[2])
+			nR, err := strconv.Atoi(string(lf.field(2)))
 			if err != nil || nR < 0 {
-				return nil, fmt.Errorf("graphio: line %d: bad right size %q", line, fields[2])
+				return nil, fmt.Errorf("graphio: line %d: bad right size %q", line, lf.field(2))
 			}
 			b = ubiclique.NewBuilder(nL, nR)
 			continue
@@ -122,20 +125,20 @@ func ReadBipartiteText(r io.Reader) (*ubiclique.Bipartite, error) {
 		if b == nil {
 			return nil, fmt.Errorf("graphio: line %d: edge before bipartite directive", line)
 		}
-		if len(fields) != 3 {
-			return nil, fmt.Errorf("graphio: line %d: want 'l r p', got %q", line, text)
+		if lf.n != 3 {
+			return nil, fmt.Errorf("graphio: line %d: want 'l r p', got %q", line, lf.trimmed())
 		}
-		l, err := strconv.Atoi(fields[0])
+		l, err := strconv.Atoi(string(lf.field(0)))
 		if err != nil {
-			return nil, fmt.Errorf("graphio: line %d: bad left vertex %q", line, fields[0])
+			return nil, fmt.Errorf("graphio: line %d: bad left vertex %q", line, lf.field(0))
 		}
-		rr, err := strconv.Atoi(fields[1])
+		rr, err := strconv.Atoi(string(lf.field(1)))
 		if err != nil {
-			return nil, fmt.Errorf("graphio: line %d: bad right vertex %q", line, fields[1])
+			return nil, fmt.Errorf("graphio: line %d: bad right vertex %q", line, lf.field(1))
 		}
-		p, err := strconv.ParseFloat(fields[2], 64)
+		p, err := strconv.ParseFloat(string(lf.field(2)), 64)
 		if err != nil {
-			return nil, fmt.Errorf("graphio: line %d: bad probability %q", line, fields[2])
+			return nil, fmt.Errorf("graphio: line %d: bad probability %q", line, lf.field(2))
 		}
 		if err := b.AddEdge(l, rr, p); err != nil {
 			return nil, fmt.Errorf("graphio: line %d: %w", line, err)

@@ -27,8 +27,8 @@ import (
 	"bufio"
 	"compress/gzip"
 	"encoding/binary"
-	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -36,18 +36,37 @@ import (
 	"github.com/uncertain-graphs/mule/internal/uncertain"
 )
 
-// WriteText writes g in the text format, edges sorted by (U,V).
+// WriteText writes g in the text format, edges sorted by (U,V). Each line
+// is encoded into one reused buffer; probabilities are written with 17
+// significant digits, so every float64 reads back bit for bit.
 func WriteText(w io.Writer, g *uncertain.Graph) error {
 	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "vertices %d\n", g.NumVertices()); err != nil {
+	line := append(make([]byte, 0, 64), "vertices "...)
+	line = strconv.AppendInt(line, int64(g.NumVertices()), 10)
+	if _, err := bw.Write(append(line, '\n')); err != nil {
 		return err
 	}
-	for _, e := range g.Edges() {
-		if _, err := fmt.Fprintf(bw, "%d %d %s\n", e.U, e.V, strconv.FormatFloat(e.P, 'g', 17, 64)); err != nil {
-			return err
+	for u := 0; u < g.NumVertices(); u++ {
+		row, probs := g.AdjacencySuffix(u, int32(u))
+		for i, v := range row {
+			line = appendEdgeLine(line[:0], u, int(v), probs[i])
+			if _, err := bw.Write(line); err != nil {
+				return err
+			}
 		}
 	}
 	return bw.Flush()
+}
+
+// appendEdgeLine appends the text line "a b p\n" that WriteText and
+// WriteBipartiteText write for one edge.
+func appendEdgeLine(line []byte, a, b int, p float64) []byte {
+	line = strconv.AppendInt(line, int64(a), 10)
+	line = append(line, ' ')
+	line = strconv.AppendInt(line, int64(b), 10)
+	line = append(line, ' ')
+	line = strconv.AppendFloat(line, p, 'g', 17, 64)
+	return append(line, '\n')
 }
 
 // ReadText parses the text format. It is a wrapper over the streaming
@@ -63,27 +82,32 @@ var binaryMagic = [4]byte{'U', 'G', 'R', 'F'}
 
 const binaryVersion uint32 = 1
 
-// WriteBinary writes g in the binary format.
+// binaryRecord is the width of one binary edge record: u and v as
+// little-endian uint32, then p as a little-endian IEEE-754 float64.
+const binaryRecord = 16
+
+// WriteBinary writes g in the binary format: the 24-byte header, then one
+// binaryRecord per edge in (U,V) order, each encoded into one reused buffer.
 func WriteBinary(w io.Writer, g *uncertain.Graph) error {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(binaryMagic[:]); err != nil {
+	var hdr [24]byte
+	copy(hdr[0:4], binaryMagic[:])
+	binary.LittleEndian.PutUint32(hdr[4:8], binaryVersion)
+	binary.LittleEndian.PutUint64(hdr[8:16], uint64(g.NumVertices()))
+	binary.LittleEndian.PutUint64(hdr[16:24], uint64(g.NumEdges()))
+	if _, err := bw.Write(hdr[:]); err != nil {
 		return err
 	}
-	hdr := []any{binaryVersion, uint64(g.NumVertices()), uint64(g.NumEdges())}
-	for _, h := range hdr {
-		if err := binary.Write(bw, binary.LittleEndian, h); err != nil {
-			return err
-		}
-	}
-	for _, e := range g.Edges() {
-		if err := binary.Write(bw, binary.LittleEndian, uint32(e.U)); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.LittleEndian, uint32(e.V)); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.LittleEndian, e.P); err != nil {
-			return err
+	rec := make([]byte, binaryRecord)
+	for u := 0; u < g.NumVertices(); u++ {
+		row, probs := g.AdjacencySuffix(u, int32(u))
+		for i, v := range row {
+			binary.LittleEndian.PutUint32(rec[0:4], uint32(u))
+			binary.LittleEndian.PutUint32(rec[4:8], uint32(v))
+			binary.LittleEndian.PutUint64(rec[8:16], math.Float64bits(probs[i]))
+			if _, err := bw.Write(rec); err != nil {
+				return err
+			}
 		}
 	}
 	return bw.Flush()

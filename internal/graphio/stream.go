@@ -12,7 +12,6 @@ import (
 	"os"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 
 	"github.com/uncertain-graphs/mule/internal/uncertain"
@@ -28,6 +27,10 @@ var ErrFormat = errors.New("graphio: malformed input")
 // EdgeFunc receives one probabilistic edge per call during a streaming scan.
 // Returning a non-nil error aborts the scan and surfaces that error verbatim.
 type EdgeFunc func(u, v int, p float64) error
+
+// edgeScan parses a whole input once, delivering every edge to fn; calling
+// it again parses the input again.
+type edgeScan func(fn EdgeFunc) (Header, error)
 
 // Header describes what a scan learned about the input's shape.
 type Header struct {
@@ -99,44 +102,48 @@ func remainingBytes(r io.Reader) int64 {
 	return end - cur
 }
 
+// scanText parses the text format line by line. Lines are tokenized in the
+// scanner's buffer (lineFields) and numbers parsed by strconv from
+// conversions that do not escape, so a line costs no allocation; the error
+// messages quote the same trimmed line and fields as strings.Fields would.
 func scanText(r io.Reader, fn EdgeFunc) (Header, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	h := Header{Vertices: -1}
 	maxV := -1
 	line := 0
+	var lf lineFields
 	for sc.Scan() {
 		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
+		lf.split(sc.Bytes())
+		if lf.n == 0 || lf.field(0)[0] == '#' {
 			continue
 		}
-		fields := strings.Fields(text)
-		if fields[0] == "vertices" {
-			if len(fields) != 2 {
+		if string(lf.field(0)) == "vertices" {
+			if lf.n != 2 {
 				return h, fmt.Errorf("graphio: line %d: malformed vertices directive: %w", line, ErrFormat)
 			}
-			v, err := strconv.Atoi(fields[1])
+			v, err := strconv.Atoi(string(lf.field(1)))
 			if err != nil || v < 0 {
-				return h, fmt.Errorf("graphio: line %d: bad vertex count %q: %w", line, fields[1], ErrFormat)
+				return h, fmt.Errorf("graphio: line %d: bad vertex count %q: %w", line, lf.field(1), ErrFormat)
 			}
 			h.Vertices, h.Declared = v, true
 			continue
 		}
-		if len(fields) != 3 {
-			return h, fmt.Errorf("graphio: line %d: want 'u v p', got %q: %w", line, text, ErrFormat)
+		if lf.n != 3 {
+			return h, fmt.Errorf("graphio: line %d: want 'u v p', got %q: %w", line, lf.trimmed(), ErrFormat)
 		}
-		u, err := strconv.Atoi(fields[0])
+		u, err := strconv.Atoi(string(lf.field(0)))
 		if err != nil {
-			return h, fmt.Errorf("graphio: line %d: bad vertex %q: %w", line, fields[0], ErrFormat)
+			return h, fmt.Errorf("graphio: line %d: bad vertex %q: %w", line, lf.field(0), ErrFormat)
 		}
-		v, err := strconv.Atoi(fields[1])
+		v, err := strconv.Atoi(string(lf.field(1)))
 		if err != nil {
-			return h, fmt.Errorf("graphio: line %d: bad vertex %q: %w", line, fields[1], ErrFormat)
+			return h, fmt.Errorf("graphio: line %d: bad vertex %q: %w", line, lf.field(1), ErrFormat)
 		}
-		p, err := strconv.ParseFloat(fields[2], 64)
+		p, err := strconv.ParseFloat(string(lf.field(2)), 64)
 		if err != nil {
-			return h, fmt.Errorf("graphio: line %d: bad probability %q: %w", line, fields[2], ErrFormat)
+			return h, fmt.Errorf("graphio: line %d: bad probability %q: %w", line, lf.field(2), ErrFormat)
 		}
 		if u < 0 || v < 0 || u > maxEndpoint || v > maxEndpoint {
 			return h, fmt.Errorf("graphio: line %d: vertex out of range: %w", line, ErrFormat)
@@ -201,24 +208,38 @@ func scanBinary(r io.Reader, remaining int64, fn EdgeFunc) (Header, error) {
 	}
 	h := Header{Vertices: int(n), Declared: true}
 	maxV := -1
-	var rec [16]byte
-	for i := uint64(0); i < m; i++ {
-		if _, err := io.ReadFull(br, rec[:]); err != nil {
-			return h, fmt.Errorf("graphio: edge %d: %v: %w", i, err, ErrFormat)
+	// Records are decoded straight out of the reader's buffer: each refill
+	// exposes every whole record it holds, and one Discard consumes them.
+	for i := uint64(0); i < m; {
+		if br.Buffered() < binaryRecord {
+			if b, err := br.Peek(binaryRecord); len(b) < binaryRecord {
+				if err == io.EOF && len(b) > 0 {
+					err = io.ErrUnexpectedEOF // a partial record, as io.ReadFull reports it
+				}
+				return h, fmt.Errorf("graphio: edge %d: %v: %w", i, err, ErrFormat)
+			}
 		}
-		u := int(binary.LittleEndian.Uint32(rec[0:4]))
-		v := int(binary.LittleEndian.Uint32(rec[4:8]))
-		p := math.Float64frombits(binary.LittleEndian.Uint64(rec[8:16]))
-		if u > maxV {
-			maxV = u
+		buf, _ := br.Peek(br.Buffered())
+		k := min(uint64(len(buf)/binaryRecord), m-i)
+		buf = buf[:k*binaryRecord]
+		for off := 0; off < len(buf); off += binaryRecord {
+			rec := buf[off : off+binaryRecord]
+			u := int(binary.LittleEndian.Uint32(rec[0:4]))
+			v := int(binary.LittleEndian.Uint32(rec[4:8]))
+			p := math.Float64frombits(binary.LittleEndian.Uint64(rec[8:16]))
+			if u > maxV {
+				maxV = u
+			}
+			if v > maxV {
+				maxV = v
+			}
+			h.Edges++
+			if err := fn(u, v, p); err != nil {
+				return h, err
+			}
 		}
-		if v > maxV {
-			maxV = v
-		}
-		h.Edges++
-		if err := fn(u, v, p); err != nil {
-			return h, err
-		}
+		_, _ = br.Discard(int(k * binaryRecord))
+		i += k
 	}
 	if maxV >= h.Vertices {
 		return h, fmt.Errorf("graphio: edge endpoint %d exceeds declared vertex count %d: %w", maxV, h.Vertices, ErrFormat)
@@ -309,7 +330,7 @@ func scanJSON(r io.Reader, fn EdgeFunc) (Header, error) {
 // but the finished CSR is ever resident. Non-seekable readers spool the
 // decoded edges on the first pass (~20 bytes/edge, far below the adjacency-
 // map builder this replaces) and replay the spool.
-func replayScan(r io.Reader, scan func(io.Reader, EdgeFunc) (Header, error)) func(EdgeFunc) (Header, error) {
+func replayScan(r io.Reader, scan func(io.Reader, EdgeFunc) (Header, error)) edgeScan {
 	if s, ok := r.(io.ReadSeeker); ok {
 		if pos, err := s.Seek(0, io.SeekCurrent); err == nil {
 			return func(fn EdgeFunc) (Header, error) {
@@ -362,7 +383,7 @@ func (s *spool) replay(fn EdgeFunc) (Header, error) {
 
 // buildGraph drives uncertain.FromEdgeScanner over a replayable scan,
 // producing the sorted CSR directly.
-func buildGraph(scan func(EdgeFunc) (Header, error)) (*uncertain.Graph, Header, error) {
+func buildGraph(scan edgeScan) (*uncertain.Graph, Header, error) {
 	var hdr Header
 	g, err := uncertain.FromEdgeScanner(func(emit func(int, int, float64) error) (int, error) {
 		h, err := scan(EdgeFunc(emit))
@@ -447,24 +468,36 @@ const dsuChunkEdges = 1 << 15
 // stream, so a handful of union workers is enough to keep up with it.
 const maxScanWorkers = 8
 
-// scanComponentForest streams the file once and unions every edge into a
-// disjoint-set forest. With multiple CPUs the decode stays sequential (it is
-// one file) but the union work is chunked out to workers, each with a
-// private forest, merged once at the end; union-by-min makes the merged
-// forest identical to the sequential one regardless of chunk scheduling.
-// Peak memory stays O(vertices) per worker plus a few bounded edge chunks.
-func scanComponentForest(path string) (Header, *unionFind, error) {
+// scanComponentForest parses the input once, unions every edge into a
+// disjoint-set forest, and counts every vertex's degree. With multiple CPUs
+// the decode stays sequential (it is one file) but the union work is chunked
+// out to workers, each with a private forest, merged once at the end;
+// union-by-min makes the merged forest identical to the sequential one
+// regardless of chunk scheduling. Degrees are counted on the decoding
+// goroutine; the array grows by append, geometrically, with the largest
+// endpoint seen. Peak memory stays O(vertices) per worker plus a few bounded
+// edge chunks.
+func scanComponentForest(scan edgeScan) (Header, *unionFind, []int32, error) {
+	var deg []int32
+	count := func(u, v int) {
+		if hi := max(u, v); hi >= len(deg) {
+			deg = append(deg, make([]int32, hi+1-len(deg))...)
+		}
+		deg[u]++
+		deg[v]++
+	}
 	workers := runtime.GOMAXPROCS(0)
 	if workers > maxScanWorkers {
 		workers = maxScanWorkers
 	}
 	if workers < 2 {
 		var uf unionFind
-		hdr, err := scanFile(path, func(u, v int, p float64) error {
+		hdr, err := scan(func(u, v int, p float64) error {
 			uf.union(u, v)
+			count(u, v)
 			return nil
 		})
-		return hdr, &uf, err
+		return hdr, &uf, deg, err
 	}
 
 	chunks := make(chan []int32, workers)
@@ -485,7 +518,8 @@ func scanComponentForest(path string) (Header, *unionFind, error) {
 	}
 
 	buf := pool.Get().([]int32)
-	hdr, err := scanFile(path, func(u, v int, p float64) error {
+	hdr, err := scan(func(u, v int, p float64) error {
+		count(u, v)
 		buf = append(buf, int32(u), int32(v))
 		if len(buf) >= 2*dsuChunkEdges {
 			chunks <- buf
@@ -499,7 +533,7 @@ func scanComponentForest(path string) (Header, *unionFind, error) {
 	close(chunks)
 	wg.Wait()
 	if err != nil {
-		return hdr, nil, err
+		return hdr, nil, nil, err
 	}
 
 	master := forests[0]
@@ -510,28 +544,38 @@ func scanComponentForest(path string) (Header, *unionFind, error) {
 			}
 		}
 	}
-	return hdr, master, nil
+	return hdr, master, deg, nil
 }
 
 // ScanComponentBatches mines the support components of the graph at path
-// without ever materializing the whole CSR: a union-find pass labels
-// components, a counting pass sizes them, and then consecutive components
-// (in smallest-member order, matching ShardByComponent) are greedily packed
+// without ever materializing the whole CSR. One pass labels components with
+// a union-find and counts every vertex's degree; components are closed, so
+// a vertex's degree within its batch is its degree in the file, and a
+// component's edge count is half its degree sum. Consecutive components (in
+// smallest-member order, matching ShardByComponent) are then greedily packed
 // into batches of at most maxEdges edges — a single component larger than
 // maxEdges gets a batch to itself; maxEdges <= 0 means one batch for
-// everything. Each batch is built by re-scanning the file with a component
-// filter and handed to fn as a standalone graph whose vertex i corresponds
+// everything. Each batch is filled by one more pass with a component filter,
+// straight into its CSR (uncertain.FromDegrees validates every edge as it
+// lands), and handed to fn as a standalone graph whose vertex i corresponds
 // to newToOld[i] in the file's ID space (ascending, so canonical orderings
-// survive the mapping). Peak memory is O(vertices) bookkeeping plus the
-// largest batch's CSR. A non-nil error from fn aborts the iteration and is
-// returned verbatim.
+// survive the mapping). The file is parsed 1 + (number of batches) times.
+// Peak memory is O(vertices) bookkeeping plus the largest batch's CSR. A
+// non-nil error from fn aborts the iteration and is returned verbatim.
 func ScanComponentBatches(path string, maxEdges int, fn func(batch *uncertain.Graph, newToOld []int) error) error {
-	hdr, uf, err := scanComponentForest(path)
+	return scanComponentBatches(func(efn EdgeFunc) (Header, error) {
+		return scanFile(path, efn)
+	}, maxEdges, fn)
+}
+
+func scanComponentBatches(scan edgeScan, maxEdges int, fn func(batch *uncertain.Graph, newToOld []int) error) error {
+	hdr, uf, deg, err := scanComponentForest(scan)
 	if err != nil {
 		return err
 	}
 	n := hdr.Vertices
 	uf.grow(n)
+	deg = append(deg, make([]int32, n-len(deg))...) // scanners keep endpoints below n
 	comp := make([]int32, n)
 	count := 0
 	for v := 0; v < n; v++ {
@@ -545,18 +589,21 @@ func ScanComponentBatches(path string, maxEdges int, fn func(batch *uncertain.Gr
 	if count == 0 {
 		return nil
 	}
+	// Every edge adds 2 to its component's degree sum.
 	edgesPer := make([]int64, count)
-	if _, err := scanFile(path, func(u, v int, p float64) error {
-		if u >= n {
-			return fmt.Errorf("graphio: input changed between passes: %w", ErrFormat)
-		}
-		edgesPer[comp[u]]++
-		return nil
-	}); err != nil {
-		return err
+	for v, d := range deg {
+		edgesPer[comp[v]] += int64(d)
+	}
+	for c := range edgesPer {
+		edgesPer[c] /= 2
 	}
 
-	oldToNew := make([]int32, n)
+	// deg turns into oldToNew batch by batch: building a batch reads each
+	// of its vertices' degree and overwrites it with the vertex's ID in the
+	// batch. Every vertex is in exactly one batch, and a batch's fill only
+	// looks up its own vertices, so one array serves both.
+	oldToNew := deg
+	changed := fmt.Errorf("graphio: input changed between passes: %w", ErrFormat)
 	for start := 0; start < count; {
 		end := start + 1
 		sum := edgesPer[start]
@@ -566,19 +613,25 @@ func ScanComponentBatches(path string, maxEdges int, fn func(batch *uncertain.Gr
 		}
 		lo, hi := int32(start), int32(end)
 		var newToOld []int
+		var batchDeg []int32
 		for v := 0; v < n; v++ {
 			if c := comp[v]; c >= lo && c < hi {
+				batchDeg = append(batchDeg, deg[v])
 				oldToNew[v] = int32(len(newToOld))
 				newToOld = append(newToOld, v)
 			}
 		}
-		g, err := uncertain.FromEdgeScanner(func(emit func(u, v int, p float64) error) (int, error) {
-			_, err := scanFile(path, func(u, v int, p float64) error {
+		g, err := uncertain.FromDegrees(batchDeg, func(emit func(u, v int, p float64) error) (int, error) {
+			_, err := scan(func(u, v int, p float64) error {
 				if u >= n || v >= n {
-					return fmt.Errorf("graphio: input changed between passes: %w", ErrFormat)
+					return changed
 				}
-				if c := comp[u]; c < lo || c >= hi {
+				c := comp[u]
+				if c < lo || c >= hi {
 					return nil
+				}
+				if comp[v] != c {
+					return changed
 				}
 				return emit(int(oldToNew[u]), int(oldToNew[v]), p)
 			})

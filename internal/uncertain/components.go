@@ -1,6 +1,5 @@
 package uncertain
 
-
 // ExpectedDegree returns the expected degree of u in a sampled world:
 // the sum of its incident edge probabilities.
 func (g *Graph) ExpectedDegree(u int) float64 {

@@ -142,12 +142,36 @@ func (b *Builder) Build() *Graph {
 	return g
 }
 
+// sortRows sorts every adjacency row ascending, keeping probs parallel. A
+// row that already ascends is only scanned: every row of a file written by
+// graphio's writers arrives sorted, and so does every row of a component
+// batch. The rows that do need sorting share one sorter, boxed once per
+// graph rather than once per row.
 func (g *Graph) sortRows() {
+	var rs *rowSorter
 	for u := 0; u < g.n; u++ {
 		lo, hi := g.offsets[u], g.offsets[u+1]
-		row := rowSorter{nbrs: g.nbrs[lo:hi], probs: g.probs[lo:hi]}
-		sort.Sort(row)
+		if rowAscending(g.nbrs[lo:hi]) {
+			continue
+		}
+		if rs == nil {
+			rs = new(rowSorter)
+		}
+		rs.nbrs, rs.probs = g.nbrs[lo:hi], g.probs[lo:hi]
+		sort.Sort(rs)
 	}
+}
+
+// rowAscending reports whether row is non-decreasing. Equal neighbors count
+// as ascending: they are duplicate edges, which the callers that can see
+// them report after the sort.
+func rowAscending(row []int32) bool {
+	for i := 1; i < len(row); i++ {
+		if row[i] < row[i-1] {
+			return false
+		}
+	}
+	return true
 }
 
 type rowSorter struct {

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -215,4 +217,64 @@ func ExampleGraph_ShardByComponent() {
 	// 0 [0 2] 1
 	// 1 [1 4] 1
 	// 2 [3] 0
+}
+
+// pathScan emits the path 0–1–2–…–(n−1) in ascending order, so the largest
+// endpoint rises by one with every edge: a degree array reallocated to each
+// new maximum copies O(n²) bytes on this input.
+func pathScan(n int) EdgeScan {
+	return func(emit func(u, v int, p float64) error) (int, error) {
+		for u := 0; u+1 < n; u++ {
+			if err := emit(u, u+1, 0.5); err != nil {
+				return 0, err
+			}
+		}
+		return -1, nil
+	}
+}
+
+// TestFromEdgeScannerAllocatesLinearly: building a CSR allocates O(n + m)
+// bytes even when every edge raises the largest endpoint. The bound is three
+// times the finished CSR: the CSR itself, the degree array's geometric
+// growth (about five times its final size at append's growth rate), and
+// room for -race builds, which allocate more. Regrowing the array to each
+// new maximum would copy ~2n² = 5 GB here.
+func TestFromEdgeScannerAllocatesLinearly(t *testing.T) {
+	const n = 50_000
+	scan := pathScan(n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g, err := FromEdgeScanner(scan)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	csr := uint64(4*(n+1) + 2*g.NumEdges()*(4+8)) // offsets, nbrs, probs
+	if got := after.TotalAlloc - before.TotalAlloc; got > 3*csr {
+		t.Fatalf("FromEdgeScanner allocated %d bytes for a %d-byte CSR", got, csr)
+	}
+}
+
+// TestSortRowsAllocatesOncePerGraph: rows that already ascend are only
+// scanned, and unsorted rows share one sorter, so sorting a graph costs at
+// most one allocation however many rows need it.
+func TestSortRowsAllocatesOncePerGraph(t *testing.T) {
+	g := randomUncertain(300, 0.2, rand.New(rand.NewSource(9)))
+	reverse := func() {
+		for u := 0; u < g.n; u++ {
+			row, probs := g.nbrs[g.offsets[u]:g.offsets[u+1]], g.probs[g.offsets[u]:g.offsets[u+1]]
+			slices.Reverse(row)
+			slices.Reverse(probs)
+		}
+	}
+	want := g.Edges()
+	if allocs := testing.AllocsPerRun(5, g.sortRows); allocs != 0 {
+		t.Errorf("sorting already-sorted rows: %v allocations, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(5, func() { reverse(); g.sortRows() }); allocs > 1 {
+		t.Errorf("sorting %d reversed rows: %v allocations, want at most 1", g.n, allocs)
+	}
+	if !reflect.DeepEqual(g.Edges(), want) {
+		t.Fatal("sortRows changed the graph")
+	}
 }

@@ -157,9 +157,9 @@ type kernelWorkload struct {
 // skewed hub workload (one dominant subtree, hub rows ≫ tails — the shape
 // the adaptive gallop intersection targets), a collaboration-like graph, a
 // LARGE-MULE run exercising the size-pruned path and the CSR prefilter,
-// and the dense G(n,p) cell at a high α (the shape the word-parallel
-// bitset kernel targets — this is the cell the CI -kernel-diff smoke run
-// relies on to exercise the bitset path).
+// and the dense G(n,p) cell at a high α (the shape the bit-row probe
+// targets — this is the cell the CI -kernel-diff smoke run relies on to
+// exercise the probe).
 func kernelWorkloads(cfg Config) []kernelWorkload {
 	cfg = cfg.withDefaults()
 	baN := 5000

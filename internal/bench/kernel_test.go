@@ -64,8 +64,8 @@ func TestKernelWorkloadsAndEngines(t *testing.T) {
 	if !names["dense-gnp300"] {
 		t.Fatal("kernel sweep must include the dense G(n,p) workload")
 	}
-	// The dense cell must actually exercise the bitset path: its rows have
-	// to clear the adaptive mirroring threshold.
+	// The dense cell must actually exercise the bit-row probe: its rows
+	// have to clear the adaptive mirroring threshold.
 	dense := DenseGNPGraph(cfg)
 	long := 0
 	for u := 0; u < dense.G.NumVertices(); u++ {

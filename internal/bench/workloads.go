@@ -207,7 +207,7 @@ const SkewedAlpha = 0.02
 // ~0.3n long and candidate sets stay packed into the remaining vertex
 // range, which is exactly the shape where the sorted merge/gallop kernels
 // pay per-element comparisons for members that almost all survive — the
-// regime the word-parallel bitset kernel targets. Used with the high
+// regime the bit-row probe targets (every row is mirrored). Used with the high
 // DenseAlpha so the probability filter, not the topology, bounds clique
 // size and the sweep finishes in benchmark time.
 func DenseGNPGraph(cfg Config) NamedGraph {
@@ -257,9 +257,11 @@ type RunResult struct {
 func TimedMULE(g *uncertain.Graph, alpha float64, cfg Config, coreCfg core.Config) (RunResult, error) {
 	cfg = cfg.withDefaults()
 	var res RunResult
+	// The clock starts before the deadline is set, so a run cut off by the
+	// deadline always reports at least the budget as elapsed.
+	start := time.Now()
 	ctx, cancel := context.WithTimeout(context.Background(), cfg.Budget)
 	defer cancel()
-	start := time.Now()
 	stats, err := runEnumeration(ctx, g, alpha, coreCfg)
 	res.Elapsed = time.Since(start)
 	switch {

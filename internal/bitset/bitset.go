@@ -44,8 +44,8 @@ func (s *Set) Capacity() int { return s.n }
 
 // Words exposes the backing 64-bit words of the set (bit i of the set is
 // bit i%64 of word i/64). The slice aliases the set's storage: callers may
-// read it freely — this is the zero-cost view the enumeration kernels use
-// for word-parallel AND — and may write it only through the same ownership
+// read it freely — this is the zero-cost view for word-parallel
+// operations — and may write it only through the same ownership
 // rules as the set itself. Bits at or beyond Capacity must stay zero.
 func (s *Set) Words() []uint64 { return s.words }
 

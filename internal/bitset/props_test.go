@@ -5,11 +5,10 @@ import (
 	"testing"
 )
 
-// The bitset package is kernel-load-bearing since the density-adaptive
-// intersection routes dense nodes through word-parallel AND over Set words.
-// These property tests drive long random operation sequences against a
-// map[int]bool model, so every exported operation — including the Words
-// view the kernel reads — stays bit-for-bit faithful to set semantics.
+// The bitset package backs the deterministic Bron–Kerbosch oracle
+// (internal/det). These property tests drive long random operation
+// sequences against a map[int]bool model, so every exported operation —
+// including the Words view — stays bit-for-bit faithful to set semantics.
 
 // modelCheck verifies s against the model exhaustively over the universe.
 func modelCheck(t *testing.T, step int, s *Set, model map[int]bool) {

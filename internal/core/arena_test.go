@@ -1,8 +1,13 @@
 package core
 
 import (
+	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -111,7 +116,7 @@ func TestArenaLanesParallel(t *testing.T) {
 	}
 }
 
-// --- Adaptive intersection ---
+// --- Intersection regimes ---
 
 // naiveIntersect is the reference two-pointer merge.
 func naiveIntersect(src entrySet, row []int32, probs []float64, thr float64) entrySet {
@@ -134,13 +139,17 @@ func naiveIntersect(src entrySet, row []int32, probs []float64, thr float64) ent
 	return out
 }
 
-// rowWords builds the bit representation of a sorted row over a universe.
-func rowWords(row []int32, universe int) []uint64 {
-	words := make([]uint64, (universe+63)/64)
+// rowView lays out a sorted row's view in the bit-row index over a vertex
+// universe exactly as buildBitAdjacency does: the bit words, then the
+// packed ranks. It returns the view and its bit-word count.
+func rowView(row []int32, universe int) ([]uint64, int) {
+	words := (universe + 63) / 64
+	view := make([]uint64, words+rankWords(words))
 	for _, v := range row {
-		words[v>>6] |= 1 << (uint32(v) & 63)
+		view[v>>6] |= 1 << (uint32(v) & 63)
 	}
-	return words
+	fillRanks(view, words)
+	return view, words
 }
 
 func randomSorted(rng *rand.Rand, n, max int) []int32 {
@@ -156,10 +165,75 @@ func randomSorted(rng *rand.Rand, n, max int) []int32 {
 	return out
 }
 
-// TestIntersectSetsMatchesMerge drives every regime of the adaptive
-// intersection (balanced, row-dominant galloping, src-dominant galloping,
-// and the word-parallel bitset kernel, both forced and density-triggered)
-// against the reference merge on random sorted inputs.
+// intersectCase is one (src, row) intersection over a vertex universe.
+type intersectCase struct {
+	name     string
+	universe int
+	src      entrySet
+	row      []int32
+	probs    []float64
+	thr      float64
+}
+
+// checkIntersectModes runs c through intersectSets with the row mirrored as
+// each intersect mode would mirror it — adaptive only for rows of at least
+// bitsetMinRowLen neighbours, sorted never, bitset always — and compares
+// the output lanes with the reference merge bit for bit, for the whole
+// intersection and for the one-slot emptiness test the leaves use.
+func checkIntersectModes(t *testing.T, c intersectCase) {
+	t.Helper()
+	want := naiveIntersect(c.src, c.row, c.probs, c.thr)
+	view, words := rowView(c.row, c.universe)
+	for _, mode := range []IntersectMode{IntersectAdaptive, IntersectSorted, IntersectBitset} {
+		var rowBits []uint64
+		if (mode == IntersectBitset && len(c.row) > 0) ||
+			(mode == IntersectAdaptive && len(c.row) >= bitsetMinRowLen) {
+			rowBits = view
+		}
+		e := &enumerator{stats: &Stats{}, arena: &entryArena{}, bits: &bitAdjacency{words: words}}
+		got := e.arena.alloc(minInt(c.src.length(), len(c.row)))
+		e.intersectSets(&got, &c.src, c.row, c.probs, rowBits, c.thr)
+		probed := rowBits != nil && c.src.length() > 0
+		if probed != (e.stats.BitsetOps == 1) {
+			t.Fatalf("%s mode %v: BitsetOps = %d with mirrored row %v", c.name, mode, e.stats.BitsetOps, rowBits != nil)
+		}
+		if !sameLanes(got, want) {
+			t.Fatalf("%s mode %v: got %v %v want %v %v", c.name, mode, got.v, got.r, want.v, want.r)
+		}
+		one := e.arena.alloc(1)
+		e.intersectSets(&one, &c.src, c.row, c.probs, rowBits, c.thr)
+		if !sameLanes(one, firstOf(want)) {
+			t.Fatalf("%s mode %v: one-slot test got %v want first of %v", c.name, mode, one.v, want.v)
+		}
+	}
+}
+
+// sameLanes reports whether two sets hold the same vertices with bit-identical
+// multipliers.
+func sameLanes(a, b entrySet) bool {
+	return slices.Equal(a.v, b.v) && slices.Equal(a.r, b.r)
+}
+
+// firstOf returns the set's first element alone, or the empty set.
+func firstOf(s entrySet) entrySet {
+	n := minInt(1, s.length())
+	return entrySet{s.v[:n], s.r[:n]}
+}
+
+// dyadicLane returns a lane of n multipliers drawn from {1/8, …, 8/8}: the
+// products of two are exact, so a threshold can sit exactly on one.
+func dyadicLane(rng *rand.Rand, n int) []float64 {
+	lane := make([]float64, n)
+	for i := range lane {
+		lane[i] = float64(1+rng.Intn(8)) / 8
+	}
+	return lane
+}
+
+// TestIntersectSetsMatchesMerge drives every regime of the intersection
+// (balanced merge, row-dominant galloping, src-dominant galloping, and the
+// bit-row probe under each intersect mode) against the reference merge, on
+// random sorted inputs and on the edge cases of the probe's arithmetic.
 func TestIntersectSetsMatchesMerge(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	shapes := []struct{ nSrc, nRow int }{
@@ -170,75 +244,127 @@ func TestIntersectSetsMatchesMerge(t *testing.T) {
 		{1, 1000},    // extreme hub row
 		{1000, 1},    // extreme witness list
 		{63, 8 * 63}, // exactly at the ratio boundary
-		{200, 500},   // dense span: adaptive policy routes to the bitset kernel
+		{200, 500},   // long row: mirrored under the adaptive policy
 	}
 	for trial := 0; trial < 40; trial++ {
 		for _, sh := range shapes {
-			universe := 4 * (sh.nSrc + sh.nRow + 1)
+			// Universes that are rarely a multiple of 64.
+			universe := 4*(sh.nSrc+sh.nRow+1) + rng.Intn(64)
 			srcV := randomSorted(rng, sh.nSrc, universe)
-			src := entrySet{v: srcV, r: make([]float64, len(srcV))}
-			for i := range src.r {
-				src.r[i] = 1 / float64(1+rng.Intn(8))
-			}
 			row := randomSorted(rng, sh.nRow, universe)
-			probs := make([]float64, len(row))
-			for i := range probs {
-				probs[i] = 1 / float64(1+rng.Intn(8))
-			}
-			thr := 1 / float64(1+rng.Intn(16))
-			want := naiveIntersect(src, row, probs, thr)
-			bits := rowWords(row, universe)
-			for _, mode := range []IntersectMode{IntersectAdaptive, IntersectSorted, IntersectBitset} {
-				e := &enumerator{stats: &Stats{}, intersectMode: mode, arena: &entryArena{}, mask: make([]uint64, (universe+63)/64)}
-				rowBits := bits
-				if mode == IntersectSorted {
-					rowBits = nil
-				}
-				got := e.arena.alloc(minInt(src.length(), len(row)))
-				e.intersectSets(&got, &src, row, probs, rowBits, thr)
-				if mode == IntersectBitset && src.length() > 0 && len(row) > 0 && e.stats.BitsetOps == 0 {
-					t.Fatalf("shape %+v: forced bitset mode did not route to the bitset kernel", sh)
-				}
-				if want.length() == 0 && got.length() == 0 {
-					continue
-				}
-				if !reflect.DeepEqual(got.v, want.v) || !reflect.DeepEqual(got.r, want.r) {
-					t.Fatalf("shape %+v trial %d mode %v: got %v want %v", sh, trial, mode, got.v, want.v)
-				}
-			}
+			checkIntersectModes(t, intersectCase{
+				name:     fmt.Sprintf("shape %+v trial %d", sh, trial),
+				universe: universe,
+				src:      entrySet{v: srcV, r: dyadicLane(rng, len(srcV))},
+				row:      row,
+				probs:    dyadicLane(rng, len(row)),
+				thr:      float64(1+rng.Intn(64)) / 64,
+			})
 		}
+	}
+
+	// Hand-built cases aimed at the rank arithmetic: each lists a universe,
+	// the src and row vertex sets, and a threshold (multipliers are 1/2 and
+	// edge probabilities 1/4, so every product is exactly 1/8).
+	straddle := []int32{62, 63, 64, 65, 127, 128, 191, 192}
+	edge := []struct {
+		name     string
+		universe int
+		src, row []int32
+		thr      float64
+	}{
+		{"word boundaries", 256, []int32{0, 61, 62, 63, 64, 65, 66, 126, 127, 128, 129, 190, 191, 192, 255}, straddle, 0.1},
+		{"boundaries, every src a member", 256, straddle, straddle, 0.1},
+		{"vertex 0 and n-1", 130, []int32{0, 63, 64, 128, 129}, []int32{0, 1, 64, 128, 129}, 0.1},
+		{"n = 1", 1, []int32{0}, []int32{0}, 0.1},
+		{"n = 65, last word holds one vertex", 65, []int32{0, 63, 64}, []int32{63, 64}, 0.1},
+		{"length-1 row at 0", 200, []int32{0, 5, 199}, []int32{0}, 0.1},
+		{"length-1 row mid-word", 200, []int32{0, 5, 199}, []int32{5}, 0.1},
+		{"length-1 row at n-1", 200, []int32{0, 5, 199}, []int32{199}, 0.1},
+		{"length-1 row, no match", 200, []int32{0, 5, 199}, []int32{100}, 0.1},
+		{"thr equal to r·p", 256, straddle, straddle, 0.125},
+		{"thr one ulp above r·p", 256, straddle, straddle, math.Nextafter(0.125, 1)},
+		{"thr one ulp below r·p", 256, straddle, straddle, math.Nextafter(0.125, 0)},
+	}
+	for _, c := range edge {
+		src := entrySet{v: c.src, r: make([]float64, len(c.src))}
+		for i := range src.r {
+			src.r[i] = 0.5
+		}
+		probs := make([]float64, len(c.row))
+		for i := range probs {
+			probs[i] = 0.25
+		}
+		checkIntersectModes(t, intersectCase{c.name, c.universe, src, c.row, probs, c.thr})
+	}
+
+	// Ties on realized products: the threshold is set to exactly one of the
+	// dyadic products r·p of a random intersection.
+	for trial := 0; trial < 200; trial++ {
+		universe := 1 + rng.Intn(300)
+		srcV := randomSorted(rng, rng.Intn(universe)+1, universe)
+		row := randomSorted(rng, rng.Intn(universe)+1, universe)
+		src := entrySet{v: srcV, r: dyadicLane(rng, len(srcV))}
+		probs := dyadicLane(rng, len(row))
+		all := naiveIntersect(src, row, probs, 0)
+		if all.length() == 0 {
+			continue
+		}
+		checkIntersectModes(t, intersectCase{
+			name: fmt.Sprintf("tie trial %d", trial), universe: universe,
+			src: src, row: row, probs: probs, thr: all.r[rng.Intn(all.length())],
+		})
 	}
 }
 
-// TestBitsetPolicyTriggers pins the density heuristic: a packed candidate
-// set against a long row routes to the bitset kernel under the adaptive
-// policy, and a sparse-span set does not.
-func TestBitsetPolicyTriggers(t *testing.T) {
-	dense := make([]int32, 64)
-	for i := range dense {
-		dense[i] = int32(2 * i) // span 127 ≤ 64·64
-	}
-	e := &enumerator{stats: &Stats{}}
-	if !e.useBitset(dense, 200) {
-		t.Error("dense span + long row should route to the bitset kernel")
-	}
-	if e.useBitset(dense, len(dense)-1) {
-		t.Error("row below bitsetRowRatio·src should stay on the sorted kernels")
-	}
-	sparse := make([]int32, 16)
-	for i := range sparse {
-		sparse[i] = int32(i * 1000) // span ≫ 64·16
-	}
-	if e.useBitset(sparse, 4000) {
-		t.Error("sparse span should stay on the sorted kernels")
-	}
-	if e.useBitset(dense[:bitsetMinSrc-1], 1000) {
-		t.Error("tiny sets should stay on the sorted kernels")
-	}
-	e.intersectMode = IntersectBitset
-	if !e.useBitset(sparse, 4) {
-		t.Error("forced bitset mode must always route to the bitset kernel")
-	}
+// FuzzProbeMatchesMerge checks the bit-row probe against the sorted merge
+// on arbitrary sorted sets and rows: every input byte past the first
+// describes one vertex of the universe — bit 0 puts it in the set, bit 1 in
+// the row, bits 2–4 pick its multiplier and bits 5–7 its edge probability
+// from {1/8, …, 8/8} — and the first picks the threshold k/64, so ties on
+// exact products are common. The probe's output lanes must equal the
+// merge's bit for bit, for the whole intersection and for the one-slot
+// emptiness test.
+func FuzzProbeMatchesMerge(f *testing.F) {
+	f.Add([]byte{32, 3, 7, 11, 3, 0, 255})
+	f.Add(append([]byte{8}, bytes.Repeat([]byte{3, 0xe7, 2, 1}, 40)...))
+	f.Add(append([]byte{63}, bytes.Repeat([]byte{0xff}, 130)...))
+	f.Add(append([]byte{0}, bytes.Repeat([]byte{0x03, 0x27, 0x4b, 0x62, 0xe5}, 60)...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 || len(data) > 1+bitsetMaxVertices {
+			return
+		}
+		thr := float64(1+int(data[0])%64) / 64
+		verts := data[1:]
+		var src entrySet
+		var row []int32
+		var probs []float64
+		for v, b := range verts {
+			if b&1 != 0 {
+				src = src.push(int32(v), float64(1+(b>>2)&7)/8)
+			}
+			if b&2 != 0 {
+				row = append(row, int32(v))
+				probs = append(probs, float64(1+b>>5)/8)
+			}
+		}
+		if src.length() == 0 || len(row) == 0 {
+			return
+		}
+		want := naiveIntersect(src, row, probs, thr)
+		view, words := rowView(row, len(verts))
+		e := &enumerator{stats: &Stats{}, bits: &bitAdjacency{words: words}}
+		full := entrySet{make([]int32, 0, src.length()), make([]float64, 0, src.length())}
+		e.intersectSets(&full, &src, row, probs, view, thr)
+		if !sameLanes(full, want) {
+			t.Fatalf("probe %v %v, merge %v %v", full.v, full.r, want.v, want.r)
+		}
+		one := entrySet{make([]int32, 0, 1), make([]float64, 0, 1)}
+		e.intersectSets(&one, &src, row, probs, view, thr)
+		if !sameLanes(one, firstOf(want)) {
+			t.Fatalf("one-slot probe %v %v, merge starts %v %v", one.v, one.r, want.v, want.r)
+		}
+	})
 }
 
 func TestGallopBoundaries(t *testing.T) {
@@ -307,6 +433,65 @@ func TestEnumerateLargeFilterSteadyStateAllocs(t *testing.T) {
 	// as thousands of allocs per run.
 	if perNode := kernelAllocsPerNode(t, Config{MinSize: 3}, 0.002, 500); perNode > 0.05 {
 		t.Fatalf("LARGE-MULE with the prefilter allocates %.4f per search node; the CSR rebuild should be ~0", perNode)
+	}
+}
+
+// bitIndexAllocs is what the bit-row index may allocate per run: its header,
+// its per-vertex row table, and the slice box returnWords hands the word
+// pool. The bit words and the ranks share one pooled buffer.
+const bitIndexAllocs = 3
+
+// steadyAllocs returns the fewest heap allocations one call of f makes over
+// runs calls after a warm-up. The race detector's sync.Pool drops a random
+// quarter of the buffers put back, so a single call may re-allocate pooled
+// storage; the fewest is the steady state, which every call hits without
+// -race.
+func steadyAllocs(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	fewest := ^uint64(0)
+	var before, after runtime.MemStats
+	for i := 0; i < runs; i++ {
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		fewest = min(fewest, after.Mallocs-before.Mallocs)
+	}
+	return fewest
+}
+
+// TestDenseBitRowsSteadyStateAllocs runs the dense-gnp300 kernel cell — a
+// G(300, 0.3) block at α = 0.25, where every row is long enough to be
+// mirrored — under the adaptive and bitset modes. The whole run may
+// allocate only bitIndexAllocs more objects than the same run on the sorted
+// kernels, which builds no index: the rank lanes, like the bit words, must
+// come from the pools. (A per-node bound cannot see this: the run has
+// ~500k search nodes.)
+func TestDenseBitRowsSteadyStateAllocs(t *testing.T) {
+	const alpha = 0.25
+	g := denseUncertain(300, 0.3, 1).PruneAlpha(alpha)
+	runAllocs := func(mode IntersectMode) (uint64, Stats) {
+		var stats Stats
+		allocs := steadyAllocs(10, func() {
+			var err error
+			stats, err = EnumerateWith(g, alpha, nil, Config{SkipPrune: true, Intersect: mode})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+		return allocs, stats
+	}
+	sorted, _ := runAllocs(IntersectSorted)
+	for _, mode := range []IntersectMode{IntersectAdaptive, IntersectBitset} {
+		allocs, stats := runAllocs(mode)
+		t.Logf("%v: %d allocs/run over %d calls (sorted: %d)", mode, allocs, stats.Calls, sorted)
+		if stats.BitsetOps == 0 {
+			t.Fatalf("%v: no intersection probed a bit row", mode)
+		}
+		if allocs > sorted+bitIndexAllocs {
+			t.Fatalf("%v: %d allocs/run, more than the sorted run's %d plus %d for the bit-row index",
+				mode, allocs, sorted, bitIndexAllocs)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -11,7 +12,7 @@ import (
 )
 
 // denseUncertain builds a G(n, p) uncertain graph with high edge
-// probabilities — the dense-neighborhood shape the bitset kernel targets.
+// probabilities — the dense-neighborhood shape the bit-row probe targets.
 func denseUncertain(n int, p float64, seed int64) *uncertain.Graph {
 	rng := rand.New(rand.NewSource(seed))
 	b := uncertain.NewBuilder(n)
@@ -122,25 +123,29 @@ func TestBitAdjacencyConstruction(t *testing.T) {
 	}
 	for u := 0; u < g.NumVertices(); u++ {
 		row, _ := g.Adjacency(u)
-		words := b.row(int32(u))
-		if g.Degree(u) > 0 && words == nil {
+		view := b.row(int32(u))
+		if g.Degree(u) > 0 && view == nil {
 			t.Fatalf("forced mode left row %d unmirrored", u)
 		}
-		count := 0
+		if len(view) != b.words+rankWords(b.words) {
+			t.Fatalf("row %d view has %d words, want %d bit words and their ranks", u, len(view), b.words)
+		}
 		for _, v := range row {
-			if words[v>>6]&(1<<(uint32(v)&63)) == 0 {
+			if view[v>>6]&(1<<(uint32(v)&63)) == 0 {
 				t.Fatalf("row %d missing neighbor %d in bit mirror", u, v)
 			}
-			count++
 		}
 		set := 0
-		for _, w := range words {
-			for ; w != 0; w &= w - 1 {
-				set++
+		for k, w := range view[:b.words] {
+			// rank[k] counts the neighbours below 64·k.
+			below := sort.Search(len(row), func(i int) bool { return row[i] >= int32(64*k) })
+			if rank := int(uint16(view[b.words+k/4] >> (16 * (k % 4)))); rank != below {
+				t.Fatalf("row %d: rank[%d] = %d, want %d", u, k, rank, below)
 			}
+			set += bits.OnesCount64(w)
 		}
-		if set != count {
-			t.Fatalf("row %d mirror has %d bits, want %d", u, set, count)
+		if set != len(row) {
+			t.Fatalf("row %d mirror has %d bits, want %d", u, set, len(row))
 		}
 	}
 	// Adaptive mode only mirrors rows long enough to matter.
@@ -153,7 +158,7 @@ func TestBitAdjacencyConstruction(t *testing.T) {
 	}
 	// nil receiver behaves as the empty index.
 	var nilIdx *bitAdjacency
-	if nilIdx.row(0) != nil || nilIdx.checkoutMask() != nil {
+	if nilIdx.row(0) != nil {
 		t.Fatal("nil index must behave as empty")
 	}
 	nilIdx.release() // must be a no-op, not a panic

@@ -28,8 +28,8 @@
 // Workers is the run's parallelism cap on that pool, not a goroutine
 // count. The legacy top-level fan-out (parallel.go) that only distributes
 // the provably independent root branches is kept as ParallelTopLevel for
-// comparison benchmarks. Per-run scratch memory (entry arenas, bitset
-// scatter masks, bit-row mirrors) comes from size-classed pools (pools.go)
+// comparison benchmarks. Per-run scratch memory (entry arenas and the
+// rank-indexed bit-row mirrors) comes from size-classed pools (pools.go)
 // checked out per query-slot pair and returned on every terminal path.
 package core
 
@@ -82,23 +82,22 @@ func (o Ordering) String() string {
 	}
 }
 
-// IntersectMode selects how the kernel's candidate/witness intersections
-// are computed. The default is density-adaptive; the forced modes exist for
-// equivalence tests and ablation benchmarks — the output set is identical
-// under every mode.
+// IntersectMode selects which adjacency rows the kernel mirrors as
+// rank-indexed bit rows: every intersection against a mirrored row probes it
+// in O(1) per set element, the others merge or gallop. The default is
+// adaptive; the forced modes exist for equivalence tests and ablation
+// benchmarks — the output set is identical under every mode.
 type IntersectMode int
 
 const (
-	// IntersectAdaptive (the default) chooses per node: word-parallel
-	// bitset AND when the candidate set is dense relative to the remaining
-	// vertex range and the row has a bit mirror, merge/gallop otherwise.
+	// IntersectAdaptive (the default) mirrors the rows of at least 64
+	// neighbours on graphs of up to 8,192 vertices.
 	IntersectAdaptive IntersectMode = iota
-	// IntersectSorted disables the bitset path entirely (no bit rows are
-	// built): every intersection runs on the sorted merge/gallop kernels.
+	// IntersectSorted mirrors no row (no bit rows are built): every
+	// intersection runs on the sorted merge/gallop kernels.
 	IntersectSorted
-	// IntersectBitset forces the bitset path wherever a bit row can exist
-	// (every row of a graph within the bitsetMaxVertices gate is mirrored);
-	// intersections on larger graphs fall back to the sorted kernels.
+	// IntersectBitset mirrors every non-empty row of a graph within the
+	// 8,192-vertex gate; larger graphs fall back to the sorted kernels.
 	IntersectBitset
 )
 
@@ -178,9 +177,9 @@ type Config struct {
 	// batches of abortCheckInterval nodes per worker, so a parallel run can
 	// overshoot by up to Workers×interval nodes.
 	Budget int64
-	// Intersect selects the intersection kernel policy: density-adaptive
-	// (the default), or forced sorted/bitset for tests and ablations. The
-	// enumerated clique set is identical under every mode.
+	// Intersect selects which rows the intersection kernel probes as bit
+	// rows: adaptive (the default), or forced sorted/bitset for tests and
+	// ablations. The enumerated clique set is identical under every mode.
 	Intersect IntersectMode
 	// StallTimeout, when > 0, arms the stall watchdog: a run whose progress
 	// beacon (stamped by every poll and every emission) does not advance for
@@ -205,8 +204,8 @@ type Stats struct {
 	MaxDepth      int       // deepest recursion (= largest working clique)
 	MaxCliqueSize int       // largest emitted clique
 	CandidateOps  int64     // candidate entries produced across all GenerateI calls
-	WitnessOps    int64     // witness entries produced across all GenerateX calls
-	BitsetOps     int64     // intersections routed to the word-parallel bitset kernel
+	WitnessOps    int64     // witness entries materialized by GenerateX; leaves test X′ for emptiness without producing entries
+	BitsetOps     int64     // intersections answered by probing a bit row (GenerateI, GenerateX and leaf witness tests)
 	PrunedEdges   int       // edges removed by α-pruning (Observation 3)
 	SizePruned    int64     // LARGE-MULE: branches cut by |C'|+|I'| < MinSize
 	FilterRemoved int       // LARGE-MULE: edges removed by shared-neighborhood filtering
@@ -324,30 +323,28 @@ func EnumerateContext(ctx context.Context, g *uncertain.Graph, alpha float64, vi
 		work = relabeled
 	}
 
-	// The bit-row index mirrors dense adjacency rows of the final working
-	// graph (post-prune, post-filter, post-relabel) for the word-parallel
-	// intersection kernel; nil when the graph or policy rules it out. Its
-	// row storage is pooled and returned when the run ends.
+	// The bit-row index mirrors adjacency rows of the final working graph
+	// (post-prune, post-filter, post-relabel), with ranks, for the probe
+	// kernel; nil when the graph or policy rules it out. Its row storage is
+	// pooled and returned when the run ends.
 	bits := buildBitAdjacency(work, cfg.Intersect)
 	defer bits.release()
 
 	e := &enumerator{
-		g:             work,
-		alpha:         alpha,
-		minSize:       cfg.MinSize,
-		visit:         visit,
-		newToOld:      newToOld,
-		identity:      identity,
-		checkInv:      cfg.CheckInvariants,
-		intersectMode: cfg.Intersect,
-		bits:          bits,
-		mask:          bits.checkoutMask(),
-		stats:         &stats,
-		ctl:           ctl,
-		tick:          abortCheckInterval,
-		arena:         checkoutArena(work.NumVertices()),
-		emitBuf:       make([]int, 0, 64),
-		cbuf:          make([]int32, 0, 128),
+		g:        work,
+		alpha:    alpha,
+		minSize:  cfg.MinSize,
+		visit:    visit,
+		newToOld: newToOld,
+		identity: identity,
+		checkInv: cfg.CheckInvariants,
+		bits:     bits,
+		stats:    &stats,
+		ctl:      ctl,
+		tick:     abortCheckInterval,
+		arena:    checkoutArena(work.NumVertices()),
+		emitBuf:  make([]int, 0, 64),
+		cbuf:     make([]int32, 0, 128),
 	}
 	// The deferred release covers every exit — including cancel, budget,
 	// limit, panic, and stall unwinds, which return through finish like a

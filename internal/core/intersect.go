@@ -2,15 +2,25 @@ package core
 
 import "math/bits"
 
-// Density-adaptive sorted-set intersection for GenerateI/GenerateX
-// (Algorithms 3 and 4). Both algorithms intersect a sorted entry set
-// (candidates or witnesses) with a sorted adjacency row, extending each
-// surviving multiplier by the edge probability and filtering against the
-// threshold.
+// Sorted-set intersection for GenerateI/GenerateX (Algorithms 3 and 4).
+// Both algorithms intersect a sorted entry set (candidates or witnesses)
+// with u's sorted adjacency row, extending each surviving multiplier by the
+// edge probability and filtering against the threshold. The same kernel
+// answers the leaf witness test (mule.go): handed a one-slot output, it
+// stops at the first survivor, so a leaf learns whether X′ is empty without
+// building it.
 //
-// Three regimes, chosen per node:
+// Three regimes, chosen per intersection:
 //
-//   - On balanced inputs a linear two-pointer merge is optimal.
+//   - When u's row is mirrored in the rank-indexed bit-row index
+//     (bitrows.go), the kernel probes: for each set element v it tests v's
+//     bit in the row and, on a hit, reads p(u,v) at the position the row's
+//     rank and a popcount give. The cost is O(1) per set element, whatever
+//     the row length or the vertex span of the set — MULE's O(1) per
+//     candidate, kept on the dense nodes where almost every member
+//     survives.
+//   - On unmirrored rows of balanced length a linear two-pointer merge is
+//     optimal.
 //   - On hub-heavy power-law graphs the two sides routinely differ by
 //     orders of magnitude — a short tail intersected with a hub's
 //     multi-thousand-entry row — and the merge wastes its time stepping
@@ -18,76 +28,39 @@ import "math/bits"
 //     by gallopRatio or more, the kernel instead walks the short side and
 //     advances through the long side by galloping (exponential search
 //     followed by binary search), making each step O(log gap).
-//   - On dense neighborhoods — the entry set packed tightly into the
-//     remaining vertex range, against a long row — both sorted kernels pay
-//     per-element comparisons for members that almost all survive. There
-//     the kernel switches representation: it scatters the entry set's
-//     vertex lane into a worker-local bit mask and intersects with the
-//     row's precomputed bit row (bitrows.go) by word-parallel AND, visiting
-//     only the 64-element words the set occupies. Matches pop out of the
-//     AND words via trailing-zero iteration; the multiplier comes from a
-//     linear cursor over the (sorted) source lanes and the edge probability
-//     from a galloping cursor over the row. This is the BBMC-style
-//     bit-parallel kernel of the dense-graph clique literature, restricted
-//     to the nodes where the density makes it pay.
+//
+// Every regime multiplies the same two floats and compares the product with
+// the same hoisted threshold, so membership decisions are bit-identical
+// across regimes and intersect modes, at the α boundary too.
 
 // gallopRatio is the length disparity at which the merge switches to
 // galloping. Below ~8× the branchy binary search costs more than the linear
 // steps it replaces.
 const gallopRatio = 8
 
-const (
-	// bitsetMinSrc is the smallest entry set routed to the bitset kernel
-	// under the adaptive policy: below it the mask setup dominates and the
-	// sorted kernels win.
-	bitsetMinSrc = 4
-	// bitsetRowRatio is the minimum row/src length ratio for the bitset
-	// kernel: when the row is not meaningfully longer than the set, the
-	// two-pointer merge is already near optimal.
-	bitsetRowRatio = 1
-	// bitsetSpanPerEntry bounds the vertex span the mask may cover per set
-	// element (one 64-bit word each): the set must be dense relative to the
-	// remaining vertex range or clearing and ANDing the span costs more
-	// than the comparisons it saves.
-	bitsetSpanPerEntry = 64
-)
-
-// useBitset is the per-node representation choice: it reports whether the
-// (src, row) intersection should run on the word-parallel bitset kernel.
-// rowBits availability is checked by the caller.
-func (e *enumerator) useBitset(srcV []int32, nrow int) bool {
-	if e.intersectMode == IntersectBitset {
-		return true
-	}
-	ns := len(srcV)
-	if ns < bitsetMinSrc || nrow < bitsetRowRatio*ns {
-		return false
-	}
-	span := int(srcV[ns-1]) - int(srcV[0]) + 1
-	return span <= ns*bitsetSpanPerEntry
-}
-
 // intersectSets appends to dst every vertex common to src (a sorted entry
 // set) and row (sorted adjacency with parallel probs) whose extended
-// multiplier src.r[i]·probs[j] still meets thr. dst must have capacity for
-// min(src.length(), len(row)) pushes. rowBits, when non-nil, is the row's
-// bit representation (bitrows.go) and enables the word-parallel kernel;
-// the per-node policy is useBitset. dst and src are passed by pointer so
-// the hot per-node call keeps its arguments in registers — by-value
-// entrySets (six words each) spill to the stack on every search node.
+// multiplier src.r[i]·probs[j] still meets thr, stopping early once dst is
+// full: the caller sizes dst's capacity to at least min(src.length(),
+// len(row)) for the whole intersection, or to one for an emptiness test. rowBits, when
+// non-nil, is the row's view in the bit-row index (bitrows.go) and selects
+// the probe; row and probs must then be the full row, since ranks count from
+// its start. dst and src are passed by pointer so the hot per-node call
+// keeps its arguments in registers — by-value entrySets (six words each)
+// spill to the stack on every search node.
 //
 // thr is the hoisted threshold α/clq(C∪{u}): comparing r' ≥ α/q' once per
 // match replaces the q'·r' ≥ α multiply of the textbook formulation. The
 // two comparisons can disagree by at most one ulp of rounding on the
-// boundary; every ordering, engine, and representation uses the same rule,
-// so results stay internally consistent.
+// boundary; every ordering, engine, and regime uses the same rule, so
+// results stay internally consistent.
 func (e *enumerator) intersectSets(dst, src *entrySet, row []int32, probs []float64, rowBits []uint64, thr float64) {
 	if len(src.v) == 0 || len(row) == 0 {
 		return
 	}
-	if rowBits != nil && e.useBitset(src.v, len(row)) {
+	if rowBits != nil {
 		e.stats.BitsetOps++
-		e.intersectBitset(dst, src, row, probs, rowBits, thr)
+		probeRow(dst, src, probs, rowBits, e.bits.words, thr)
 		return
 	}
 	// Re-slicing the secondary lanes to the primary lane's length lets the
@@ -113,7 +86,9 @@ func (e *enumerator) intersectSets(dst, src *entrySet, row []int32, probs []floa
 				if r2 := srcR[i] * probs[j]; r2 >= thr {
 					dv[k] = v
 					dr[k] = r2
-					k++
+					if k++; k == len(dv) {
+						break
+					}
 				}
 				j++
 			}
@@ -129,13 +104,16 @@ func (e *enumerator) intersectSets(dst, src *entrySet, row []int32, probs []floa
 				if r2 := srcR[i] * probs[j]; r2 >= thr {
 					dv[k] = v
 					dr[k] = r2
-					k++
+					if k++; k == len(dv) {
+						break
+					}
 				}
 				i++
 			}
 		}
 	default:
 		i, j := 0, 0
+	merge:
 		for i < len(srcV) && j < len(row) {
 			switch {
 			case srcV[i] < row[j]:
@@ -146,7 +124,9 @@ func (e *enumerator) intersectSets(dst, src *entrySet, row []int32, probs []floa
 				if r2 := srcR[i] * probs[j]; r2 >= thr {
 					dv[k] = srcV[i]
 					dr[k] = r2
-					k++
+					if k++; k == len(dv) {
+						break merge
+					}
 				}
 				i++
 				j++
@@ -156,49 +136,37 @@ func (e *enumerator) intersectSets(dst, src *entrySet, row []int32, probs []floa
 	dst.v, dst.r = dv[:k], dr[:k]
 }
 
-// intersectBitset is the word-parallel kernel. It scatters src's vertex
-// lane into the worker-local mask (clearing only the words the set spans),
-// ANDs the mask against the row's bit words, and walks the set bits of
-// each AND word: a set bit is a match by construction, so the inner loop
-// touches the multiplier lane and the probability array only for
-// survivors. The mask covers exactly src's span, so per-node cost is
-// O(span/64 + |src| + matches·log gap) independent of the row length.
-func (e *enumerator) intersectBitset(dst, src *entrySet, row []int32, probs []float64, rowBits []uint64, thr float64) {
-	mask := e.mask
-	wlo := int(src.v[0]) >> 6
-	whi := int(src.v[len(src.v)-1]) >> 6
-	for k := wlo; k <= whi; k++ {
-		mask[k] = 0
-	}
-	for _, v := range src.v {
-		mask[v>>6] |= 1 << (uint32(v) & 63)
-	}
+// probeRow is the probe regime of intersectSets: view is the row's bit
+// words (the first words entries) followed by its packed uint16 ranks, and
+// probs is the full row's probability lane. Shifting v's bit to the top of
+// its word leaves exactly the row's neighbours ≤ v there, so the sign bit
+// is v's membership and the popcount minus one is v's offset past
+// rank[v>>6] in the row. The cost is O(1) per src element and independent
+// of the row.
+func probeRow(dst, src *entrySet, probs []float64, view []uint64, words int, thr float64) {
+	rowBits := view[:words]
+	ranks := view[words:]
 	srcV := src.v
 	srcR := src.r[:len(srcV)]
-	n := len(dst.v)
+	k := len(dst.v)
 	dv := dst.v[:cap(dst.v)]
 	dr := dst.r[:cap(dst.v)]
-	si, j := 0, 0
-	for k := wlo; k <= whi; k++ {
-		w := mask[k] & rowBits[k]
-		for w != 0 {
-			v := int32(k<<6 + bits.TrailingZeros64(w))
-			w &= w - 1
-			for srcV[si] < v {
-				si++
+	for i, v := range srcV {
+		w := uint32(v) >> 6
+		upTo := rowBits[w] << (63 - uint32(v)&63)
+		if int64(upTo) >= 0 {
+			continue // v is not a neighbour
+		}
+		j := int(uint16(ranks[w>>2]>>(16*(w&3)))) + bits.OnesCount64(upTo) - 1
+		if r2 := srcR[i] * probs[j]; r2 >= thr {
+			dv[k] = v
+			dr[k] = r2
+			if k++; k == len(dv) {
+				break
 			}
-			// The row bit is set, so v ∈ row and the gallop lands on it.
-			j = gallop32(row, j, v)
-			if r2 := srcR[si] * probs[j]; r2 >= thr {
-				dv[n] = v
-				dr[n] = r2
-				n++
-			}
-			si++
-			j++
 		}
 	}
-	dst.v, dst.r = dv[:n], dr[:n]
+	dst.v, dst.r = dv[:k], dr[:k]
 }
 
 // gallop32 returns the smallest k ≥ from with xs[k] ≥ v, or len(xs):

@@ -25,7 +25,7 @@ import (
 // X and stays inside one seat.
 
 // tlLocal is one slot's private state for the top-level engine: the worker
-// clone with its pooled arena/mask and the stats block merged after the run.
+// clone with its pooled arena and the stats block merged after the run.
 type tlLocal struct {
 	stats Stats
 	e     *enumerator

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -94,6 +95,35 @@ func TestStealCounterStorm(t *testing.T) {
 	}
 	if steals == 0 {
 		t.Fatal("storm exercised no steals across 6 steal-greedy rounds")
+	}
+}
+
+// TestSwallowedEmissionNotCounted pins the parallel emission accounting: a
+// slot's emission that reaches the visitor counts in Emitted even when the
+// visitor stops the run, and one that arrives after another slot latched
+// the stop is swallowed without being counted — so a limit-10 visitor
+// never sees Stats.Emitted = 11.
+func TestSwallowedEmissionNotCounted(t *testing.T) {
+	g := randomDyadic(4, 1, rand.New(rand.NewSource(1)))
+	var seen int
+	ctl := NewRunControl(context.Background(), 0)
+	s := &wsShared{ctl: ctl, visit: func([]int, float64) bool {
+		seen++
+		return false
+	}}
+	root := &enumerator{g: g, alpha: 0.5, identity: true, ctl: ctl}
+	var stats Stats
+	slot := root.workerClone(&stats, s)
+	defer slot.releasePooled()
+	slot.emit([]int32{0, 1, 2}, 0.5)
+	if seen != 1 || stats.Emitted != 1 || stats.MaxCliqueSize != 3 || !ctl.stop.Load() {
+		t.Fatalf("stopping emission: seen %d, stats %+v, stop %v", seen, stats, ctl.stop.Load())
+	}
+	other := root.workerClone(&stats, s)
+	defer other.releasePooled()
+	other.emit([]int32{0, 1, 2, 3}, 0.25)
+	if seen != 1 || stats.Emitted != 1 || stats.MaxCliqueSize != 3 || !other.stopped {
+		t.Fatalf("post-stop emission was counted: seen %d, stats %+v", seen, stats)
 	}
 }
 

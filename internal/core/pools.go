@@ -7,10 +7,10 @@ import (
 )
 
 // Pooled run resources. Before the shared executor, every run (and every
-// worker of a parallel run) allocated its own entry arena, bitset scatter
-// mask, and bit-row mirror backing — exactly wrong for thousands of small
+// worker of a parallel run) allocated its own entry arena and bit-row mirror
+// backing (bit words and ranks) — exactly wrong for thousands of small
 // concurrent queries, where the per-run setup dominates the mining. These
-// pools recycle all three across runs, size-classed by a power-of-two class
+// pools recycle both across runs, size-classed by a power-of-two class
 // of the demanded capacity so a burst of tiny queries never checks out the
 // block set a giant graph grew.
 //
@@ -83,8 +83,8 @@ func returnArena(n int, a *entryArena) {
 
 // checkoutWords takes a word buffer of at least n words (len(buf) == n) from
 // the class pool. The contents are unspecified; callers that need zeroed
-// words clear the span they use (the bitset scatter mask already does, the
-// bit-row builder clears each carved row).
+// words clear the span they use (the bit-row builder clears each carved
+// row view).
 func checkoutWords(n int) []uint64 {
 	if n == 0 {
 		return nil

@@ -44,10 +44,9 @@ import (
 // node-counting hot path free of cross-worker cache-line contention.
 //
 // Pooled-resource discipline: each slot's enumerator checks its entry arena
-// and bitset scatter mask out of the size-classed pools (pools.go) at slot
-// creation and returns them in the post-Wait merge loop — the single
-// terminal point every outcome (complete, early stop, cancel, budget)
-// funnels through. Arena memory never crosses slots: frame state (C, I, X)
+// out of the size-classed pools (pools.go) at slot creation and returns it
+// in the post-Wait merge loop — the single terminal point every outcome
+// (complete, early stop, cancel, budget) funnels through. Arena memory never crosses slots: frame state (C, I, X)
 // always lives on the heap, copied out of the arena before the frame is
 // published, so a thief never observes another slot's arena memory.
 //
@@ -94,30 +93,30 @@ type wsShared struct {
 	visit   Visitor    // the user's visitor; nil = count only
 }
 
-// wrapVisitor serializes the user visitor across slots and latches the
-// early-stop: after any visitor invocation returns false, every later
-// emission is swallowed, preserving the serial contract that no clique is
-// delivered after the stop.
-func (s *wsShared) wrapVisitor() Visitor {
+// deliver hands one slot's emission to the user visitor, serialized across
+// slots, and latches the early-stop: after any visitor invocation returns
+// false, every later emission is swallowed, preserving the serial contract
+// that no clique is delivered after the stop. delivered reports whether the
+// visitor received the emission (always, when there is no visitor: the run
+// only counts); more is false once the run must stop.
+func (s *wsShared) deliver(c []int, p float64) (delivered, more bool) {
 	if s.visit == nil {
-		return nil
+		return true, true
 	}
-	return func(c []int, p float64) bool {
-		s.visitMu.Lock()
-		defer s.visitMu.Unlock()
-		if s.ctl.stop.Load() {
-			return false
-		}
-		if !s.visit(c, p) {
-			s.ctl.stop.Store(true)
-			return false
-		}
-		return true
+	s.visitMu.Lock()
+	defer s.visitMu.Unlock()
+	if s.ctl.stop.Load() {
+		return false, false
 	}
+	if !s.visit(c, p) {
+		s.ctl.stop.Store(true)
+		return true, false
+	}
+	return true, true
 }
 
 // wsWorker is one slot's private state: the worker-clone enumerator (own
-// stats, pooled arena and mask), the frame free list, and the steal/split
+// stats and pooled arena), the frame free list, and the steal/split
 // counters this slot increments as a thief. The executor guarantees calls
 // for one slot ID are never concurrent, so nothing here is locked.
 type wsWorker struct {
@@ -170,7 +169,7 @@ type wsEngine struct {
 }
 
 // local returns the slot's private wsWorker, creating it (with a pooled
-// arena and mask checked out for the slot's enumerator clone) on first use.
+// arena checked out for the slot's enumerator clone) on first use.
 func (en *wsEngine) local(id int) *wsWorker {
 	w := en.locals[id]
 	if w == nil {
@@ -230,7 +229,7 @@ func (en *wsEngine) NoteSteal(thief int) {
 // (including the steal/split counters, which a thief increments only on its
 // own wsWorker) are merged in ascending slot order after the run, so the
 // aggregate is reproducibly summed regardless of scheduling, and each
-// slot's pooled arena and mask are returned at the same point — the single
+// slot's pooled arena is returned at the same point — the single
 // terminal path for every outcome.
 func (e *enumerator) runWorkStealing(x *exec.Executor, workers, granularity int) {
 	if granularity <= 0 {
@@ -308,28 +307,19 @@ func (w *wsWorker) executeFrame(f *wsFrame) {
 			e.arena.release(m)
 			continue
 		}
-		e.generateX(&X2, &f.X, u, q2, I2.length())
-		f.X = f.X.push(u, r)
 		if I2.length() == 0 {
-			// Leaf (emit) or dead end (witnessed): account for the node
-			// without allocating a frame or recursing.
-			if e.countNode() {
-				e.arena.release(m)
-				return
-			}
-			if d := len(f.C) + 1; d > e.stats.MaxDepth {
-				e.stats.MaxDepth = d
-			}
+			// Leaf (emit) or dead end (witnessed): the early-exit witness
+			// test against f.X — before u joins it — without allocating a
+			// frame, building X', or recursing. A stop latched here is seen
+			// at the loop head.
 			w.scratch = append(append(w.scratch[:0], f.C...), u)
-			if e.checkInv {
-				e.verifyInvariants(w.scratch, q2, I2, X2)
-			}
-			if X2.length() == 0 {
-				e.emit(w.scratch, q2)
-			}
+			e.leaf(w.scratch, q2, &f.X)
+			f.X = f.X.push(u, r)
 			e.arena.release(m)
 			continue
 		}
+		e.generateX(&X2, &f.X, u, q2, I2.length())
+		f.X = f.X.push(u, r)
 		if I2.length() < w.granularity {
 			// Small subtree: run it inline with the serial recursion on
 			// slot-private scratch. It accounts for its own nodes and is

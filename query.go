@@ -217,11 +217,12 @@ func WithStallTimeout(d time.Duration) Option {
 	}}
 }
 
-// WithIntersect selects the intersection kernel policy: IntersectAdaptive
-// (the default — word-parallel bitset AND on dense nodes, merge/gallop
-// elsewhere), or the forced IntersectSorted / IntersectBitset modes for
-// equivalence testing and ablation benchmarks. The enumerated clique set
-// is identical under every mode.
+// WithIntersect selects which adjacency rows the intersection kernel
+// mirrors as rank-indexed bit rows and probes in O(1) per set element:
+// IntersectAdaptive (the default — rows of at least 64 neighbours;
+// merge/gallop on the others), or the forced IntersectSorted (none) /
+// IntersectBitset (all) modes for equivalence testing and ablation
+// benchmarks. The enumerated clique set is identical under every mode.
 func WithIntersect(m IntersectMode) Option {
 	return Option{"WithIntersect", kindClique, func(o *queryOptions) { o.cfg.Intersect = m }}
 }

@@ -261,19 +261,20 @@ func measureKernel(g *uncertain.Graph, alpha float64, coreCfg core.Config, once 
 
 // extensionKernelCells returns the extension-path cells of the sweep: a
 // small biclique enumeration, an η-truss decomposition, a
-// component-sharded clique run, a densest-subgraph run, and a k-center
-// clustering, all measured through the public
+// component-sharded clique run, a densest-subgraph run, a k-center
+// clustering, an η-core decomposition and a quasi-clique enumeration, all
+// measured through the public
 // prepared-query API so the trajectory catches regressions on the §6 query
 // surface (run-control polling included). The cells are sized to stay
 // 1-CPU-friendly per the trajectory-comparability convention (the sharded
 // cell's two shard slots idle-wait rather than saturate). KernelEntry
 // reuse: Alpha
-// carries the miner's threshold (α / η), Cliques the emitted results
-// (bicliques / edges), Calls the charged work units (search nodes / support
-// checks).
+// carries the miner's threshold (α / η / γ), Cliques the emitted results
+// (bicliques / edges / vertices / sets), Calls the charged work units
+// (search nodes / support checks / η-degree recomputes).
 func extensionKernelCells(cfg Config, once bool) ([]KernelEntry, error) {
 	ctx := context.Background()
-	out := make([]KernelEntry, 0, 5)
+	out := make([]KernelEntry, 0, 7)
 
 	bg := AffinityBipartite(200, 150, 6, cfg.Seed)
 	be := KernelEntry{Workload: "biclique-aff200x150", Alpha: 0.2, Engine: "serial", Workers: 1}
@@ -363,6 +364,43 @@ func extensionKernelCells(cfg Config, once bool) ([]KernelEntry, error) {
 	ce.Cliques = cStats.Emitted
 	ce.Calls = cStats.Sweeps
 	out = append(out, ce)
+
+	// η-core decomposition over the BA-800 workload at the benchmark's η:
+	// thousands of Poisson-binomial η-degree recomputes as the min-peel
+	// walks every vertex. Cliques carries vertices emitted, Calls the
+	// charged recomputes.
+	og := gen.BA(800, cfg.Seed)
+	oe := KernelEntry{Workload: "core-ba800", Alpha: 0.3, Engine: "serial", Workers: 1}
+	var oStats mule.CoreStats
+	oq, err := mule.NewCoreQuery(og, oe.Alpha)
+	if err != nil {
+		return nil, err
+	}
+	measureTimed(&oe, func() { oStats, runErr = oq.Run(ctx, nil) }, once)
+	if runErr != nil {
+		return nil, fmt.Errorf("bench: core kernel cell: %w", runErr)
+	}
+	oe.Cliques = oStats.Emitted
+	oe.Calls = oStats.Recomputes
+	out = append(out, oe)
+
+	// Maximal expected γ-quasi-cliques of at least four vertices over the
+	// community workload. Alpha carries γ, Cliques the maximal sets, Calls
+	// the search nodes.
+	qg := CommunityGraph(150, 8, 7, cfg.Seed)
+	qe := KernelEntry{Workload: "quasi-community150", Alpha: 0.7, Engine: "serial", Workers: 1}
+	var qStats mule.QuasiStats
+	qq, err := mule.NewQuasiQuery(qg, mule.WithGamma(qe.Alpha), mule.WithMinSize(4))
+	if err != nil {
+		return nil, err
+	}
+	measureTimed(&qe, func() { qStats, runErr = qq.Run(ctx, nil) }, once)
+	if runErr != nil {
+		return nil, fmt.Errorf("bench: quasi kernel cell: %w", runErr)
+	}
+	qe.Cliques = qStats.Emitted
+	qe.Calls = qStats.Calls
+	out = append(out, qe)
 	return out, nil
 }
 

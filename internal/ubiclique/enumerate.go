@@ -3,6 +3,7 @@ package ubiclique
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -193,31 +194,12 @@ func Count(g *Bipartite, alpha float64) (int64, error) {
 // SortBicliques sorts bicliques into canonical order: by left side
 // lexicographically, ties broken by right side. Sides are assumed sorted.
 func SortBicliques(bs []Biclique) {
-	sort.Slice(bs, func(i, j int) bool {
-		if c := compareInts(bs[i].Left, bs[j].Left); c != 0 {
-			return c < 0
+	slices.SortFunc(bs, func(a, b Biclique) int {
+		if c := slices.Compare(a.Left, b.Left); c != 0 {
+			return c
 		}
-		return compareInts(bs[i].Right, bs[j].Right) < 0
+		return slices.Compare(a.Right, b.Right)
 	})
-}
-
-func compareInts(a, b []int) int {
-	for k := 0; k < len(a) && k < len(b); k++ {
-		if a[k] != b[k] {
-			if a[k] < b[k] {
-				return -1
-			}
-			return 1
-		}
-	}
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return 1
-	default:
-		return 0
-	}
 }
 
 type enumerator struct {
@@ -233,8 +215,10 @@ type enumerator struct {
 	tick        int // nodes until the next control poll
 	leftBuf     []int
 	rightBuf    []int
-	stopped     bool // unwind everything (abort or visitor stop)
-	userStopped bool // the visitor returned false
+	iBufs       [][]entry // iBufs[d]: candidate set of the node at depth d
+	xBufs       [][]entry // xBufs[d]: witness set of the node at depth d
+	stopped     bool      // unwind everything (abort or visitor stop)
+	userStopped bool      // the visitor returned false
 }
 
 // abortCheckInterval matches the clique kernel's polling cadence: one
@@ -261,13 +245,37 @@ func (e *enumerator) countNode() bool {
 // run performs the Algorithm 1 analogue: every ground vertex starts as a
 // candidate with multiplier 1 (a single vertex forms no cross pair, so its
 // "biclique probability" is the empty product 1).
+//
+// The search allocates nothing per node. C has room for every ground
+// vertex, and the node at depth d keeps its I and X in iBufs[d] and
+// xBufs[d], which its siblings reuse once it returns. A parent sizes its
+// child's X for the one witness the child appends per branch, so those
+// appends never move X.
 func (e *enumerator) run() {
 	n := e.g.nL + e.g.nR
 	rootI := make([]entry, n)
 	for v := 0; v < n; v++ {
 		rootI[v] = entry{int32(v), 1}
 	}
-	e.recurse(nil, 1, rootI, nil, 0, 0)
+	e.iBufs = [][]entry{rootI}
+	e.xBufs = [][]entry{make([]entry, 0, n)}
+	e.recurse(make([]int32, 0, n), 1, rootI, e.xBufs[0], 0, 0)
+}
+
+// childBufs returns the empty I and X buffers of the node at depth d, with
+// room for at least nI and nX entries.
+func (e *enumerator) childBufs(d, nI, nX int) (I, X []entry) {
+	if d == len(e.iBufs) {
+		e.iBufs = append(e.iBufs, nil)
+		e.xBufs = append(e.xBufs, nil)
+	}
+	if cap(e.iBufs[d]) < nI {
+		e.iBufs[d] = make([]entry, 0, nI)
+	}
+	if cap(e.xBufs[d]) < nX {
+		e.xBufs[d] = make([]entry, 0, nX)
+	}
+	return e.iBufs[d][:0], e.xBufs[d][:0]
 }
 
 // recurse is the Algorithm 2 analogue over the ground set L∪R. C is the
@@ -317,8 +325,12 @@ func (e *enumerator) recurse(C []int32, q float64, I, X []entry, cL, cR int) {
 		} else {
 			cR2++
 		}
-		I2 := e.generateI(I[idx+1:], u, q2)
-		X2 := e.generateX(X, u, q2)
+		// The child filters at most len(I)−idx−1 candidates and len(X)
+		// witnesses, and appends one witness per branch it takes.
+		tail := I[idx+1:]
+		I2, X2 := e.childBufs(len(C2), len(tail), len(X)+len(tail))
+		I2 = e.generateI(I2, tail, u, q2)
+		X2 = e.generateX(X2, X, u, q2)
 		e.recurse(C2, q2, I2, X2, cL2, cR2)
 		X = append(X, entry{u, r})
 	}
@@ -335,10 +347,10 @@ func countLeft(I []entry, nL int32) int {
 // multiplier is unchanged and only the tightened threshold q2·r ≥ α is
 // re-checked; an opposite-side candidate must be adjacent to u and has its
 // multiplier extended by p(u, w). The merge walks u's sorted adjacency row
-// once because opposite-side candidates appear in ascending order.
-func (e *enumerator) generateI(tail []entry, u int32, q2 float64) []entry {
+// once because opposite-side candidates appear in ascending order. The
+// survivors are appended to out, which must have room for len(tail).
+func (e *enumerator) generateI(out, tail []entry, u int32, q2 float64) []entry {
 	row, probs := e.g.adjacency(u)
-	out := make([]entry, 0, len(tail))
 	j := 0
 	for i := 0; i < len(tail); i++ {
 		w := tail[i]
@@ -363,10 +375,9 @@ func (e *enumerator) generateI(tail []entry, u int32, q2 float64) []entry {
 }
 
 // generateX is the Algorithm 4 analogue: the same side-aware filter applied
-// to the witness set.
-func (e *enumerator) generateX(X []entry, u int32, q2 float64) []entry {
+// to the witness set, appending the survivors to out.
+func (e *enumerator) generateX(out, X []entry, u int32, q2 float64) []entry {
 	row, probs := e.g.adjacency(u)
-	out := make([]entry, 0, len(X))
 	j := 0
 	for i := 0; i < len(X); i++ {
 		x := X[i]

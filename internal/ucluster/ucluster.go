@@ -17,11 +17,11 @@
 package ucluster
 
 import (
-	"container/heap"
+	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"github.com/uncertain-graphs/mule/internal/core"
@@ -114,19 +114,57 @@ type pqItem struct {
 
 // maxPQ orders by descending probability, ties by ascending vertex ID, so
 // the sweep's relaxation order — and therefore its float results — is
-// deterministic.
+// deterministic. push and pop are container/heap's Push and Pop, sift steps
+// included, on typed items: no interface boxing per entry.
 type maxPQ []pqItem
 
-func (q maxPQ) Len() int { return len(q) }
-func (q maxPQ) Less(i, j int) bool {
+func (q maxPQ) less(i, j int) bool {
 	if q[i].p != q[j].p {
 		return q[i].p > q[j].p
 	}
 	return q[i].v < q[j].v
 }
-func (q maxPQ) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *maxPQ) Push(x any)   { *q = append(*q, x.(pqItem)) }
-func (q *maxPQ) Pop() any     { old := *q; it := old[len(old)-1]; *q = old[:len(old)-1]; return it }
+
+// push adds it and sifts it up.
+func (q *maxPQ) push(it pqItem) {
+	*q = append(*q, it)
+	h := *q
+	j := len(h) - 1
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+// pop removes and returns the first item: swap it with the last, sift the
+// new root down over the rest, then shrink.
+func (q *maxPQ) pop() pqItem {
+	h := *q
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	i := 0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h.less(j2, j1) {
+			j = j2 // right child
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	*q = h[:n]
+	return h[n]
+}
 
 // sweeper holds the per-run Dijkstra state and run control.
 type sweeper struct {
@@ -152,7 +190,7 @@ func (s *sweeper) sweep(src int) bool {
 	s.pq = append(s.pq[:0], pqItem{int32(src), 1})
 	tick := sweepPollInterval
 	for len(s.pq) > 0 {
-		it := heap.Pop(&s.pq).(pqItem)
+		it := s.pq.pop()
 		if it.p < s.conn[it.v] {
 			continue // stale entry superseded by a better path
 		}
@@ -167,7 +205,7 @@ func (s *sweeper) sweep(src int) bool {
 		for j, w := range row {
 			if np := it.p * probs[j]; np > s.conn[w] {
 				s.conn[w] = np
-				heap.Push(&s.pq, pqItem{w, np})
+				s.pq.push(pqItem{w, np})
 			}
 		}
 	}
@@ -346,7 +384,14 @@ func RunContext(ctx context.Context, g *uncertain.Graph, cfg Config, visit Visit
 			a.owner[u] = 0
 		}
 	}
+	sizes := make([]int, len(centers))
+	for _, idx := range a.owner {
+		sizes[idx]++
+	}
 	members := make([][]int, len(centers))
+	for idx, size := range sizes {
+		members[idx] = make([]int, 0, size)
+	}
 	sums := make([]float64, len(centers))
 	for u := 0; u < n; u++ {
 		idx := a.owner[u]
@@ -357,7 +402,7 @@ func RunContext(ctx context.Context, g *uncertain.Graph, cfg Config, visit Visit
 	for idx, c := range centers {
 		clusters[idx] = Cluster{Center: c, Members: members[idx], Probability: sums[idx] / float64(len(members[idx]))}
 	}
-	sort.Slice(clusters, func(i, j int) bool { return clusters[i].Center < clusters[j].Center })
+	slices.SortFunc(clusters, func(a, b Cluster) int { return cmp.Compare(a.Center, b.Center) })
 	visitorStopped := false
 	for _, c := range clusters {
 		stats.Emitted++

@@ -16,7 +16,6 @@ package ucore
 import (
 	"context"
 	"fmt"
-	"sort"
 	"time"
 
 	"github.com/uncertain-graphs/mule/internal/core"
@@ -70,16 +69,8 @@ func DegreeTail(probs []float64, k int) float64 {
 	if k > d {
 		return 0
 	}
-	// dist[j] = Pr[deg = j] over the first i probabilities.
 	dist := make([]float64, d+1)
-	dist[0] = 1
-	for i, p := range probs {
-		// Walk downward so each probability is applied once.
-		for j := i + 1; j >= 1; j-- {
-			dist[j] = dist[j]*(1-p) + dist[j-1]*p
-		}
-		dist[0] *= 1 - p
-	}
+	distribution(dist, probs)
 	tail := 0.0
 	for j := k; j <= d; j++ {
 		tail += dist[j]
@@ -95,18 +86,34 @@ func EtaDegree(probs []float64, eta float64) int {
 	if eta <= 0 || eta > 1 {
 		panic("ucore: eta must be in (0,1]")
 	}
-	d := len(probs)
-	if d == 0 {
-		return 0
-	}
-	dist := make([]float64, d+1)
+	return etaDegree(make([]float64, len(probs)+1), probs, eta)
+}
+
+// distribution fills dist[0..len(probs)] with the Poisson-binomial
+// distribution of probs: dist[j] = Pr[deg = j]. dist must hold
+// len(probs)+1 entries; its previous contents are overwritten. This is the
+// package's one copy of the DP, so the peel and the exported helpers
+// multiply the same floats in the same order.
+func distribution(dist, probs []float64) {
 	dist[0] = 1
+	clear(dist[1 : len(probs)+1])
 	for i, p := range probs {
+		// Walk downward so each probability is applied once.
 		for j := i + 1; j >= 1; j-- {
 			dist[j] = dist[j]*(1-p) + dist[j-1]*p
 		}
 		dist[0] *= 1 - p
 	}
+}
+
+// etaDegree is EtaDegree with the DP row in caller-owned scratch (at least
+// len(probs)+1 entries) and eta already validated.
+func etaDegree(dist, probs []float64, eta float64) int {
+	d := len(probs)
+	if d == 0 {
+		return 0
+	}
+	distribution(dist, probs)
 	// Accumulate the tail from the top; the largest k whose tail reaches eta
 	// is the η-degree.
 	tail := 0.0
@@ -129,14 +136,35 @@ type Decomposition struct {
 	Order []int
 }
 
-// peeler carries the mutable min-peeling state and the run control.
+// peeler carries the mutable min-peeling state and the run control. It
+// reads adjacency from g's immutable CSR rows and skips peeled neighbours
+// through removed, so the run keeps no mutable copy of the graph; probs and
+// dist are the η-degree DP's scratch, sized once for the largest degree.
 type peeler struct {
+	g       *uncertain.Graph
 	eta     float64
-	adj     []map[int32]float64
+	removed []bool
+	probs   []float64 // u's surviving incident probabilities, ascending neighbour order
+	dist    []float64 // Poisson-binomial distribution over probs
 	stats   *Stats
 	ctl     *core.RunControl
 	tick    int
 	stopped bool
+}
+
+// etaDegreeOf recomputes u's η-degree over its surviving incident edges.
+// CSR rows ascend, so the DP sees the probabilities in neighbour-ID order:
+// the distribution is order-independent in exact arithmetic but not in
+// floats, and a fixed order keeps near-boundary η-degrees deterministic.
+func (p *peeler) etaDegreeOf(u int) int {
+	row, pr := p.g.Adjacency(u)
+	probs := p.probs[:0]
+	for i, v := range row {
+		if !p.removed[v] {
+			probs = append(probs, pr[i])
+		}
+	}
+	return etaDegree(p.dist, probs, p.eta)
 }
 
 // countRecompute accounts one η-degree recomputation and polls the run
@@ -208,32 +236,38 @@ func RunContext(ctx context.Context, g *uncertain.Graph, eta float64, cfg Config
 	}
 	defer ctl.ArmStall(cfg.Stall)()
 	n := g.NumVertices()
-	// Mutable adjacency probability lists.
-	p := &peeler{eta: eta, adj: make([]map[int32]float64, n), stats: &stats, ctl: ctl, tick: abortCheckInterval}
+	maxDeg := 0
 	for u := 0; u < n; u++ {
-		row, probs := g.Adjacency(u)
-		p.adj[u] = make(map[int32]float64, len(row))
-		for i, v := range row {
-			p.adj[u][v] = probs[i]
-		}
+		maxDeg = max(maxDeg, g.Degree(u))
+	}
+	p := &peeler{
+		g:       g,
+		eta:     eta,
+		removed: make([]bool, n),
+		probs:   make([]float64, 0, maxDeg),
+		dist:    make([]float64, maxDeg+1),
+		stats:   &stats,
+		ctl:     ctl,
+		tick:    abortCheckInterval,
 	}
 	etaDeg := make([]int, n)
 	for u := 0; u < n && !p.stopped; u++ {
 		if p.countRecompute() {
 			break
 		}
-		etaDeg[u] = etaDegreeOf(p.adj[u], eta)
+		etaDeg[u] = p.etaDegreeOf(u)
 	}
-	removed := make([]bool, n)
 	current := 0
 	visitorStopped := false
 	for peeled := 0; peeled < n && !p.stopped && !visitorStopped; peeled++ {
 		// Find the unremoved vertex of minimum η-degree. A bucket queue
 		// would be asymptotically better; linear selection keeps the
-		// recompute-heavy loop simple and is dwarfed by the O(d²) DPs.
+		// recompute-heavy loop simple and is dwarfed by the O(d²) DPs. The
+		// strict < breaks ties toward the smallest ID, which fixes the peel
+		// order.
 		best, bestDeg := -1, int(^uint(0)>>1)
 		for v := 0; v < n; v++ {
-			if !removed[v] && etaDeg[v] < bestDeg {
+			if !p.removed[v] && etaDeg[v] < bestDeg {
 				best, bestDeg = v, etaDeg[v]
 			}
 		}
@@ -243,23 +277,22 @@ func RunContext(ctx context.Context, g *uncertain.Graph, eta float64, cfg Config
 		if current > stats.Degeneracy {
 			stats.Degeneracy = current
 		}
-		removed[best] = true
+		p.removed[best] = true
 		stats.Emitted++
 		if visit != nil && !visit(VertexCore{V: best, Core: current}) {
 			visitorStopped = true
 			break
 		}
-		for w := range p.adj[best] {
-			if removed[w] {
+		row, _ := g.Adjacency(best)
+		for _, w := range row {
+			if p.removed[w] {
 				continue
 			}
-			delete(p.adj[w], int32(best))
 			if p.countRecompute() {
 				break
 			}
-			etaDeg[w] = etaDegreeOf(p.adj[w], eta)
+			etaDeg[w] = p.etaDegreeOf(int(w))
 		}
-		p.adj[best] = nil
 	}
 	return stats, finish(ctl, &stats, visitorStopped)
 }
@@ -297,25 +330,6 @@ func DecomposeContext(ctx context.Context, g *uncertain.Graph, eta float64, cfg 
 		dec.Order = []int{}
 	}
 	return dec, stats, nil
-}
-
-func etaDegreeOf(nbrs map[int32]float64, eta float64) int {
-	if len(nbrs) == 0 {
-		return 0
-	}
-	// Collect in neighbor-ID order: the Poisson-binomial DP is mathematically
-	// order-independent, but float rounding is not, and a map-order sum could
-	// make near-boundary η-degrees nondeterministic across runs.
-	ids := make([]int32, 0, len(nbrs))
-	for v := range nbrs {
-		ids = append(ids, v)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	probs := make([]float64, len(ids))
-	for i, v := range ids {
-		probs[i] = nbrs[v]
-	}
-	return EtaDegree(probs, eta)
 }
 
 // Core returns the vertices of the (k,η)-core: the maximal induced subgraph

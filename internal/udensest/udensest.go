@@ -17,10 +17,11 @@
 package udensest
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"github.com/uncertain-graphs/mule/internal/core"
@@ -97,14 +98,26 @@ func finish(ctl *core.RunControl, stats *Stats, visitorStopped bool) error {
 	return fmt.Errorf("udensest: densest-subgraph mining aborted after %d peel steps: %w", stats.PeelSteps, err)
 }
 
-// peeler carries the mutable peel state shared across components.
+// peeler carries the mutable peel state shared across components. It reads
+// adjacency from g's immutable CSR rows and skips peeled neighbours through
+// removed; pos records each vertex's peel position within its component,
+// which is all a candidate's vertex set needs.
 type peeler struct {
-	adj     []map[int32]float64
+	g       *uncertain.Graph
 	expDeg  []float64
 	removed []bool
+	pos     []int32 // pos[v]: how many vertices of v's component were peeled before v
+	marks   []mark  // the current component's density improvements
 	stats   *Stats
 	ctl     *core.RunControl
 	tick    int
+}
+
+// mark records a strict density improvement: the suffix of the peel order
+// from position idx on has expected density density.
+type mark struct {
+	idx     int32
+	density float64
 }
 
 // countStep accounts one peel step and polls the run control on the
@@ -119,27 +132,21 @@ func (p *peeler) countStep() bool {
 	return p.ctl.Poll(abortCheckInterval)
 }
 
-// newPeeler builds the mutable adjacency state for the whole graph once;
-// components consume disjoint slices of it.
+// newPeeler builds the per-run peel state for the whole graph once;
+// components consume disjoint parts of it.
 func newPeeler(g *uncertain.Graph, stats *Stats, ctl *core.RunControl) *peeler {
 	n := g.NumVertices()
 	p := &peeler{
-		adj:     make([]map[int32]float64, n),
+		g:       g,
 		expDeg:  make([]float64, n),
 		removed: make([]bool, n),
+		pos:     make([]int32, n),
 		stats:   stats,
 		ctl:     ctl,
 		tick:    abortCheckInterval,
 	}
 	for u := 0; u < n; u++ {
-		row, probs := g.Adjacency(u)
-		p.adj[u] = make(map[int32]float64, len(row))
-		sum := 0.0
-		for i, v := range row {
-			p.adj[u][v] = probs[i]
-			sum += probs[i]
-		}
-		p.expDeg[u] = sum
+		p.expDeg[u] = g.ExpectedDegree(u)
 	}
 	return p
 }
@@ -157,17 +164,15 @@ func (p *peeler) peelComponent(comp []int, cands *[]Candidate) bool {
 		W += p.expDeg[u]
 	}
 	W /= 2
-	order := make([]int, 0, len(comp))
 	best := -1.0
-	type mark struct {
-		idx     int
-		density float64
+	if cap(p.marks) < len(comp) {
+		p.marks = make([]mark, 0, len(comp))
 	}
-	var marks []mark
-	for remaining := len(comp); remaining > 0; remaining-- {
-		if density := W / float64(remaining); density > best {
+	marks := p.marks[:0]
+	for step := range len(comp) {
+		if density := W / float64(len(comp)-step); density > best {
 			best = density
-			marks = append(marks, mark{len(order), density})
+			marks = append(marks, mark{int32(step), density})
 		}
 		// Select the minimum-expected-degree survivor; comp is ascending, so
 		// the strict < breaks ties toward the smallest ID.
@@ -181,20 +186,25 @@ func (p *peeler) peelComponent(comp []int, cands *[]Candidate) bool {
 			return false
 		}
 		p.removed[bestV] = true
-		order = append(order, bestV)
-		for w, pw := range p.adj[bestV] {
-			if p.removed[w] {
-				continue
+		p.pos[bestV] = int32(step)
+		row, probs := p.g.Adjacency(bestV)
+		for i, w := range row {
+			if !p.removed[w] {
+				p.expDeg[w] -= probs[i]
 			}
-			p.expDeg[w] -= pw
-			delete(p.adj[w], int32(bestV))
 		}
 		W -= bestDeg
-		p.adj[bestV] = nil
 	}
+	// A candidate is the suffix of the peel order from its mark on; reading
+	// it off the ascending component keeps its vertex set ascending.
+	*cands = slices.Grow(*cands, len(marks))
 	for _, m := range marks {
-		verts := append([]int(nil), order[m.idx:]...)
-		sort.Ints(verts)
+		verts := make([]int, 0, len(comp)-int(m.idx))
+		for _, v := range comp {
+			if p.pos[v] >= m.idx {
+				verts = append(verts, v)
+			}
+		}
 		*cands = append(*cands, Candidate{Vertices: verts, ExpectedDensity: m.density})
 	}
 	if best > p.stats.BestDensity {
@@ -247,6 +257,16 @@ func isSubsetSorted(a, b []int) bool {
 	return true
 }
 
+// scorer holds the scoring pass's per-run scratch: member marks the
+// vertices of the chain entered so far, and dist is the DP row.
+type scorer struct {
+	g      *uncertain.Graph
+	member []bool
+	dist   []float64
+	stats  *Stats
+	ctl    *core.RunControl
+}
+
 // scoreChain scores one nested peel chain (chain[0] ⊃ chain[1] ⊃ …, the
 // suffixes of one component's peel order) with a single incremental
 // Poisson-binomial DP. Walking the chain smallest candidate first, each
@@ -256,12 +276,30 @@ func isSubsetSorted(a, b []int) bool {
 // the largest member's edge count — where rescoring every candidate from
 // scratch cost O(|chain|·m²) and made large peel families (hundreds of
 // near-full suffixes on a preferential-attachment graph) the dominant term
-// of the run. Run-control polls are woven through the edge loop so a
-// deadline or cancellation aborts mid-score; ok is false on abort. Nothing
-// is charged against the budget — peel steps are the budgeted unit.
-func scoreChain(g *uncertain.Graph, chain []Candidate, dstar float64, stats *Stats, ctl *core.RunControl) bool {
-	member := make(map[int]bool, len(chain[0].Vertices))
-	dist := []float64{1} // dist[j] = Pr[exactly j internal edges realized]
+// of the run.
+//
+// Only the DP's nonzero band [lo, hi] is updated. Far from the mean the
+// distribution underflows to exactly +0, and an entry whose own and lower
+// neighbour's values are +0 stays +0 under x·(1−p) + y·p, so skipping it
+// leaves every entry, and every tail sum, bit-identical to the full update.
+// The band grows by one per edge and shrinks past entries that underflow.
+//
+// Run-control polls are woven through the edge loop so a deadline or
+// cancellation aborts mid-score; ok is false on abort. Nothing is charged
+// against the budget — peel steps are the budgeted unit.
+func (s *scorer) scoreChain(chain []Candidate, dstar float64) bool {
+	// Half the degree sum of the chain's largest member bounds its internal
+	// edges, and so the DP's length.
+	edges := 0
+	for _, v := range chain[0].Vertices {
+		edges += s.g.Degree(v)
+	}
+	if cap(s.dist) < edges/2+1 {
+		s.dist = make([]float64, 0, edges/2+1)
+	}
+	member := s.member
+	dist := append(s.dist[:0], 1) // dist[j] = Pr[exactly j internal edges realized]
+	lo, hi := 0, 0                // every nonzero entry of dist lies in [lo, hi]
 	tick := abortCheckInterval
 	for i := len(chain) - 1; i >= 0; i-- {
 		for _, v := range chain[i].Vertices {
@@ -269,24 +307,33 @@ func scoreChain(g *uncertain.Graph, chain []Candidate, dstar float64, stats *Sta
 				continue
 			}
 			member[v] = true
-			row, probs := g.Adjacency(v)
+			row, probs := s.g.Adjacency(v)
 			for r, w := range row {
-				if int(w) == v || !member[int(w)] {
+				if !member[w] {
 					continue
 				}
 				tick--
 				if tick <= 0 {
 					tick = abortCheckInterval
-					if ctl.Poll(0) {
+					if s.ctl.Poll(0) {
 						return false
 					}
 				}
 				p := probs[r]
 				dist = append(dist, 0)
-				for j := len(dist) - 1; j >= 1; j-- {
+				hi++
+				for j := hi; j >= max(lo, 1); j-- {
 					dist[j] = dist[j]*(1-p) + dist[j-1]*p
 				}
-				dist[0] *= 1 - p
+				if lo == 0 {
+					dist[0] *= 1 - p
+				}
+				for lo < hi && dist[lo] == 0 {
+					lo++
+				}
+				for hi > lo && dist[hi] == 0 {
+					hi--
+				}
 			}
 		}
 		k := int(math.Ceil(dstar*float64(len(chain[i].Vertices)) - 1e-9))
@@ -297,12 +344,15 @@ func scoreChain(g *uncertain.Graph, chain []Candidate, dstar float64, stats *Sta
 		case k >= len(dist):
 			tail = 0
 		default:
-			for j := k; j < len(dist); j++ {
+			for j := max(k, lo); j <= hi; j++ {
 				tail += dist[j]
 			}
 		}
 		chain[i].Probability = tail
-		stats.Scored++
+		s.stats.Scored++
+	}
+	for _, v := range chain[0].Vertices { // the nested chain's union
+		member[v] = false
 	}
 	return true
 }
@@ -316,12 +366,13 @@ func scoreChain(g *uncertain.Graph, chain []Candidate, dstar float64, stats *Sta
 // pass the subset test, so a boundary is never missed). It reports false on
 // a mid-score abort.
 func scoreAll(g *uncertain.Graph, cands []Candidate, dstar float64, stats *Stats, ctl *core.RunControl) bool {
+	s := &scorer{g: g, member: make([]bool, g.NumVertices()), stats: stats, ctl: ctl}
 	for start := 0; start < len(cands); {
 		end := start + 1
 		for end < len(cands) && isSubsetSorted(cands[end].Vertices, cands[end-1].Vertices) {
 			end++
 		}
-		if !scoreChain(g, cands[start:end], dstar, stats, ctl) {
+		if !s.scoreChain(cands[start:end], dstar) {
 			return false
 		}
 		start = end
@@ -334,23 +385,17 @@ func scoreAll(g *uncertain.Graph, cands []Candidate, dstar float64, stats *Stats
 // vertices. The head of the sorted family is the most probable densest
 // subgraph.
 func SortCandidates(cands []Candidate) {
-	sort.Slice(cands, func(i, j int) bool {
-		a, b := cands[i], cands[j]
+	slices.SortFunc(cands, func(a, b Candidate) int {
 		if a.Probability != b.Probability {
-			return a.Probability > b.Probability
+			return cmp.Compare(b.Probability, a.Probability)
 		}
 		if a.ExpectedDensity != b.ExpectedDensity {
-			return a.ExpectedDensity > b.ExpectedDensity
+			return cmp.Compare(b.ExpectedDensity, a.ExpectedDensity)
 		}
 		if len(a.Vertices) != len(b.Vertices) {
-			return len(a.Vertices) < len(b.Vertices)
+			return cmp.Compare(len(a.Vertices), len(b.Vertices))
 		}
-		for x := range a.Vertices {
-			if a.Vertices[x] != b.Vertices[x] {
-				return a.Vertices[x] < b.Vertices[x]
-			}
-		}
-		return false
+		return slices.Compare(a.Vertices, b.Vertices)
 	})
 }
 

@@ -30,9 +30,10 @@
 package utruss
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"github.com/uncertain-graphs/mule/internal/core"
@@ -77,14 +78,36 @@ type Visitor func(EdgeTruss) bool
 // the clique kernel's 1024-node interval.
 const abortCheckInterval = 64
 
-// graphState is the mutable peeling state over one uncertain graph.
+// graphState is the mutable peeling state over one uncertain graph, kept in
+// flat per-run arrays instead of maps keyed by edge.
+//
+// Every edge {u,v}, u < v, has an ID: its rank in (u, v) order, which is
+// also its index in g.Edges(). The CSR rows stay the adjacency; slotEdge
+// gives, for every slot of every row, the ID of the edge stored there, so
+// the same edge resolves to the same ID from either endpoint's row. The map
+// is built once in O(n + m) (rowStart is the rows' prefix sum). wedgeProbs
+// and queueTriangleEdges merge two rows and read the flags of both wedge
+// edges at the merge positions they already hold: no hashing, no lookups.
+// The work queue is a FIFO ring over edge IDs (an edge is queued at most
+// once at a time, so m slots suffice), and qs/dp are the support DP's
+// scratch, sized for the largest degree.
 type graphState struct {
-	g       *uncertain.Graph
-	alive   map[[2]int32]bool
-	stats   *Stats
-	ctl     *core.RunControl
-	tick    int
-	stopped bool
+	g        *uncertain.Graph
+	rowStart []int32    // rowStart[u]: index of u's first slot in slotEdge
+	slotEdge []int32    // slotEdge[rowStart[u]+i]: ID of the edge in slot i of u's row
+	ends     [][2]int32 // ends[id]: the edge's endpoints, U < V
+	alive    []bool     // by edge ID
+	inQueue  []bool     // by edge ID
+	queue    []int32    // FIFO ring of edge IDs
+	head     int        // queue[head] is the next edge to check
+	queued   int        // entries in the ring
+	removed  []int32    // edge IDs peeled by the current peel call, in order
+	qs       []float64  // wedge probabilities of the edge being checked
+	dp       []float64  // support-tail DP row
+	stats    *Stats
+	ctl      *core.RunControl
+	tick     int
+	stopped  bool
 }
 
 // countCheck accounts one support-probability evaluation and polls the run
@@ -103,33 +126,61 @@ func (s *graphState) countCheck() bool {
 	return false
 }
 
-func edgeKey(u, v int) [2]int32 {
-	if u > v {
-		u, v = v, u
-	}
-	return [2]int32{int32(u), int32(v)}
-}
-
 func newGraphState(g *uncertain.Graph, stats *Stats, ctl *core.RunControl) *graphState {
+	n, m := g.NumVertices(), g.NumEdges()
 	s := &graphState{
-		g:     g,
-		alive: make(map[[2]int32]bool, g.NumEdges()),
-		stats: stats,
-		ctl:   ctl,
-		tick:  abortCheckInterval,
+		g:        g,
+		rowStart: make([]int32, n+1),
+		slotEdge: make([]int32, 2*m),
+		ends:     make([][2]int32, m),
+		alive:    make([]bool, m),
+		inQueue:  make([]bool, m),
+		queue:    make([]int32, m),
+		removed:  make([]int32, 0, m),
+		stats:    stats,
+		ctl:      ctl,
+		tick:     abortCheckInterval,
 	}
-	for _, e := range g.Edges() {
-		s.alive[edgeKey(e.U, e.V)] = true
+	maxDeg := 0
+	for u := 0; u < n; u++ {
+		d := g.Degree(u)
+		maxDeg = max(maxDeg, d)
+		s.rowStart[u+1] = s.rowStart[u] + int32(d)
+	}
+	s.qs = make([]float64, 0, maxDeg)
+	s.dp = make([]float64, maxDeg)
+	// Walking u ascending numbers the edges in (u, v) order. v's lower
+	// neighbours head v's ascending row and arrive here in ascending u, so a
+	// per-row cursor finds each edge's slot in the other endpoint's row.
+	cursor := make([]int32, n)
+	copy(cursor, s.rowStart)
+	id := int32(0)
+	for u := 0; u < n; u++ {
+		row, _ := g.Adjacency(u)
+		base := s.rowStart[u]
+		for i, v := range row {
+			if v < int32(u) {
+				continue // numbered from v's side
+			}
+			s.slotEdge[base+int32(i)] = id
+			s.slotEdge[cursor[v]] = id
+			cursor[v]++
+			s.ends[id] = [2]int32{int32(u), v}
+			s.alive[id] = true
+			id++
+		}
 	}
 	return s
 }
 
 // wedgeProbs lists q_w = p(u,w)·p(v,w) for every common neighbor w of u and
-// v whose wedge edges are both alive.
+// v whose wedge edges are both alive, into the run's qs scratch.
 func (s *graphState) wedgeProbs(u, v int) []float64 {
 	rowU, prU := s.g.Adjacency(u)
 	rowV, prV := s.g.Adjacency(v)
-	var qs []float64
+	edgeU := s.slotEdge[s.rowStart[u]:s.rowStart[u+1]]
+	edgeV := s.slotEdge[s.rowStart[v]:s.rowStart[v+1]]
+	qs := s.qs[:0]
 	i, j := 0, 0
 	for i < len(rowU) && j < len(rowV) {
 		switch {
@@ -138,9 +189,7 @@ func (s *graphState) wedgeProbs(u, v int) []float64 {
 		case rowU[i] > rowV[j]:
 			j++
 		default:
-			w := int(rowU[i])
-			if w != u && w != v &&
-				s.alive[edgeKey(u, w)] && s.alive[edgeKey(v, w)] {
+			if s.alive[edgeU[i]] && s.alive[edgeV[j]] {
 				qs = append(qs, prU[i]*prV[j])
 			}
 			i++
@@ -151,9 +200,15 @@ func (s *graphState) wedgeProbs(u, v int) []float64 {
 }
 
 // tailProb returns P[X ≥ t] for X a sum of independent Bernoulli(qs[i]).
-// The DP keeps P[X = 0..t−1] and accumulates the overflow mass at ≥ t,
-// costing O(len(qs)·t).
 func tailProb(qs []float64, t int) float64 {
+	return tailProbInto(make([]float64, max(t, 0)), qs, t)
+}
+
+// tailProbInto is tailProb with the DP row in caller-owned scratch of at
+// least t entries (only read when 0 < t ≤ len(qs)). The DP keeps
+// P[X = 0..t−1] and accumulates the overflow mass at ≥ t, costing
+// O(len(qs)·t). It is the package's one copy of the DP.
+func tailProbInto(dp, qs []float64, t int) float64 {
 	if t <= 0 {
 		return 1
 	}
@@ -161,8 +216,9 @@ func tailProb(qs []float64, t int) float64 {
 		return 0
 	}
 	// dp[j] = P[X = j] over the prefix processed so far, for j < t.
-	dp := make([]float64, t)
+	dp = dp[:t]
 	dp[0] = 1
+	clear(dp[1:])
 	atLeast := 0.0
 	for _, q := range qs {
 		// Mass moving from t−1 to t leaves the tracked range.
@@ -196,66 +252,70 @@ func SupportProb(g *uncertain.Graph, u, v int, t int) (float64, error) {
 	return tailProb(s.wedgeProbs(u, v), t), nil
 }
 
+// push appends edge id to the work queue.
+func (s *graphState) push(id int32) {
+	tail := s.head + s.queued
+	if tail >= len(s.queue) {
+		tail -= len(s.queue)
+	}
+	s.queue[tail] = id
+	s.inQueue[id] = true
+	s.queued++
+}
+
 // peel removes, to fixpoint, every alive edge whose support probability at
-// threshold t falls below eta, and returns the removed edges.
-func (s *graphState) peel(t int, eta float64) [][2]int32 {
-	var removed [][2]int32
-	// Seed the work queue with every alive edge.
-	queue := make([][2]int32, 0, len(s.alive))
-	inQueue := make(map[[2]int32]bool, len(s.alive))
-	for k, ok := range s.alive {
+// threshold t falls below eta. The removed edge IDs are left in s.removed,
+// in removal order.
+func (s *graphState) peel(t int, eta float64) {
+	s.removed = s.removed[:0]
+	// Seed the work queue with every alive edge in (u, v) order, which is
+	// ID order. The order fixes the reproducible stats; the fixpoint itself
+	// is order-independent.
+	s.head, s.queued = 0, 0
+	for id, ok := range s.alive {
 		if ok {
-			queue = append(queue, k)
-			inQueue[k] = true
+			s.push(int32(id))
 		}
 	}
-	// Deterministic processing order for reproducible stats; the fixpoint
-	// itself is order-independent.
-	sort.Slice(queue, func(i, j int) bool {
-		if queue[i][0] != queue[j][0] {
-			return queue[i][0] < queue[j][0]
-		}
-		return queue[i][1] < queue[j][1]
-	})
-	for len(queue) > 0 {
+	for s.queued > 0 {
 		if s.stopped {
-			return removed
+			return
 		}
-		k := queue[0]
-		queue = queue[1:]
-		inQueue[k] = false
-		if !s.alive[k] {
+		id := s.queue[s.head]
+		s.head++
+		if s.head == len(s.queue) {
+			s.head = 0
+		}
+		s.queued--
+		s.inQueue[id] = false
+		if !s.alive[id] {
 			continue
 		}
-		u, v := int(k[0]), int(k[1])
+		u, v := int(s.ends[id][0]), int(s.ends[id][1])
 		if s.countCheck() {
-			return removed
+			return
 		}
-		if tailProb(s.wedgeProbs(u, v), t) >= eta {
+		if tailProbInto(s.dp, s.wedgeProbs(u, v), t) >= eta {
 			continue
 		}
 		// e fails: remove it and re-check the edges of every triangle it
 		// participated in.
-		s.alive[k] = false
+		s.alive[id] = false
 		s.stats.Removed++
-		removed = append(removed, k)
-		for _, q := range s.triangleEdges(u, v) {
-			if s.alive[q] && !inQueue[q] {
-				queue = append(queue, q)
-				inQueue[q] = true
-			}
-		}
+		s.removed = append(s.removed, id)
+		s.queueTriangleEdges(u, v)
 	}
-	return removed
 }
 
-// triangleEdges returns the alive edges {u,w} and {v,w} over common alive
-// neighbors w — exactly the edges whose support distribution changes when
-// {u,v} is removed.
-func (s *graphState) triangleEdges(u, v int) [][2]int32 {
+// queueTriangleEdges queues the alive edges {u,w} and {v,w} over common
+// alive neighbors w, in ascending w, {u,w} first — exactly the edges whose
+// support distribution changes when {u,v} is removed — skipping those
+// already queued.
+func (s *graphState) queueTriangleEdges(u, v int) {
 	rowU, _ := s.g.Adjacency(u)
 	rowV, _ := s.g.Adjacency(v)
-	var out [][2]int32
+	edgeU := s.slotEdge[s.rowStart[u]:s.rowStart[u+1]]
+	edgeV := s.slotEdge[s.rowStart[v]:s.rowStart[v+1]]
 	i, j := 0, 0
 	for i < len(rowU) && j < len(rowV) {
 		switch {
@@ -264,16 +324,19 @@ func (s *graphState) triangleEdges(u, v int) [][2]int32 {
 		case rowU[i] > rowV[j]:
 			j++
 		default:
-			w := int(rowU[i])
-			uw, vw := edgeKey(u, w), edgeKey(v, w)
+			uw, vw := edgeU[i], edgeV[j]
 			if s.alive[uw] && s.alive[vw] {
-				out = append(out, uw, vw)
+				if !s.inQueue[uw] {
+					s.push(uw)
+				}
+				if !s.inQueue[vw] {
+					s.push(vw)
+				}
 			}
 			i++
 			j++
 		}
 	}
-	return out
 }
 
 // Validate checks the (graph, eta, config) triple every decomposition entry
@@ -348,8 +411,8 @@ func TrussContext(ctx context.Context, g *uncertain.Graph, k int, eta float64, c
 // export materializes the alive edges as an uncertain graph.
 func (s *graphState) export() (*uncertain.Graph, error) {
 	b := uncertain.NewBuilder(s.g.NumVertices())
-	for _, e := range s.g.Edges() {
-		if s.alive[edgeKey(e.U, e.V)] {
+	for id, e := range s.g.Edges() { // Edges() lists the edges in ID order
+		if s.alive[id] {
 			if err := b.AddEdge(e.U, e.V, e.P); err != nil {
 				return nil, fmt.Errorf("utruss: rebuilding truss: %w", err)
 			}
@@ -378,12 +441,12 @@ func RunContext(ctx context.Context, g *uncertain.Graph, eta float64, cfg Config
 	defer ctl.ArmStall(cfg.Stall)()
 	s := newGraphState(g, &stats, ctl)
 	// Peel level by level; each removed edge's truss number is final.
-	alive := len(s.alive)
+	alive := g.NumEdges()
 	visitorStopped := false
 	for k := 3; alive > 0 && !s.stopped && !visitorStopped; k++ {
-		removed := s.peel(k-2, eta)
-		alive -= len(removed)
-		for _, e := range removed {
+		s.peel(k-2, eta)
+		alive -= len(s.removed)
+		for _, id := range s.removed {
 			// A level's removals are emitted as a batch, so poll the
 			// control (at zero charge) between yields too — a consumer
 			// canceling mid-stream must not have to wait for the next
@@ -392,6 +455,7 @@ func RunContext(ctx context.Context, g *uncertain.Graph, eta float64, cfg Config
 				s.stopped = true
 				break
 			}
+			e := s.ends[id]
 			et := EdgeTruss{U: int(e[0]), V: int(e[1]), Truss: k - 1}
 			stats.Emitted++
 			if et.Truss > stats.MaxTruss {
@@ -425,11 +489,11 @@ func DecomposeContext(ctx context.Context, g *uncertain.Graph, eta float64, cfg 
 	if err != nil {
 		return nil, stats, err
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
+	slices.SortFunc(out, func(a, b EdgeTruss) int {
+		if a.U != b.U {
+			return cmp.Compare(a.U, b.U)
 		}
-		return out[i].V < out[j].V
+		return cmp.Compare(a.V, b.V)
 	})
 	return out, stats, nil
 }

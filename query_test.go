@@ -137,6 +137,25 @@ func waitNoExtraGoroutines(t *testing.T, base int) {
 	}
 }
 
+// startSharedExecutor runs one tiny work-stealing query, which starts the
+// process-wide executor's long-lived workers. The leak checks take their
+// goroutine baselines afterwards, so those workers are not counted against
+// whichever cell happens to run first.
+func startSharedExecutor(t *testing.T) {
+	t.Helper()
+	g, err := mule.FromEdges(3, []mule.Edge{{U: 0, V: 1, P: 0.9}, {U: 1, V: 2, P: 0.9}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := mule.NewQuery(g, 0.5, mule.WithWorkers(2), mule.WithParallelMode(mule.ParallelWorkStealing))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q.Run(context.Background(), nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestQueryCancellationMatrix runs every engine × {cancel before start,
 // cancel mid-run, cancel after completion} and checks the contract: an
 // already-dead context fails fast with zero work; a mid-run cancel stops
@@ -152,6 +171,7 @@ func TestQueryCancellationMatrix(t *testing.T) {
 	if full < 1000 {
 		t.Fatalf("slow graph too easy: %d cliques", full)
 	}
+	startSharedExecutor(t)
 	for _, eng := range engineOpts {
 		eng := eng
 		t.Run(eng.name+"/before", func(t *testing.T) {

@@ -54,6 +54,15 @@ import (
 // requests before closing their connections.
 const shutdownGrace = 10 * time.Second
 
+// readHeaderTimeout bounds how long a connection may take to send a
+// request's headers, so a client that never finishes them cannot hold a
+// connection and its goroutine forever. idleTimeout bounds how long a
+// keep-alive connection may wait for its next request.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -110,7 +119,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	fmt.Fprintf(out, "muled listening on %s\n", ln.Addr())
 
 	errc := make(chan error, 1)

@@ -5,8 +5,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -200,6 +202,44 @@ func TestMuledIntegration(t *testing.T) {
 
 	if err := shutdown(); err != nil {
 		t.Fatalf("shutdown: %v", err)
+	}
+}
+
+// TestMuledClosesSlowHeaders sends a request line and never the rest of
+// the headers: the daemon must close the connection once readHeaderTimeout
+// passes instead of holding it open.
+func TestMuledClosesSlowHeaders(t *testing.T) {
+	if testing.Short() {
+		t.Skip("waits out the header timeout")
+	}
+	base, shutdown := startMuled(t)
+	defer func() {
+		if err := shutdown(); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	}()
+	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	const slack = 5 * time.Second
+	if err := conn.SetReadDeadline(start.Add(readHeaderTimeout + slack)); err != nil {
+		t.Fatal(err)
+	}
+	// Reading ends at the close (EOF, or a reset); only the deadline means
+	// the daemon kept the connection.
+	_, err = io.ReadAll(conn)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("connection still open %v after a half-sent request", time.Since(start))
+	}
+	if elapsed := time.Since(start); elapsed < readHeaderTimeout/2 {
+		t.Fatalf("connection closed after %v, before the header timeout (%v)", elapsed, readHeaderTimeout)
 	}
 }
 

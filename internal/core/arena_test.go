@@ -495,6 +495,28 @@ func TestDenseBitRowsSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestWorkStealingSteadyStateAllocs runs the dense-gnp300 kernel cell on
+// the work-stealing engine with 2 workers. Its small subtrees recurse
+// inline on the slot's scratch clique, which must have room to grow: if
+// every inline subtree reallocates C, a run allocates ~67k times, against
+// a few hundred for its frames, lanes and set-up.
+func TestWorkStealingSteadyStateAllocs(t *testing.T) {
+	const alpha = 0.25
+	g := denseUncertain(300, 0.3, 1).PruneAlpha(alpha)
+	var stats Stats
+	allocs := steadyAllocs(10, func() {
+		var err error
+		stats, err = EnumerateWith(g, alpha, nil, Config{SkipPrune: true, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%d allocs/run over %d calls", allocs, stats.Calls)
+	if allocs > 1000 {
+		t.Fatalf("work stealing allocates %d times a run; the scratch clique should absorb the inline recursion", allocs)
+	}
+}
+
 // --- Output equivalence: the arena kernel against the independent DFS-NOIP
 // implementation, plain and LARGE, over 50 random graphs ---
 

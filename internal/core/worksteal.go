@@ -173,7 +173,9 @@ type wsEngine struct {
 func (en *wsEngine) local(id int) *wsWorker {
 	w := en.locals[id]
 	if w == nil {
-		w = &wsWorker{id: id, granularity: en.gran, shared: en.s}
+		// The scratch clique starts with the serial cbuf's capacity, so the
+		// inline recursion's append(C, u) extends it in place.
+		w = &wsWorker{id: id, granularity: en.gran, shared: en.s, scratch: make([]int32, 0, 128)}
 		w.e = en.e.workerClone(&w.stats, en.s)
 		en.locals[id] = w
 	}

@@ -42,7 +42,7 @@ func cowBatches() [][]mule.EdgeUpdate {
 }
 
 // mineJSON produces the exact results bytes the query handler would serve
-// for g, by running the same parse → runner → marshal pipeline.
+// for g, by running the same parse → runner → encode pipeline.
 func mineJSON(t *testing.T, g *mule.Graph, ex *mule.Executor) []byte {
 	t.Helper()
 	p, err := parseQueryParams(url.Values{"miner": {"cliques"}, "alpha": {"0.5"}, "nocache": {"true"}})
@@ -54,14 +54,10 @@ func mineJSON(t *testing.T, g *mule.Graph, ex *mule.Executor) []byte {
 		t.Fatal(err)
 	}
 	out := run(context.Background())
-	if out.err != nil {
-		t.Fatal(out.err)
+	if out.err != nil || out.encErr != nil {
+		t.Fatal(out.err, out.encErr)
 	}
-	raw, err := json.Marshal(out.results)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return raw
+	return out.results
 }
 
 // TestApplySnapshotSwapRace is the copy-on-write pin: while a writer

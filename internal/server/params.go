@@ -287,55 +287,30 @@ func (p *qparams) commonOptions(ex *mule.Executor, prog func(done, total int)) [
 	return opts
 }
 
-// runOutcome is what a runner produces: the accumulated results (in
-// canonical order, JSON-marshalable), the terminal status, the miner's
-// stats struct, and the run error, if any. On a budget abort the results
-// hold the partial prefix delivered before the abort.
+// runOutcome is what a runner produces: the answer in canonical order,
+// JSON-encoded, with its length, the terminal status, the miner's stats
+// struct, and the run error, if any. On a budget abort the results hold the
+// partial prefix delivered before the abort. encErr is set, and results
+// nil, when the answer holds a value JSON cannot encode (a non-finite
+// float).
 type runOutcome struct {
-	results any
+	results []byte
+	encErr  error
 	count   int64
 	status  mule.RunStatus
 	stats   any
 	err     error
 }
 
+// outcome encodes a runner's sorted answer with elem and completes its
+// runOutcome.
+func outcome[T any](out []T, elem func([]byte, T) ([]byte, error), status mule.RunStatus, stats any, err error) runOutcome {
+	results, encErr := encodeList(out, elem)
+	return runOutcome{results: results, encErr: encErr, count: int64(len(out)), status: status, stats: stats, err: err}
+}
+
 // runner executes one prepared query against one snapshot.
 type runner func(ctx context.Context) runOutcome
-
-// cliqueJSON & friends are the wire shapes of the seven result families.
-type cliqueJSON struct {
-	Vertices []int   `json:"vertices"`
-	Prob     float64 `json:"prob"`
-}
-
-type bicliqueJSON struct {
-	Left  []int   `json:"left"`
-	Right []int   `json:"right"`
-	Prob  float64 `json:"prob"`
-}
-
-type edgeTrussJSON struct {
-	U     int `json:"u"`
-	V     int `json:"v"`
-	Truss int `json:"truss"`
-}
-
-type vertexCoreJSON struct {
-	V    int `json:"v"`
-	Core int `json:"core"`
-}
-
-type denseSubgraphJSON struct {
-	Vertices []int   `json:"vertices"`
-	Density  float64 `json:"density"`
-	Prob     float64 `json:"prob"`
-}
-
-type clusterJSON struct {
-	Center  int     `json:"center"`
-	Members []int   `json:"members"`
-	Prob    float64 `json:"prob"`
-}
 
 // newRunner builds the prepared query for p against snap on ex, validating
 // eagerly — a bad threshold, an out-of-scope option, or a miner/graph-kind
@@ -364,13 +339,13 @@ func (p *qparams) newRunner(snap *Snapshot, ex *mule.Executor, prog func(done, t
 			return nil, err
 		}
 		return func(ctx context.Context) runOutcome {
-			out := []cliqueJSON{}
+			out := []clique{}
 			stats, err := q.Run(ctx, func(c []int, prob float64) bool {
-				out = append(out, cliqueJSON{Vertices: append([]int(nil), c...), Prob: prob})
+				out = append(out, clique{vertices: append([]int(nil), c...), prob: prob})
 				return true
 			})
-			sort.Slice(out, func(i, j int) bool { return lexLess(out[i].Vertices, out[j].Vertices) })
-			return runOutcome{results: out, count: int64(len(out)), status: stats.Status, stats: stats, err: err}
+			sort.Slice(out, func(i, j int) bool { return lexLess(out[i].vertices, out[j].vertices) })
+			return outcome(out, appendClique, stats.Status, stats, err)
 		}, nil
 
 	case "bicliques":
@@ -382,22 +357,22 @@ func (p *qparams) newRunner(snap *Snapshot, ex *mule.Executor, prog func(done, t
 			return nil, err
 		}
 		return func(ctx context.Context) runOutcome {
-			out := []bicliqueJSON{}
+			out := []biclique{}
 			stats, err := q.Run(ctx, func(l, r []int, prob float64) bool {
-				out = append(out, bicliqueJSON{
-					Left:  append([]int(nil), l...),
-					Right: append([]int(nil), r...),
-					Prob:  prob,
+				out = append(out, biclique{
+					left:  append([]int(nil), l...),
+					right: append([]int(nil), r...),
+					prob:  prob,
 				})
 				return true
 			})
 			sort.Slice(out, func(i, j int) bool {
-				if !slicesEqual(out[i].Left, out[j].Left) {
-					return lexLess(out[i].Left, out[j].Left)
+				if !slicesEqual(out[i].left, out[j].left) {
+					return lexLess(out[i].left, out[j].left)
 				}
-				return lexLess(out[i].Right, out[j].Right)
+				return lexLess(out[i].right, out[j].right)
 			})
-			return runOutcome{results: out, count: int64(len(out)), status: stats.Status, stats: stats, err: err}
+			return outcome(out, appendBiclique, stats.Status, stats, err)
 		}, nil
 
 	case "quasi":
@@ -418,7 +393,7 @@ func (p *qparams) newRunner(snap *Snapshot, ex *mule.Executor, prog func(done, t
 				out = append(out, append([]int(nil), s...))
 				return true
 			})
-			return runOutcome{results: out, count: int64(len(out)), status: stats.Status, stats: stats, err: err}
+			return outcome(out, appendVertexSet, stats.Status, stats, err)
 		}, nil
 
 	case "truss":
@@ -427,9 +402,9 @@ func (p *qparams) newRunner(snap *Snapshot, ex *mule.Executor, prog func(done, t
 			return nil, err
 		}
 		return func(ctx context.Context) runOutcome {
-			out := []edgeTrussJSON{}
+			out := []mule.EdgeTruss{}
 			stats, err := q.Run(ctx, func(e mule.EdgeTruss) bool {
-				out = append(out, edgeTrussJSON{U: e.U, V: e.V, Truss: e.Truss})
+				out = append(out, e)
 				return true
 			})
 			sort.Slice(out, func(i, j int) bool {
@@ -438,7 +413,7 @@ func (p *qparams) newRunner(snap *Snapshot, ex *mule.Executor, prog func(done, t
 				}
 				return out[i].V < out[j].V
 			})
-			return runOutcome{results: out, count: int64(len(out)), status: stats.Status, stats: stats, err: err}
+			return outcome(out, appendEdgeTruss, stats.Status, stats, err)
 		}, nil
 
 	case "core":
@@ -447,13 +422,13 @@ func (p *qparams) newRunner(snap *Snapshot, ex *mule.Executor, prog func(done, t
 			return nil, err
 		}
 		return func(ctx context.Context) runOutcome {
-			out := []vertexCoreJSON{}
+			out := []mule.VertexCore{}
 			stats, err := q.Run(ctx, func(vc mule.VertexCore) bool {
-				out = append(out, vertexCoreJSON{V: vc.V, Core: vc.Core})
+				out = append(out, vc)
 				return true
 			})
 			sort.Slice(out, func(i, j int) bool { return out[i].V < out[j].V })
-			return runOutcome{results: out, count: int64(len(out)), status: stats.Status, stats: stats, err: err}
+			return outcome(out, appendVertexCore, stats.Status, stats, err)
 		}, nil
 
 	case "densest":
@@ -463,16 +438,13 @@ func (p *qparams) newRunner(snap *Snapshot, ex *mule.Executor, prog func(done, t
 		}
 		return func(ctx context.Context) runOutcome {
 			// The engine's best-first order is canonical; keep it, like quasi.
-			out := []denseSubgraphJSON{}
+			out := []mule.DenseSubgraph{}
 			stats, err := q.Run(ctx, func(c mule.DenseSubgraph) bool {
-				out = append(out, denseSubgraphJSON{
-					Vertices: append([]int(nil), c.Vertices...),
-					Density:  c.ExpectedDensity,
-					Prob:     c.Probability,
-				})
+				c.Vertices = append([]int(nil), c.Vertices...)
+				out = append(out, c)
 				return true
 			})
-			return runOutcome{results: out, count: int64(len(out)), status: stats.Status, stats: stats, err: err}
+			return outcome(out, appendDenseSubgraph, stats.Status, stats, err)
 		}, nil
 
 	case "cluster":
@@ -483,16 +455,13 @@ func (p *qparams) newRunner(snap *Snapshot, ex *mule.Executor, prog func(done, t
 		}
 		return func(ctx context.Context) runOutcome {
 			// Ascending center order is canonical; keep it.
-			out := []clusterJSON{}
+			out := []mule.ClusterSet{}
 			stats, err := q.Run(ctx, func(c mule.ClusterSet) bool {
-				out = append(out, clusterJSON{
-					Center:  c.Center,
-					Members: append([]int(nil), c.Members...),
-					Prob:    c.Probability,
-				})
+				c.Members = append([]int(nil), c.Members...)
+				out = append(out, c)
 				return true
 			})
-			return runOutcome{results: out, count: int64(len(out)), status: stats.Status, stats: stats, err: err}
+			return outcome(out, appendCluster, stats.Status, stats, err)
 		}, nil
 	}
 	return nil, fmt.Errorf("unknown miner %q: %w", p.miner, mule.ErrConfig)

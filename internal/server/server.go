@@ -327,19 +327,6 @@ func (s *Server) handleLoadGraph(w http.ResponseWriter, r *http.Request) {
 		Vertices: snap.Vertices(), Edges: snap.Edges()})
 }
 
-// queryResponse is the wire shape of a query result.
-type queryResponse struct {
-	Graph     string          `json:"graph"`
-	Epoch     uint64          `json:"epoch"`
-	Miner     string          `json:"miner"`
-	Cached    bool            `json:"cached"`
-	Truncated bool            `json:"truncated"`
-	Status    string          `json:"status"`
-	Count     int64           `json:"count"`
-	Results   json.RawMessage `json:"results"`
-	Stats     json.RawMessage `json:"stats,omitempty"`
-}
-
 // handleQuery runs one prepared query against the graph's current snapshot,
 // serving from the epoch-keyed cache when possible. See the package comment
 // for the status mapping.
@@ -383,11 +370,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if hit, ok := s.cache.get(key); ok {
 			// A hit marks the shape worth re-warming after the next Apply.
 			s.warm.record(name, p)
-			writeJSON(w, http.StatusOK, queryResponse{
-				Graph: name, Epoch: snap.Epoch, Miner: p.miner, Cached: true,
-				Truncated: hit.Truncated, Status: hit.Status, Count: hit.Count,
-				Results: hit.Results, Stats: hit.Stats,
-			})
+			writeQuery(w, name, snap.Epoch, p.miner, true, &hit)
 			return
 		}
 	}
@@ -416,29 +399,36 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	results, merr := json.Marshal(out.results)
-	if merr != nil {
-		writeError(w, http.StatusInternalServerError, "", merr)
+	res, err := s.settle(key, out)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "", err)
 		return
 	}
-	statsJSON, _ := json.Marshal(out.stats)
-	resp := queryResponse{
-		Graph: name, Epoch: snap.Epoch, Miner: p.miner,
-		Truncated: out.err != nil || out.status == mule.StatusStopped,
+	writeQuery(w, name, snap.Epoch, p.miner, false, &res)
+}
+
+// settle builds the stored form of a finished run, which handleQuery
+// writes and the cache keeps, and caches it under key when the answer is
+// settled: a complete run or a limit-truncated one. A budget abort depends
+// on the budget and is recomputed; key "" caches nothing. The error is the
+// answer's encoding failure.
+func (s *Server) settle(key string, out runOutcome) (cachedResult, error) {
+	if out.encErr != nil {
+		return cachedResult{}, out.encErr
+	}
+	// A stats struct that fails to marshal leaves the field out.
+	stats, _ := json.Marshal(out.stats)
+	res := cachedResult{
 		Status:    out.status.String(),
+		Truncated: out.err != nil || out.status == mule.StatusStopped,
 		Count:     out.count,
-		Results:   results,
-		Stats:     statsJSON,
+		Results:   out.results,
+		Stats:     stats,
 	}
-	// Only settled answers are cached: complete runs and limit-truncated
-	// ones. A budget abort depends on the budget and is recomputed.
 	if key != "" && out.err == nil {
-		s.cache.put(key, cachedResult{
-			Status: resp.Status, Truncated: resp.Truncated,
-			Count: resp.Count, Results: results, Stats: statsJSON,
-		})
+		s.cache.put(key, res)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return res, nil
 }
 
 // edgeUpdateJSON is one element of an apply batch.

@@ -3,11 +3,8 @@ package server
 import (
 	"container/list"
 	"context"
-	"encoding/json"
 	"sync"
 	"sync/atomic"
-
-	mule "github.com/uncertain-graphs/mule"
 )
 
 // warmTrackCap bounds how many distinct query shapes the warm tracker
@@ -180,21 +177,10 @@ func (s *Server) warmOne(name string, p *qparams) {
 		s.warmCount.failed.Add(1)
 		return
 	}
-	results, merr := json.Marshal(out.results)
-	if merr != nil {
+	if _, err := s.settle(key, out); err != nil {
 		s.warmCount.failed.Add(1)
 		return
 	}
-	statsJSON, _ := json.Marshal(out.stats)
-	s.cache.put(key, cachedResult{
-		Status: out.status.String(),
-		// out.err is nil here, so truncation means a met limit, exactly as
-		// in handleQuery.
-		Truncated: out.status == mule.StatusStopped,
-		Count:     out.count,
-		Results:   results,
-		Stats:     statsJSON,
-	})
 	s.warmCount.completed.Add(1)
 }
 

@@ -2,7 +2,6 @@ package mule
 
 import (
 	"context"
-	"fmt"
 	"iter"
 
 	"github.com/uncertain-graphs/mule/internal/ucluster"
@@ -39,12 +38,7 @@ type ClusterStats = ucluster.Stats
 // report loop, while cancellation and WithBudget abort the clustering
 // itself mid-sweep.
 type ClusterQuery struct {
-	g         *Graph
-	cfg       ucluster.Config
-	limit     int64
-	ten       tenancy
-	shards    int // 0 = unsharded; see WithShards
-	shardProg func(done, total int)
+	p prepared[ClusterSet, ClusterStats]
 }
 
 // NewClusterQuery prepares a k-center clustering of g. The center count
@@ -54,74 +48,24 @@ type ClusterQuery struct {
 // ErrNilGraph. Applicable options: WithCenters, WithLimit, WithBudget, plus
 // the shared execution options.
 func NewClusterQuery(g *Graph, opts ...Option) (*ClusterQuery, error) {
-	o, err := applyOptions(kindCluster, opts)
+	o, b, err := prepare(kindCluster, opts)
 	if err != nil {
 		return nil, err
 	}
-	ten, err := o.validateTenancy()
-	if err != nil {
-		return nil, err
-	}
-	shards, err := o.shardPlan()
-	if err != nil {
-		return nil, err
-	}
-	q, err := newClusterQuery(g, ucluster.Config{Centers: o.centers, Budget: o.cfg.Budget, Stall: o.stall}, o.limit)
-	if err != nil {
-		return nil, err
-	}
-	q.ten = ten
-	q.shards = shards
-	q.shardProg = o.shardProgress
-	return q, nil
-}
-
-// newClusterQuery is the single constructor behind NewClusterQuery; all
-// invariants are enforced here.
-func newClusterQuery(g *Graph, cfg ucluster.Config, limit int64) (*ClusterQuery, error) {
-	if limit < 0 {
-		return nil, fmt.Errorf("mule: negative limit %d: %w", limit, ErrConfig)
-	}
+	cfg := ucluster.Config{Centers: o.centers, Budget: o.cfg.Budget, Stall: o.stall}
 	if err := ucluster.Validate(g, cfg); err != nil {
 		return nil, err
 	}
-	return &ClusterQuery{g: g, cfg: cfg, limit: limit}, nil
-}
-
-// run executes the clustering under the WithLimit bound.
-func (q *ClusterQuery) run(ctx context.Context, visit ClusterVisitor) (stats ClusterStats, userStopped bool, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			stats.Status = StatusPanicked
-			err = panicToError(v)
-		}
-	}()
-	if q.shards != 0 {
-		return q.runSharded(ctx, visit)
-	}
-	release, err := q.ten.admit(ctx, q.cfg.Budget)
-	if err != nil {
-		return ClusterStats{Status: StatusFailed}, false, err
-	}
-	defer release()
-	stats, err = ucluster.RunContext(ctx, q.g, q.cfg, limitVisitor(visit, q.limit, &userStopped))
-	return stats, userStopped, err
-}
-
-// runSharded satisfies the sharded-run hook: the partition is global, so
-// the run executes whole-graph and reports a single shard to the progress
-// callback. The answer is byte-identical to the unsharded run for every
-// shard count, which is the WithShards contract.
-func (q *ClusterQuery) runSharded(ctx context.Context, visit ClusterVisitor) (stats ClusterStats, userStopped bool, err error) {
-	whole := *q
-	whole.shards = 0
-	d := shardDelivery{progress: q.shardProg}
-	d.begin(1)
-	stats, userStopped, err = whole.run(ctx, visit)
-	if err == nil {
-		d.shardDone()
-	}
-	return stats, userStopped, err
+	b.budget = cfg.Budget
+	// No components: the partition is global, so a sharded run executes
+	// whole-graph as one shard.
+	return &ClusterQuery{prepared[ClusterSet, ClusterStats]{base: b, miner: miner[ClusterSet, ClusterStats]{
+		mine: func(ctx context.Context, visit func(ClusterSet) bool) (ClusterStats, error) {
+			return ucluster.RunContext(ctx, g, cfg, visit)
+		},
+		status:  func(s *ClusterStats) *RunStatus { return &s.Status },
+		emitted: func(s *ClusterStats) *int64 { return &s.Emitted },
+	}}}, nil
 }
 
 // Run performs the clustering and reports each cluster to visit in
@@ -130,35 +74,15 @@ func (q *ClusterQuery) runSharded(ctx context.Context, visit ClusterVisitor) (st
 // context/budget causes for aborts, ErrStopped when visit returned false,
 // nil for complete runs and WithLimit truncation.
 func (q *ClusterQuery) Run(ctx context.Context, visit ClusterVisitor) (ClusterStats, error) {
-	stats, userStopped, err := q.run(ctx, visit)
-	if err != nil {
-		return stats, err
-	}
-	if userStopped {
-		return stats, fmt.Errorf("mule: %w", ErrStopped)
-	}
-	return stats, nil
+	return q.p.Run(ctx, visit)
 }
 
 // Collect materializes the partition in ascending center order.
-func (q *ClusterQuery) Collect(ctx context.Context) ([]ClusterSet, error) {
-	var out []ClusterSet
-	_, _, err := q.run(ctx, func(c ClusterSet) bool {
-		out = append(out, c)
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
+func (q *ClusterQuery) Collect(ctx context.Context) ([]ClusterSet, error) { return q.p.Collect(ctx) }
 
 // Count returns the number of clusters the query reports — the WithCenters
 // k on a complete run, fewer under WithLimit.
-func (q *ClusterQuery) Count(ctx context.Context) (int64, error) {
-	stats, err := q.Run(ctx, nil)
-	return stats.Emitted, err
-}
+func (q *ClusterQuery) Count(ctx context.Context) (int64, error) { return q.p.Count(ctx) }
 
 // Stream returns the partition as a range-over-func stream with the same
 // contract as Query.Cliques: each cluster is yielded with a nil error, an
@@ -167,8 +91,5 @@ func (q *ClusterQuery) Count(ctx context.Context) (int64, error) {
 // runs to completion when the first element is requested; clusters then
 // stream in ascending center order.
 func (q *ClusterQuery) Stream(ctx context.Context) iter.Seq2[ClusterSet, error] {
-	return streamOf(func(emit func(ClusterSet) bool) error {
-		_, _, err := q.run(ctx, emit)
-		return err
-	})
+	return q.p.Stream(ctx)
 }

@@ -340,6 +340,63 @@ func (b *batchBudget) spend(emitted, work int64) error {
 	return nil
 }
 
+// tally is the accounting every -mine mode shares: the terminal status,
+// the results delivered, and the mode's budget work unit.
+type tally struct {
+	status  mule.RunStatus
+	emitted int64
+	work    int64
+}
+
+// batch is one in-memory portion of the input handed to a mode's query
+// run, with the -limit / -budget allowance left for it.
+type batch struct {
+	g             *mule.Graph
+	toGlobal      func(int) int
+	limit, budget int64
+}
+
+// mineLoop is the loop and tail every -mine mode shares. A batched mode's
+// mine runs once per out-of-core batch — or once on the whole graph when
+// -shard-batch is off — and -limit / -budget carry across batches; an
+// unbatched mode has loaded its input and built its query already, so its
+// mine runs once on a zero batch. The -count line, the stats line, and the
+// flush follow before any abort surfaces, so a canceled run still reports
+// its partial output.
+func mineLoop(m modeFlags, out io.Writer, batched bool, mine func(w *bufio.Writer, b batch) (tally, error), line func(t tally, took time.Duration) string) error {
+	start := time.Now()
+	w := bufio.NewWriter(out)
+	defer w.Flush()
+	var agg tally
+	var runErr error
+	if batched {
+		bud := newBatchBudget(m)
+		runErr = forEachBatch(m, func(g *mule.Graph, toGlobal func(int) int) error {
+			t, err := mine(w, batch{g, toGlobal, bud.remaining, bud.left})
+			agg = tally{t.status, agg.emitted + t.emitted, agg.work + t.work}
+			if err != nil {
+				return err
+			}
+			return bud.spend(t.emitted, t.work)
+		})
+	} else {
+		agg, runErr = mine(w, batch{})
+	}
+	if errors.Is(runErr, errBatchesDone) {
+		agg.status, runErr = mule.StatusStopped, nil
+	} else if errors.Is(runErr, mule.ErrBudget) {
+		agg.status = mule.StatusBudget
+	}
+	if m.countOnly {
+		fmt.Fprintf(w, "%d\n", agg.emitted)
+	}
+	if !m.quiet {
+		fmt.Fprint(os.Stderr, line(agg, time.Since(start).Round(time.Millisecond)))
+	}
+	w.Flush()
+	return runErr
+}
+
 // runCliques is the original mode: α-maximal clique enumeration, count,
 // or top-k through mule.NewQuery.
 func runCliques(ctx context.Context, m modeFlags, ordering, engine, intersect string, workers, granularity, top int, out io.Writer) error {
@@ -371,11 +428,10 @@ func runCliques(ctx context.Context, m modeFlags, ordering, engine, intersect st
 		)...)
 	}
 
-	start := time.Now()
-	w := bufio.NewWriter(out)
-	defer w.Flush()
-
 	if top > 0 {
+		start := time.Now()
+		w := bufio.NewWriter(out)
+		defer w.Flush()
 		g, err := graphio.LoadFile(m.in)
 		if err != nil {
 			return err
@@ -398,13 +454,11 @@ func runCliques(ctx context.Context, m modeFlags, ordering, engine, intersect st
 		return nil
 	}
 
-	var agg mule.Stats
-	agg.Status = mule.StatusComplete
-	bud := newBatchBudget(m)
-	runErr := forEachBatch(m, func(g *mule.Graph, toGlobal func(int) int) error {
-		q, err := newQuery(g, bud.remaining, bud.left)
+	var maxSize, pruned int
+	return mineLoop(m, out, true, func(w *bufio.Writer, b batch) (tally, error) {
+		q, err := newQuery(b.g, b.limit, b.budget)
 		if err != nil {
-			return err
+			return tally{}, err
 		}
 		var visit mule.Visitor
 		if !m.countOnly {
@@ -412,41 +466,19 @@ func runCliques(ctx context.Context, m modeFlags, ordering, engine, intersect st
 			visit = func(c []int, p float64) bool {
 				buf = buf[:0]
 				for _, v := range c {
-					buf = append(buf, toGlobal(v))
+					buf = append(buf, b.toGlobal(v))
 				}
 				printClique(w, buf, p)
 				return true
 			}
 		}
-		stats, err := q.Run(ctx, visit)
-		agg.Emitted += stats.Emitted
-		agg.Calls += stats.Calls
-		agg.PrunedEdges += stats.PrunedEdges
-		agg.MaxCliqueSize = max(agg.MaxCliqueSize, stats.MaxCliqueSize)
-		agg.Status = stats.Status
-		if err != nil {
-			return err
-		}
-		return bud.spend(stats.Emitted, stats.Calls)
+		s, err := q.Run(ctx, visit)
+		maxSize, pruned = max(maxSize, s.MaxCliqueSize), pruned+s.PrunedEdges
+		return tally{s.Status, s.Emitted, s.Calls}, err
+	}, func(t tally, took time.Duration) string {
+		return fmt.Sprintf("%d α-maximal cliques (α=%g, max size %d, %s) in %s; %d search calls, %d edges pruned\n",
+			t.emitted, m.alpha, maxSize, t.status, took, t.work, pruned)
 	})
-	if errors.Is(runErr, errBatchesDone) {
-		agg.Status, runErr = mule.StatusStopped, nil
-	} else if errors.Is(runErr, mule.ErrBudget) {
-		agg.Status = mule.StatusBudget
-	}
-	if m.countOnly {
-		fmt.Fprintf(w, "%d\n", agg.Emitted)
-	}
-	if !m.quiet {
-		fmt.Fprintf(os.Stderr,
-			"%d α-maximal cliques (α=%g, max size %d, %s) in %s; %d search calls, %d edges pruned\n",
-			agg.Emitted, m.alpha, agg.MaxCliqueSize, agg.Status,
-			time.Since(start).Round(time.Millisecond), agg.Calls, agg.PrunedEdges)
-	}
-	// Flush what we have before surfacing an abort: a canceled run still
-	// reports its partial output and the stats line above.
-	w.Flush()
-	return runErr
 }
 
 // runBicliques mines α-maximal bicliques from a bipartite input file.
@@ -466,58 +498,42 @@ func runBicliques(ctx context.Context, m modeFlags, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	start := time.Now()
-	w := bufio.NewWriter(out)
-	defer w.Flush()
-	var visit mule.BicliqueVisitor
-	if !m.countOnly {
-		visit = func(left, right []int, p float64) bool {
-			fmt.Fprintf(w, "%.9g\t", p)
-			for i, v := range left {
-				if i > 0 {
-					w.WriteByte(' ')
+	var s mule.BicliqueStats
+	return mineLoop(m, out, false, func(w *bufio.Writer, _ batch) (tally, error) {
+		var visit mule.BicliqueVisitor
+		if !m.countOnly {
+			visit = func(left, right []int, p float64) bool {
+				fmt.Fprintf(w, "%.9g\t", p)
+				printInts(w, left)
+				w.WriteString(" |")
+				for _, v := range right {
+					fmt.Fprintf(w, " %d", v)
 				}
-				fmt.Fprintf(w, "%d", v)
+				w.WriteByte('\n')
+				return true
 			}
-			w.WriteString(" |")
-			for _, v := range right {
-				fmt.Fprintf(w, " %d", v)
-			}
-			w.WriteByte('\n')
-			return true
 		}
-	}
-	stats, runErr := q.Run(ctx, visit)
-	if m.countOnly {
-		fmt.Fprintf(w, "%d\n", stats.Emitted)
-	}
-	if !m.quiet {
-		fmt.Fprintf(os.Stderr,
-			"%d α-maximal bicliques (α=%g, max %d×%d, %s) in %s; %d search calls, %d edges pruned\n",
-			stats.Emitted, m.alpha, stats.MaxLeft, stats.MaxRight, stats.Status,
-			time.Since(start).Round(time.Millisecond), stats.Calls, stats.PrunedEdges)
-	}
-	w.Flush()
-	return runErr
+		var err error
+		s, err = q.Run(ctx, visit)
+		return tally{s.Status, s.Emitted, s.Calls}, err
+	}, func(t tally, took time.Duration) string {
+		return fmt.Sprintf("%d α-maximal bicliques (α=%g, max %d×%d, %s) in %s; %d search calls, %d edges pruned\n",
+			t.emitted, m.alpha, s.MaxLeft, s.MaxRight, t.status, took, t.work, s.PrunedEdges)
+	})
 }
 
 // runQuasi mines maximal expected γ-quasi-cliques.
 func runQuasi(ctx context.Context, m modeFlags, out io.Writer) error {
-	start := time.Now()
-	w := bufio.NewWriter(out)
-	defer w.Flush()
-	var agg mule.QuasiStats
-	agg.Status = mule.StatusComplete
-	bud := newBatchBudget(m)
-	runErr := forEachBatch(m, func(g *mule.Graph, toGlobal func(int) int) error {
-		q, err := mule.NewQuasiQuery(g, m.withTenant(
+	var maxSize int
+	return mineLoop(m, out, true, func(w *bufio.Writer, b batch) (tally, error) {
+		q, err := mule.NewQuasiQuery(b.g, m.withTenant(
 			mule.WithGamma(m.gamma),
 			mule.WithMinSize(m.minSize),
-			mule.WithLimit(bud.remaining),
-			mule.WithBudget(bud.left),
+			mule.WithLimit(b.limit),
+			mule.WithBudget(b.budget),
 		)...)
 		if err != nil {
-			return err
+			return tally{}, err
 		}
 		var visit mule.QuasiVisitor
 		if !m.countOnly {
@@ -526,38 +542,19 @@ func runQuasi(ctx context.Context, m modeFlags, out io.Writer) error {
 					if i > 0 {
 						w.WriteByte(' ')
 					}
-					fmt.Fprintf(w, "%d", toGlobal(v))
+					fmt.Fprintf(w, "%d", b.toGlobal(v))
 				}
 				w.WriteByte('\n')
 				return true
 			}
 		}
-		stats, err := q.Run(ctx, visit)
-		agg.Emitted += stats.Emitted
-		agg.Calls += stats.Calls
-		agg.MaxSize = max(agg.MaxSize, stats.MaxSize)
-		agg.Status = stats.Status
-		if err != nil {
-			return err
-		}
-		return bud.spend(stats.Emitted, stats.Calls)
+		s, err := q.Run(ctx, visit)
+		maxSize = max(maxSize, s.MaxSize)
+		return tally{s.Status, s.Emitted, s.Calls}, err
+	}, func(t tally, took time.Duration) string {
+		return fmt.Sprintf("%d maximal expected γ-quasi-cliques (γ=%g, max size %d, %s) in %s; %d search calls\n",
+			t.emitted, m.gamma, maxSize, t.status, took, t.work)
 	})
-	if errors.Is(runErr, errBatchesDone) {
-		agg.Status, runErr = mule.StatusStopped, nil
-	} else if errors.Is(runErr, mule.ErrBudget) {
-		agg.Status = mule.StatusBudget
-	}
-	if m.countOnly {
-		fmt.Fprintf(w, "%d\n", agg.Emitted)
-	}
-	if !m.quiet {
-		fmt.Fprintf(os.Stderr,
-			"%d maximal expected γ-quasi-cliques (γ=%g, max size %d, %s) in %s; %d search calls\n",
-			agg.Emitted, m.gamma, agg.MaxSize, agg.Status,
-			time.Since(start).Round(time.Millisecond), agg.Calls)
-	}
-	w.Flush()
-	return runErr
 }
 
 // runTruss prints the η-truss decomposition ("u v k" per edge, peel
@@ -567,10 +564,10 @@ func runTruss(ctx context.Context, m modeFlags, out io.Writer) error {
 	if m.shardBatch > 0 && m.k > 0 {
 		return fmt.Errorf("-shard-batch is incompatible with -k (single-answer mode)")
 	}
-	start := time.Now()
-	w := bufio.NewWriter(out)
-	defer w.Flush()
 	if m.k > 0 {
+		start := time.Now()
+		w := bufio.NewWriter(out)
+		defer w.Flush()
 		g, err := graphio.LoadFile(m.in)
 		if err != nil {
 			return err
@@ -603,52 +600,31 @@ func runTruss(ctx context.Context, m modeFlags, out io.Writer) error {
 		}
 		return nil
 	}
-	var agg mule.TrussStats
-	agg.Status = mule.StatusComplete
-	bud := newBatchBudget(m)
-	runErr := forEachBatch(m, func(g *mule.Graph, toGlobal func(int) int) error {
-		q, err := mule.NewTrussQuery(g, m.eta, m.withTenant(
-			mule.WithLimit(bud.remaining),
-			mule.WithBudget(bud.left),
+	var maxTruss int
+	return mineLoop(m, out, true, func(w *bufio.Writer, b batch) (tally, error) {
+		q, err := mule.NewTrussQuery(b.g, m.eta, m.withTenant(
+			mule.WithLimit(b.limit),
+			mule.WithBudget(b.budget),
 		)...)
 		if err != nil {
-			return err
+			return tally{}, err
 		}
 		var visit mule.TrussVisitor
 		if !m.countOnly {
 			// The batch-local → global mapping is monotone, so U < V holds
 			// after remapping too.
 			visit = func(e mule.EdgeTruss) bool {
-				fmt.Fprintf(w, "%d %d %d\n", toGlobal(e.U), toGlobal(e.V), e.Truss)
+				fmt.Fprintf(w, "%d %d %d\n", b.toGlobal(e.U), b.toGlobal(e.V), e.Truss)
 				return true
 			}
 		}
-		stats, err := q.Run(ctx, visit)
-		agg.Emitted += stats.Emitted
-		agg.Checks += stats.Checks
-		agg.MaxTruss = max(agg.MaxTruss, stats.MaxTruss)
-		agg.Status = stats.Status
-		if err != nil {
-			return err
-		}
-		return bud.spend(stats.Emitted, stats.Checks)
+		s, err := q.Run(ctx, visit)
+		maxTruss = max(maxTruss, s.MaxTruss)
+		return tally{s.Status, s.Emitted, s.Checks}, err
+	}, func(t tally, took time.Duration) string {
+		return fmt.Sprintf("η-truss decomposition of %d edges (η=%g, max truss %d, %s) in %s; %d support checks\n",
+			t.emitted, m.eta, maxTruss, t.status, took, t.work)
 	})
-	if errors.Is(runErr, errBatchesDone) {
-		agg.Status, runErr = mule.StatusStopped, nil
-	} else if errors.Is(runErr, mule.ErrBudget) {
-		agg.Status = mule.StatusBudget
-	}
-	if m.countOnly {
-		fmt.Fprintf(w, "%d\n", agg.Emitted)
-	}
-	if !m.quiet {
-		fmt.Fprintf(os.Stderr,
-			"η-truss decomposition of %d edges (η=%g, max truss %d, %s) in %s; %d support checks\n",
-			agg.Emitted, m.eta, agg.MaxTruss, agg.Status,
-			time.Since(start).Round(time.Millisecond), agg.Checks)
-	}
-	w.Flush()
-	return runErr
 }
 
 // runCore prints the η-core decomposition ("v c" per vertex, peel order),
@@ -657,10 +633,10 @@ func runCore(ctx context.Context, m modeFlags, out io.Writer) error {
 	if m.shardBatch > 0 && m.k > 0 {
 		return fmt.Errorf("-shard-batch is incompatible with -k (single-answer mode)")
 	}
-	start := time.Now()
-	w := bufio.NewWriter(out)
-	defer w.Flush()
 	if m.k > 0 {
+		start := time.Now()
+		w := bufio.NewWriter(out)
+		defer w.Flush()
 		g, err := graphio.LoadFile(m.in)
 		if err != nil {
 			return err
@@ -693,50 +669,29 @@ func runCore(ctx context.Context, m modeFlags, out io.Writer) error {
 		}
 		return nil
 	}
-	var agg mule.CoreStats
-	agg.Status = mule.StatusComplete
-	bud := newBatchBudget(m)
-	runErr := forEachBatch(m, func(g *mule.Graph, toGlobal func(int) int) error {
-		q, err := mule.NewCoreQuery(g, m.eta, m.withTenant(
-			mule.WithLimit(bud.remaining),
-			mule.WithBudget(bud.left),
+	var degeneracy int
+	return mineLoop(m, out, true, func(w *bufio.Writer, b batch) (tally, error) {
+		q, err := mule.NewCoreQuery(b.g, m.eta, m.withTenant(
+			mule.WithLimit(b.limit),
+			mule.WithBudget(b.budget),
 		)...)
 		if err != nil {
-			return err
+			return tally{}, err
 		}
 		var visit mule.CoreVisitor
 		if !m.countOnly {
 			visit = func(vc mule.VertexCore) bool {
-				fmt.Fprintf(w, "%d %d\n", toGlobal(vc.V), vc.Core)
+				fmt.Fprintf(w, "%d %d\n", b.toGlobal(vc.V), vc.Core)
 				return true
 			}
 		}
-		stats, err := q.Run(ctx, visit)
-		agg.Emitted += stats.Emitted
-		agg.Recomputes += stats.Recomputes
-		agg.Degeneracy = max(agg.Degeneracy, stats.Degeneracy)
-		agg.Status = stats.Status
-		if err != nil {
-			return err
-		}
-		return bud.spend(stats.Emitted, stats.Recomputes)
+		s, err := q.Run(ctx, visit)
+		degeneracy = max(degeneracy, s.Degeneracy)
+		return tally{s.Status, s.Emitted, s.Recomputes}, err
+	}, func(t tally, took time.Duration) string {
+		return fmt.Sprintf("η-core decomposition of %d vertices (η=%g, degeneracy %d, %s) in %s; %d recomputes\n",
+			t.emitted, m.eta, degeneracy, t.status, took, t.work)
 	})
-	if errors.Is(runErr, errBatchesDone) {
-		agg.Status, runErr = mule.StatusStopped, nil
-	} else if errors.Is(runErr, mule.ErrBudget) {
-		agg.Status = mule.StatusBudget
-	}
-	if m.countOnly {
-		fmt.Fprintf(w, "%d\n", agg.Emitted)
-	}
-	if !m.quiet {
-		fmt.Fprintf(os.Stderr,
-			"η-core decomposition of %d vertices (η=%g, degeneracy %d, %s) in %s; %d recomputes\n",
-			agg.Emitted, m.eta, agg.Degeneracy, agg.Status,
-			time.Since(start).Round(time.Millisecond), agg.Recomputes)
-	}
-	w.Flush()
-	return runErr
 }
 
 // runDensest mines the most-probable densest-subgraph candidate family:
@@ -758,35 +713,24 @@ func runDensest(ctx context.Context, m modeFlags, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	start := time.Now()
-	w := bufio.NewWriter(out)
-	defer w.Flush()
-	var visit mule.DensestVisitor
-	if !m.countOnly {
-		visit = func(c mule.DenseSubgraph) bool {
-			fmt.Fprintf(w, "%.9g\t%.9g\t", c.Probability, c.ExpectedDensity)
-			for i, v := range c.Vertices {
-				if i > 0 {
-					w.WriteByte(' ')
-				}
-				fmt.Fprintf(w, "%d", v)
+	var s mule.DensestStats
+	return mineLoop(m, out, false, func(w *bufio.Writer, _ batch) (tally, error) {
+		var visit mule.DensestVisitor
+		if !m.countOnly {
+			visit = func(c mule.DenseSubgraph) bool {
+				fmt.Fprintf(w, "%.9g\t%.9g\t", c.Probability, c.ExpectedDensity)
+				printInts(w, c.Vertices)
+				w.WriteByte('\n')
+				return true
 			}
-			w.WriteByte('\n')
-			return true
 		}
-	}
-	stats, runErr := q.Run(ctx, visit)
-	if m.countOnly {
-		fmt.Fprintf(w, "%d\n", stats.Emitted)
-	}
-	if !m.quiet {
-		fmt.Fprintf(os.Stderr,
-			"%d densest-subgraph candidates (best density %g, %s) in %s; %d peel steps, %d scored\n",
-			stats.Emitted, stats.BestDensity, stats.Status,
-			time.Since(start).Round(time.Millisecond), stats.PeelSteps, stats.Scored)
-	}
-	w.Flush()
-	return runErr
+		var err error
+		s, err = q.Run(ctx, visit)
+		return tally{s.Status, s.Emitted, s.PeelSteps}, err
+	}, func(t tally, took time.Duration) string {
+		return fmt.Sprintf("%d densest-subgraph candidates (best density %g, %s) in %s; %d peel steps, %d scored\n",
+			t.emitted, s.BestDensity, t.status, took, t.work, s.Scored)
+	})
 }
 
 // runCluster partitions the graph around -centers k center vertices:
@@ -808,35 +752,24 @@ func runCluster(ctx context.Context, m modeFlags, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	start := time.Now()
-	w := bufio.NewWriter(out)
-	defer w.Flush()
-	var visit mule.ClusterVisitor
-	if !m.countOnly {
-		visit = func(c mule.ClusterSet) bool {
-			fmt.Fprintf(w, "%.9g\t%d\t", c.Probability, c.Center)
-			for i, v := range c.Members {
-				if i > 0 {
-					w.WriteByte(' ')
-				}
-				fmt.Fprintf(w, "%d", v)
+	var s mule.ClusterStats
+	return mineLoop(m, out, false, func(w *bufio.Writer, _ batch) (tally, error) {
+		var visit mule.ClusterVisitor
+		if !m.countOnly {
+			visit = func(c mule.ClusterSet) bool {
+				fmt.Fprintf(w, "%.9g\t%d\t", c.Probability, c.Center)
+				printInts(w, c.Members)
+				w.WriteByte('\n')
+				return true
 			}
-			w.WriteByte('\n')
-			return true
 		}
-	}
-	stats, runErr := q.Run(ctx, visit)
-	if m.countOnly {
-		fmt.Fprintf(w, "%d\n", stats.Emitted)
-	}
-	if !m.quiet {
-		fmt.Fprintf(os.Stderr,
-			"%d clusters (centers=%d, rounds=%d, converged=%v, %s) in %s; %d reliability sweeps\n",
-			stats.Emitted, m.centers, stats.Rounds, stats.Converged, stats.Status,
-			time.Since(start).Round(time.Millisecond), stats.Sweeps)
-	}
-	w.Flush()
-	return runErr
+		var err error
+		s, err = q.Run(ctx, visit)
+		return tally{s.Status, s.Emitted, s.Sweeps}, err
+	}, func(t tally, took time.Duration) string {
+		return fmt.Sprintf("%d clusters (centers=%d, rounds=%d, converged=%v, %s) in %s; %d reliability sweeps\n",
+			t.emitted, m.centers, s.Rounds, s.Converged, t.status, took, t.work)
+	})
 }
 
 // writeMemProfile dumps a heap profile after a final GC so kernel
@@ -857,13 +790,18 @@ func writeMemProfile(path string) error {
 
 func printClique(w *bufio.Writer, c []int, p float64) {
 	fmt.Fprintf(w, "%.9g\t", p)
-	for i, v := range c {
+	printInts(w, c)
+	w.WriteByte('\n')
+}
+
+// printInts writes vs space-separated.
+func printInts(w *bufio.Writer, vs []int) {
+	for i, v := range vs {
 		if i > 0 {
 			w.WriteByte(' ')
 		}
 		fmt.Fprintf(w, "%d", v)
 	}
-	w.WriteByte('\n')
 }
 
 func parseEngine(s string) (mule.ParallelMode, error) {

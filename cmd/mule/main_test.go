@@ -497,3 +497,89 @@ func TestRunMineKPathsCountAndLimit(t *testing.T) {
 		t.Fatalf("core -k -limit 2 printed %d lines: %q", len(lines), out.String())
 	}
 }
+
+// checkMineLines pins one -mine mode against the library: its lines are
+// want (the query's Collect printed in the CLI format) in order, -count
+// prints len(want), -limit keeps a prefix, and -shard-batch is refused.
+func checkMineLines(t *testing.T, path string, mode []string, want []string) {
+	t.Helper()
+	ctx := context.Background()
+	args := append([]string{"-in", path, "-quiet"}, mode...)
+	var out bytes.Buffer
+	if err := run(ctx, args, &out); err != nil {
+		t.Fatalf("%v: %v", args, err)
+	}
+	if got := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n"); !equalStrings(got, want) {
+		t.Fatalf("%v:\ngot  %q\nwant %q", args, got, want)
+	}
+	out.Reset()
+	if err := run(ctx, append(args, "-count"), &out); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.TrimSpace(out.String()); got != fmt.Sprint(len(want)) {
+		t.Fatalf("%v -count: %q, want %d", args, got, len(want))
+	}
+	for limit := 1; limit <= len(want); limit++ {
+		out.Reset()
+		if err := run(ctx, append(args, "-limit", fmt.Sprint(limit)), &out); err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n"); !equalStrings(got, want[:limit]) {
+			t.Fatalf("%v -limit %d:\ngot  %q\nwant %q", args, limit, got, want[:limit])
+		}
+	}
+	if err := run(ctx, append(args, "-shard-batch", "4"), &out); err == nil {
+		t.Fatalf("%v -shard-batch: expected a refusal", args)
+	}
+}
+
+// joinInts formats a vertex list the way the CLI prints it.
+func joinInts(vs []int) string {
+	s := make([]string, len(vs))
+	for i, v := range vs {
+		s[i] = fmt.Sprint(v)
+	}
+	return strings.Join(s, " ")
+}
+
+func TestRunMineDensest(t *testing.T) {
+	path := writeMultiComponentGraph(t)
+	g, err := graphio.LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := mule.NewDensestQuery(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cands, err := q.Collect(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, c := range cands {
+		want = append(want, fmt.Sprintf("%.9g\t%.9g\t%s", c.Probability, c.ExpectedDensity, joinInts(c.Vertices)))
+	}
+	checkMineLines(t, path, []string{"-mine", "densest"}, want)
+}
+
+func TestRunMineCluster(t *testing.T) {
+	path := writeMultiComponentGraph(t)
+	g, err := graphio.LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := mule.NewClusterQuery(g, mule.WithCenters(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	clusters, err := q.Collect(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, c := range clusters {
+		want = append(want, fmt.Sprintf("%.9g\t%d\t%s", c.Probability, c.Center, joinInts(c.Members)))
+	}
+	checkMineLines(t, path, []string{"-mine", "cluster", "-centers", "3"}, want)
+}

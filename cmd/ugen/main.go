@@ -69,7 +69,7 @@ func run(args []string) error {
 
 	if *topology == "affinity" {
 		// Bipartite planted-cohort workload; written in the .ubg text format
-		// that cmd/dense -mode bicliques reads.
+		// that mule -mine bicliques reads.
 		bg := bench.AffinityBipartite(*n, *nRight, *blocks, *seed)
 		f, err := os.Create(*out)
 		if err != nil {

@@ -2,10 +2,10 @@ package mule
 
 import (
 	"context"
-	"fmt"
 	"iter"
 
 	"github.com/uncertain-graphs/mule/internal/udensest"
+	"github.com/uncertain-graphs/mule/internal/uncertain"
 )
 
 // DenseSubgraph is one scored member of a densest query's candidate family:
@@ -38,12 +38,7 @@ type DensestStats = udensest.Stats
 // to the report loop over the finished, canonically ordered family —
 // cancellation and WithBudget still abort the mining itself mid-peel.
 type DensestQuery struct {
-	g         *Graph
-	cfg       udensest.Config
-	limit     int64
-	ten       tenancy
-	shards    int // 0 = unsharded; see WithShards
-	shardProg func(done, total int)
+	p prepared[DenseSubgraph, DensestStats]
 }
 
 // NewDensestQuery prepares a most-probable densest-subgraph mining run on
@@ -52,58 +47,58 @@ type DensestQuery struct {
 // plus the shared execution options (WithShards/WithAutoShard, WithTenant,
 // WithExecutor, WithRetry, WithStallTimeout).
 func NewDensestQuery(g *Graph, opts ...Option) (*DensestQuery, error) {
-	o, err := applyOptions(kindDensest, opts)
+	o, b, err := prepare(kindDensest, opts)
 	if err != nil {
 		return nil, err
 	}
-	ten, err := o.validateTenancy()
-	if err != nil {
-		return nil, err
-	}
-	shards, err := o.shardPlan()
-	if err != nil {
-		return nil, err
-	}
-	q, err := newDensestQuery(g, udensest.Config{Budget: o.cfg.Budget, Stall: o.stall}, o.limit)
-	if err != nil {
-		return nil, err
-	}
-	q.ten = ten
-	q.shards = shards
-	q.shardProg = o.shardProgress
-	return q, nil
-}
-
-// newDensestQuery is the single constructor behind NewDensestQuery; all
-// invariants are enforced here.
-func newDensestQuery(g *Graph, cfg udensest.Config, limit int64) (*DensestQuery, error) {
-	if limit < 0 {
-		return nil, fmt.Errorf("mule: negative limit %d: %w", limit, ErrConfig)
-	}
+	cfg := udensest.Config{Budget: o.cfg.Budget, Stall: o.stall}
 	if err := udensest.Validate(g, cfg); err != nil {
 		return nil, err
 	}
-	return &DensestQuery{g: g, cfg: cfg, limit: limit}, nil
-}
-
-// run executes the mining under the WithLimit bound.
-func (q *DensestQuery) run(ctx context.Context, visit DensestVisitor) (stats DensestStats, userStopped bool, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			stats.Status = StatusPanicked
-			err = panicToError(v)
-		}
-	}()
-	if q.shards != 0 {
-		return q.runSharded(ctx, visit)
-	}
-	release, err := q.ten.admit(ctx, q.cfg.Budget)
-	if err != nil {
-		return DensestStats{Status: StatusFailed}, false, err
-	}
-	defer release()
-	stats, err = udensest.RunContext(ctx, q.g, q.cfg, limitVisitor(visit, q.limit, &userStopped))
-	return stats, userStopped, err
+	b.budget = cfg.Budget
+	return &DensestQuery{prepared[DenseSubgraph, DensestStats]{base: b, miner: miner[DenseSubgraph, DensestStats]{
+		mine: func(ctx context.Context, visit func(DenseSubgraph) bool) (DensestStats, error) {
+			return udensest.RunContext(ctx, g, cfg, visit)
+		},
+		status:  func(s *DensestStats) *RunStatus { return &s.Status },
+		emitted: func(s *DensestStats) *int64 { return &s.Emitted },
+		// The candidate family is defined per component, so the peel phase
+		// shards exactly.
+		components: eachComponent(g.ShardByComponent, func(sh uncertain.Shard) componentRun[DenseSubgraph, DensestStats] {
+			return func(ctx context.Context, budget int64, visit func(DenseSubgraph) bool) (DensestStats, error) {
+				cfg := cfg
+				cfg.Budget = budget
+				cands, s, err := udensest.PeelContext(ctx, sh.G, cfg)
+				for _, cand := range cands {
+					// The remap is monotone, so the sets stay ascending.
+					for i, v := range cand.Vertices {
+						cand.Vertices[i] = sh.NewToOld[v]
+					}
+					visit(cand)
+				}
+				return s, err
+			}
+		}),
+		numComponents: g.NumComponents,
+		fold: func(agg *DensestStats, s DensestStats) {
+			agg.PeelSteps += s.PeelSteps
+			agg.Candidates += s.Candidates
+			agg.BestDensity = max(agg.BestDensity, s.BestDensity)
+		},
+		work: func(s DensestStats) int64 { return s.PeelSteps },
+		// One global scoring pass against the whole-family champion density
+		// (the score threshold d̂ is a whole-family property); a component's
+		// internal edges are the same set in the parent graph, so scoring
+		// against g reproduces the unsharded probabilities exactly.
+		finish: func(ctx context.Context, all []DenseSubgraph, agg *DensestStats) error {
+			s, err := udensest.ScoreContext(ctx, g, all, udensest.BestDensity(all), cfg)
+			agg.Scored += s.Scored
+			if err == nil {
+				udensest.SortCandidates(all)
+			}
+			return err
+		},
+	}}}, nil
 }
 
 // Run mines the candidate family and reports each scored candidate to
@@ -112,38 +107,18 @@ func (q *DensestQuery) run(ctx context.Context, visit DensestVisitor) (stats Den
 // context/budget causes for aborts, ErrStopped when visit returned false,
 // nil for complete runs and WithLimit truncation.
 func (q *DensestQuery) Run(ctx context.Context, visit DensestVisitor) (DensestStats, error) {
-	stats, userStopped, err := q.run(ctx, visit)
-	if err != nil {
-		return stats, err
-	}
-	if userStopped {
-		return stats, fmt.Errorf("mule: %w", ErrStopped)
-	}
-	return stats, nil
+	return q.p.Run(ctx, visit)
 }
 
 // Collect materializes the scored candidate family in canonical order:
 // descending Probability, ties by descending ExpectedDensity, then smaller
 // size, then lexicographic vertices. The first element is the most probable
 // densest subgraph.
-func (q *DensestQuery) Collect(ctx context.Context) ([]DenseSubgraph, error) {
-	var out []DenseSubgraph
-	_, _, err := q.run(ctx, func(c DenseSubgraph) bool {
-		out = append(out, c)
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
+func (q *DensestQuery) Collect(ctx context.Context) ([]DenseSubgraph, error) { return q.p.Collect(ctx) }
 
 // Count returns the number of candidates the query reports, without
 // materializing them (subject to WithLimit, like every run method).
-func (q *DensestQuery) Count(ctx context.Context) (int64, error) {
-	stats, err := q.Run(ctx, nil)
-	return stats.Emitted, err
-}
+func (q *DensestQuery) Count(ctx context.Context) (int64, error) { return q.p.Count(ctx) }
 
 // Stream returns the scored candidates as a range-over-func stream with the
 // same contract as Query.Cliques: each candidate is yielded with a nil
@@ -153,8 +128,5 @@ func (q *DensestQuery) Count(ctx context.Context) (int64, error) {
 // completion when the first element is requested; candidates then stream
 // best first.
 func (q *DensestQuery) Stream(ctx context.Context) iter.Seq2[DenseSubgraph, error] {
-	return streamOf(func(emit func(DenseSubgraph) bool) error {
-		_, _, err := q.run(ctx, emit)
-		return err
-	})
+	return q.p.Stream(ctx)
 }

@@ -73,7 +73,7 @@ func BipartiteFromEdges(nLeft, nRight int, edges []BipartiteEdge) (*Bipartite, e
 // layer with the historical callback contract: a visitor returning false is
 // a successful early stop, not an error.
 func runLegacyBicliques(ctx context.Context, g *Bipartite, alpha float64, visit BicliqueVisitor, cfg BicliqueConfig) (BicliqueStats, error) {
-	q, err := newBicliqueQuery(g, alpha, cfg, 0)
+	q, err := newBicliqueQuery(base{}, g, alpha, cfg)
 	if err != nil {
 		return BicliqueStats{}, err
 	}
@@ -117,7 +117,7 @@ func EnumerateBicliquesContext(ctx context.Context, g *Bipartite, alpha float64,
 //
 // Deprecated: use NewBicliqueQuery(g, alpha) and BicliqueQuery.Collect.
 func CollectBicliques(g *Bipartite, alpha float64) ([]Biclique, error) {
-	q, err := newBicliqueQuery(g, alpha, BicliqueConfig{}, 0)
+	q, err := newBicliqueQuery(base{}, g, alpha, BicliqueConfig{})
 	if err != nil {
 		return nil, err
 	}
@@ -145,7 +145,7 @@ type QuasiStats = uquasi.Stats
 // Deprecated: use NewQuasiQuery(g, WithGamma(γ)) and QuasiQuery.Collect,
 // which honors a context and composes with the cross-cutting query options.
 func CollectQuasiCliques(g *Graph, cfg QuasiConfig) ([][]int, error) {
-	q, err := newQuasiQuery(g, cfg, 0)
+	q, err := newQuasiQuery(base{}, g, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -183,7 +183,7 @@ type EdgeTruss = utruss.EdgeTruss
 // Deprecated: use NewTrussQuery(g, eta) and TrussQuery.Truss(ctx, k), which
 // honors a context and composes with WithBudget.
 func Truss(g *Graph, k int, eta float64) (*Graph, error) {
-	q, err := newTrussQuery(g, eta, utruss.Config{}, 0)
+	q, err := newTrussQuery(base{}, g, eta, utruss.Config{})
 	if err != nil {
 		return nil, err
 	}
@@ -195,7 +195,7 @@ func Truss(g *Graph, k int, eta float64) (*Graph, error) {
 // Deprecated: use NewTrussQuery(g, eta) and TrussQuery.Collect (or Stream,
 // which yields edges in peel order as the decomposition discovers them).
 func TrussDecompose(g *Graph, eta float64) ([]EdgeTruss, error) {
-	q, err := newTrussQuery(g, eta, utruss.Config{}, 0)
+	q, err := newTrussQuery(base{}, g, eta, utruss.Config{})
 	if err != nil {
 		return nil, err
 	}
@@ -219,7 +219,7 @@ type CoreDecomposition = ucore.Decomposition
 // which yields vertices in peel order), which honors a context and composes
 // with WithBudget.
 func CoreDecompose(g *Graph, eta float64) (CoreDecomposition, error) {
-	q, err := newCoreQuery(g, eta, ucore.Config{}, 0)
+	q, err := newCoreQuery(base{}, g, eta, ucore.Config{})
 	if err != nil {
 		return CoreDecomposition{}, err
 	}
@@ -233,7 +233,7 @@ func CoreDecompose(g *Graph, eta float64) (CoreDecomposition, error) {
 //
 // Deprecated: use NewCoreQuery(g, eta) and CoreQuery.Core(ctx, k).
 func Core(g *Graph, k int, eta float64) ([]int, error) {
-	q, err := newCoreQuery(g, eta, ucore.Config{}, 0)
+	q, err := newCoreQuery(base{}, g, eta, ucore.Config{})
 	if err != nil {
 		return nil, err
 	}

@@ -2,12 +2,12 @@ package mule
 
 import (
 	"context"
-	"fmt"
 	"iter"
 	"sort"
 
 	"github.com/uncertain-graphs/mule/internal/ubiclique"
 	"github.com/uncertain-graphs/mule/internal/ucore"
+	"github.com/uncertain-graphs/mule/internal/uncertain"
 	"github.com/uncertain-graphs/mule/internal/uquasi"
 	"github.com/uncertain-graphs/mule/internal/utruss"
 )
@@ -17,61 +17,10 @@ import (
 // validated eagerly against the shared typed sentinels, context-aware run
 // methods (Run / Collect / Count plus per-miner extras), and a Stream
 // range-over-func with the same break-stops-the-engine, no-goroutine-leak
-// contract as Query.Cliques. The deprecated flat functions in extensions.go
-// funnel through these constructors, so no entry point can run a
-// configuration the query surface would reject.
-
-// streamOf adapts a visitor-driven run to a range-over-func stream with
-// the Query.Cliques contract: runFn invokes emit once per result and
-// returns the run's error; results are yielded with a nil error, an
-// aborted run ends the stream with one final (zero, err) pair, and a
-// consumer break makes emit return false so the engine stops on the spot.
-// Every extension Stream method routes through this one adapter, so the
-// break/error shape cannot drift between miners.
-func streamOf[T any](runFn func(emit func(T) bool) error) iter.Seq2[T, error] {
-	return func(yield func(T, error) bool) {
-		consumerDone := false
-		err := runFn(func(v T) bool {
-			if !yield(v, nil) {
-				consumerDone = true
-				return false
-			}
-			return true
-		})
-		if err != nil && !consumerDone {
-			var zero T
-			yield(zero, err)
-		}
-	}
-}
-
-// limitVisitor wraps a single-argument visitor with the WithLimit bound,
-// reporting through userStopped whether the user's visitor (as opposed to
-// the limit) ended the run. A nil visit with no limit stays nil so the
-// engines skip the callback entirely.
-func limitVisitor[T any](visit func(T) bool, limit int64, userStopped *bool) func(T) bool {
-	if limit > 0 {
-		remaining := limit
-		return func(v T) bool {
-			if visit != nil && !visit(v) {
-				*userStopped = true
-				return false
-			}
-			remaining--
-			return remaining > 0
-		}
-	}
-	if visit == nil {
-		return nil
-	}
-	return func(v T) bool {
-		if !visit(v) {
-			*userStopped = true
-			return false
-		}
-		return true
-	}
-}
+// contract as Query.Cliques. Each type describes its engine to the query
+// chassis (chassis.go) and delegates its run methods to it. The deprecated
+// flat functions in extensions.go funnel through these constructors, so no
+// entry point can run a configuration the query surface would reject.
 
 // --- Biclique queries ---
 
@@ -81,13 +30,7 @@ func limitVisitor[T any](visit func(T) bool, limit int64, userStopped *bool) fun
 // concurrent use, and every run method honors its context exactly like a
 // clique Query (the search polls on a node-count interval).
 type BicliqueQuery struct {
-	g         *Bipartite
-	alpha     float64
-	cfg       ubiclique.Config
-	limit     int64
-	ten       tenancy
-	shards    int // 0 = unsharded; see WithShards
-	shardProg func(done, total int)
+	p prepared[Biclique, BicliqueStats]
 }
 
 // NewBicliqueQuery prepares an enumeration of the α-maximal bicliques of g.
@@ -95,80 +38,71 @@ type BicliqueQuery struct {
 // option combination is reported here (wrapping ErrNilGraph, ErrAlphaRange,
 // or ErrConfig). Applicable options: WithSides, WithLimit, WithBudget.
 func NewBicliqueQuery(g *Bipartite, alpha float64, opts ...Option) (*BicliqueQuery, error) {
-	o, err := applyOptions(kindBiclique, opts)
+	o, b, err := prepare(kindBiclique, opts)
 	if err != nil {
 		return nil, err
 	}
-	ten, err := o.validateTenancy()
-	if err != nil {
-		return nil, err
-	}
-	shards, err := o.shardPlan()
-	if err != nil {
-		return nil, err
-	}
-	cfg := ubiclique.Config{MinLeft: o.minL, MinRight: o.minR, Budget: o.cfg.Budget, Stall: o.stall}
-	q, err := newBicliqueQuery(g, alpha, cfg, o.limit)
-	if err != nil {
-		return nil, err
-	}
-	q.ten = ten
-	q.shards = shards
-	q.shardProg = o.shardProgress
-	return q, nil
+	return newBicliqueQuery(b, g, alpha, ubiclique.Config{MinLeft: o.minL, MinRight: o.minR, Budget: o.cfg.Budget, Stall: o.stall})
 }
 
 // newBicliqueQuery is the single constructor behind NewBicliqueQuery and
-// the deprecated wrappers; all invariants are enforced here.
-func newBicliqueQuery(g *Bipartite, alpha float64, cfg ubiclique.Config, limit int64) (*BicliqueQuery, error) {
-	if limit < 0 {
-		return nil, fmt.Errorf("mule: negative limit %d: %w", limit, ErrConfig)
-	}
+// the deprecated wrappers.
+func newBicliqueQuery(b base, g *Bipartite, alpha float64, cfg ubiclique.Config) (*BicliqueQuery, error) {
 	if err := ubiclique.Validate(g, alpha, cfg); err != nil {
 		return nil, err
 	}
-	return &BicliqueQuery{g: g, alpha: alpha, cfg: cfg, limit: limit}, nil
+	b.budget = cfg.Budget
+	return &BicliqueQuery{prepared[Biclique, BicliqueStats]{base: b, miner: miner[Biclique, BicliqueStats]{
+		mine: func(ctx context.Context, visit func(Biclique) bool) (BicliqueStats, error) {
+			return ubiclique.EnumerateContext(ctx, g, alpha, bicliqueEngineVisitor(visit), cfg)
+		},
+		status:  func(s *BicliqueStats) *RunStatus { return &s.Status },
+		emitted: func(s *BicliqueStats) *int64 { return &s.Emitted },
+		clone: func(bc Biclique) Biclique {
+			return Biclique{Left: append([]int(nil), bc.Left...), Right: append([]int(nil), bc.Right...), Prob: bc.Prob}
+		},
+		order: ubiclique.SortBicliques,
+		components: eachComponent(g.ShardByComponent, func(sh ubiclique.Shard) componentRun[Biclique, BicliqueStats] {
+			return func(ctx context.Context, budget int64, visit func(Biclique) bool) (BicliqueStats, error) {
+				cfg := cfg
+				cfg.Budget = budget
+				return ubiclique.EnumerateContext(ctx, sh.G, alpha, bicliqueEngineVisitor(mapVisit(visit, func(bc Biclique) Biclique {
+					return Biclique{Left: toParent(bc.Left, sh.LeftNewToOld), Right: toParent(bc.Right, sh.RightNewToOld), Prob: bc.Prob}
+				})), cfg)
+			}
+		}),
+		numComponents: g.NumComponents,
+		fold: func(agg *BicliqueStats, s BicliqueStats) {
+			agg.Calls += s.Calls
+			agg.Emitted += s.Emitted
+			agg.Cut += s.Cut
+			agg.CandidateOps += s.CandidateOps
+			agg.WitnessOps += s.WitnessOps
+			agg.PrunedEdges += s.PrunedEdges
+			agg.MaxLeft = max(agg.MaxLeft, s.MaxLeft)
+			agg.MaxRight = max(agg.MaxRight, s.MaxRight)
+		},
+		work: func(s BicliqueStats) int64 { return s.Calls },
+	}}}, nil
 }
 
-// run executes the query under its WithLimit bound, reporting whether the
-// user-supplied visitor ended the run early (as opposed to the limit).
-func (q *BicliqueQuery) run(ctx context.Context, visit BicliqueVisitor) (stats BicliqueStats, userStopped bool, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			stats.Status = StatusPanicked
-			err = panicToError(v)
-		}
-	}()
-	if q.shards != 0 {
-		return q.runSharded(ctx, visit)
+// bicliqueEngineVisitor adapts a chassis visitor to the biclique engine's
+// callback (the sides are the engine's, reused after the call); nil stays
+// nil.
+func bicliqueEngineVisitor(visit func(Biclique) bool) BicliqueVisitor {
+	if visit == nil {
+		return nil
 	}
-	release, err := q.ten.admit(ctx, q.cfg.Budget)
-	if err != nil {
-		return BicliqueStats{Status: StatusFailed}, false, err
+	return func(l, r []int, p float64) bool { return visit(Biclique{Left: l, Right: r, Prob: p}) }
+}
+
+// bicliqueVisitor adapts a caller's BicliqueVisitor to the chassis; nil
+// stays nil.
+func bicliqueVisitor(visit BicliqueVisitor) func(Biclique) bool {
+	if visit == nil {
+		return nil
 	}
-	defer release()
-	wrapped := visit
-	if q.limit > 0 {
-		remaining := q.limit
-		wrapped = func(l, r []int, p float64) bool {
-			if visit != nil && !visit(l, r, p) {
-				userStopped = true
-				return false
-			}
-			remaining--
-			return remaining > 0
-		}
-	} else if visit != nil {
-		wrapped = func(l, r []int, p float64) bool {
-			if !visit(l, r, p) {
-				userStopped = true
-				return false
-			}
-			return true
-		}
-	}
-	stats, err = ubiclique.EnumerateContext(ctx, q.g, q.alpha, wrapped, q.cfg)
-	return stats, userStopped, err
+	return func(bc Biclique) bool { return visit(bc.Left, bc.Right, bc.Prob) }
 }
 
 // Run enumerates the query's bicliques, invoking visit for each (visit may
@@ -179,41 +113,16 @@ func (q *BicliqueQuery) run(ctx context.Context, visit BicliqueVisitor) (stats B
 // ran to completion or to its WithLimit bound, with Stats.Status recording
 // the terminal state either way.
 func (q *BicliqueQuery) Run(ctx context.Context, visit BicliqueVisitor) (BicliqueStats, error) {
-	stats, userStopped, err := q.run(ctx, visit)
-	if err != nil {
-		return stats, err
-	}
-	if userStopped {
-		return stats, fmt.Errorf("mule: %w", ErrStopped)
-	}
-	return stats, nil
+	return q.p.Run(ctx, bicliqueVisitor(visit))
 }
 
 // Collect materializes the query's bicliques in canonical order (each side
 // sorted ascending; bicliques sorted by left side, ties by right).
-func (q *BicliqueQuery) Collect(ctx context.Context) ([]Biclique, error) {
-	var out []Biclique
-	_, _, err := q.run(ctx, func(l, r []int, p float64) bool {
-		out = append(out, Biclique{
-			Left:  append([]int(nil), l...),
-			Right: append([]int(nil), r...),
-			Prob:  p,
-		})
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	ubiclique.SortBicliques(out)
-	return out, nil
-}
+func (q *BicliqueQuery) Collect(ctx context.Context) ([]Biclique, error) { return q.p.Collect(ctx) }
 
 // Count returns the number of bicliques the query enumerates, without
 // materializing them.
-func (q *BicliqueQuery) Count(ctx context.Context) (int64, error) {
-	stats, err := q.Run(ctx, nil)
-	return stats.Emitted, err
-}
+func (q *BicliqueQuery) Count(ctx context.Context) (int64, error) { return q.p.Count(ctx) }
 
 // Stream returns the query's bicliques as a range-over-func stream:
 //
@@ -230,16 +139,7 @@ func (q *BicliqueQuery) Count(ctx context.Context) (int64, error) {
 // enumeration on the spot and never leaks goroutines (the search is
 // single-threaded, so nothing outlives the loop).
 func (q *BicliqueQuery) Stream(ctx context.Context) iter.Seq2[Biclique, error] {
-	return streamOf(func(emit func(Biclique) bool) error {
-		_, _, err := q.run(ctx, func(l, r []int, p float64) bool {
-			return emit(Biclique{
-				Left:  append([]int(nil), l...),
-				Right: append([]int(nil), r...),
-				Prob:  p,
-			})
-		})
-		return err
-	})
+	return q.p.Stream(ctx)
 }
 
 // --- Quasi-clique queries ---
@@ -258,12 +158,7 @@ type QuasiVisitor = uquasi.Visitor
 // result — cancellation and WithBudget still abort the mining itself
 // mid-search.
 type QuasiQuery struct {
-	g         *Graph
-	cfg       uquasi.Config
-	limit     int64
-	ten       tenancy
-	shards    int // 0 = unsharded; see WithShards
-	shardProg func(done, total int)
+	p prepared[[]int, QuasiStats]
 }
 
 // NewQuasiQuery prepares a mining run for the maximal expected
@@ -273,82 +168,66 @@ type QuasiQuery struct {
 // a wrapped ErrGammaRange. Applicable options: WithGamma, WithMinSize,
 // WithMaxSize, WithLimit, WithBudget.
 func NewQuasiQuery(g *Graph, opts ...Option) (*QuasiQuery, error) {
-	o, err := applyOptions(kindQuasi, opts)
+	o, b, err := prepare(kindQuasi, opts)
 	if err != nil {
 		return nil, err
 	}
-	ten, err := o.validateTenancy()
-	if err != nil {
-		return nil, err
-	}
-	shards, err := o.shardPlan()
-	if err != nil {
-		return nil, err
-	}
-	cfg := uquasi.Config{Gamma: o.gamma, MinSize: o.cfg.MinSize, MaxSize: o.maxSize, Budget: o.cfg.Budget, Stall: o.stall}
-	q, err := newQuasiQuery(g, cfg, o.limit)
-	if err != nil {
-		return nil, err
-	}
-	q.ten = ten
-	q.shards = shards
-	q.shardProg = o.shardProgress
-	return q, nil
+	return newQuasiQuery(b, g, uquasi.Config{Gamma: o.gamma, MinSize: o.cfg.MinSize, MaxSize: o.maxSize, Budget: o.cfg.Budget, Stall: o.stall})
 }
 
 // newQuasiQuery is the single constructor behind NewQuasiQuery and the
-// deprecated wrappers; all invariants are enforced here.
-func newQuasiQuery(g *Graph, cfg uquasi.Config, limit int64) (*QuasiQuery, error) {
-	if limit < 0 {
-		return nil, fmt.Errorf("mule: negative limit %d: %w", limit, ErrConfig)
-	}
+// deprecated wrappers.
+func newQuasiQuery(b base, g *Graph, cfg uquasi.Config) (*QuasiQuery, error) {
 	if err := uquasi.Validate(g, cfg); err != nil {
 		return nil, err
 	}
-	return &QuasiQuery{g: g, cfg: cfg, limit: limit}, nil
-}
-
-// run mines the sets and reports them through visit under the WithLimit
-// bound. Stats.Emitted reflects the delivered count when a limit or early
-// stop truncates the report loop.
-func (q *QuasiQuery) run(ctx context.Context, visit QuasiVisitor) (stats QuasiStats, userStopped bool, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			stats.Status = StatusPanicked
-			err = panicToError(v)
-		}
-	}()
-	if q.shards != 0 {
-		return q.runSharded(ctx, visit)
-	}
-	release, err := q.ten.admit(ctx, q.cfg.Budget)
-	if err != nil {
-		return QuasiStats{Status: StatusFailed}, false, err
-	}
-	defer release()
-	sets, stats, err := uquasi.CollectContext(ctx, q.g, q.cfg)
-	if err != nil {
-		return stats, false, err
-	}
-	delivered := int64(0)
-	for _, s := range sets {
-		// Count before invoking the visitor, like every other miner: a set
-		// that reached the visitor is emitted even if it stopped the run.
-		delivered++
-		if visit != nil && !visit(s) {
-			userStopped = true
-			stats.Status = StatusStopped
-			break
-		}
-		if q.limit > 0 && delivered >= q.limit {
-			// Matching Query's WithLimit contract, hitting the bound is a
-			// stop even when it lands on the final set.
-			stats.Status = StatusStopped
-			break
-		}
-	}
-	stats.Emitted = delivered
-	return stats, userStopped, err
+	b.budget = cfg.Budget
+	return &QuasiQuery{prepared[[]int, QuasiStats]{base: b, miner: miner[[]int, QuasiStats]{
+		mine: func(ctx context.Context, visit func([]int) bool) (QuasiStats, error) {
+			sets, s, err := uquasi.CollectContext(ctx, g, cfg)
+			if err == nil {
+				var stopped bool
+				if s.Emitted, stopped = report(sets, visit); stopped {
+					s.Status = StatusStopped
+				}
+			}
+			return s, err
+		},
+		status:  func(s *QuasiStats) *RunStatus { return &s.Status },
+		emitted: func(s *QuasiStats) *int64 { return &s.Emitted },
+		// Components are independent because γ ≥ ½ forces a quasi-clique's
+		// diameter ≤ 2, hence connectivity.
+		components: eachComponent(g.ShardByComponent, func(sh uncertain.Shard) componentRun[[]int, QuasiStats] {
+			return func(ctx context.Context, budget int64, visit func([]int) bool) (QuasiStats, error) {
+				cfg := cfg
+				cfg.Budget = budget
+				sets, s, err := uquasi.CollectContext(ctx, sh.G, cfg)
+				for _, set := range sets {
+					for i, v := range set {
+						set[i] = sh.NewToOld[v]
+					}
+					visit(set)
+				}
+				return s, err
+			}
+		}),
+		numComponents: g.NumComponents,
+		fold: func(agg *QuasiStats, s QuasiStats) {
+			agg.Calls += s.Calls
+			agg.Found += s.Found
+			agg.Pruned += s.Pruned
+			agg.Universe += s.Universe
+			agg.FilterOps += s.FilterOps
+			agg.MaxSize = max(agg.MaxSize, s.MaxSize)
+		},
+		work: func(s QuasiStats) int64 { return s.Calls },
+		// Per-component sets are each in canonical order, but the report
+		// loop's contract is global lexicographic order.
+		finish: func(_ context.Context, all [][]int, _ *QuasiStats) error {
+			sort.Slice(all, func(i, j int) bool { return lexLess(all[i], all[j]) })
+			return nil
+		},
+	}}}, nil
 }
 
 // Run mines the query's quasi-cliques and reports each to visit (visit may
@@ -356,36 +235,16 @@ func (q *QuasiQuery) run(ctx context.Context, visit QuasiVisitor) (stats QuasiSt
 // context/budget causes for aborts, ErrStopped when visit returned false,
 // nil for complete runs and WithLimit truncation.
 func (q *QuasiQuery) Run(ctx context.Context, visit QuasiVisitor) (QuasiStats, error) {
-	stats, userStopped, err := q.run(ctx, visit)
-	if err != nil {
-		return stats, err
-	}
-	if userStopped {
-		return stats, fmt.Errorf("mule: %w", ErrStopped)
-	}
-	return stats, nil
+	return q.p.Run(ctx, visit)
 }
 
 // Collect returns the maximal expected γ-quasi-cliques in canonical order
 // (each sorted ascending; sets sorted lexicographically).
-func (q *QuasiQuery) Collect(ctx context.Context) ([][]int, error) {
-	var out [][]int
-	_, _, err := q.run(ctx, func(s []int) bool {
-		out = append(out, append([]int(nil), s...))
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
+func (q *QuasiQuery) Collect(ctx context.Context) ([][]int, error) { return q.p.Collect(ctx) }
 
 // Count returns the number of maximal expected γ-quasi-cliques, without
 // materializing them (subject to WithLimit, like every run method).
-func (q *QuasiQuery) Count(ctx context.Context) (int64, error) {
-	stats, err := q.Run(ctx, nil)
-	return stats.Emitted, err
-}
+func (q *QuasiQuery) Count(ctx context.Context) (int64, error) { return q.p.Count(ctx) }
 
 // Stream returns the query's quasi-cliques as a range-over-func stream with
 // the same contract as Query.Cliques: each set is yielded with a nil error,
@@ -393,14 +252,7 @@ func (q *QuasiQuery) Count(ctx context.Context) (int64, error) {
 // stops the report immediately with nothing leaked. Because maximality
 // needs global knowledge, the mining runs to completion when the first
 // element is requested; sets then stream in canonical order.
-func (q *QuasiQuery) Stream(ctx context.Context) iter.Seq2[[]int, error] {
-	return streamOf(func(emit func([]int) bool) error {
-		_, _, err := q.run(ctx, func(s []int) bool {
-			return emit(append([]int(nil), s...))
-		})
-		return err
-	})
-}
+func (q *QuasiQuery) Stream(ctx context.Context) iter.Seq2[[]int, error] { return q.p.Stream(ctx) }
 
 // --- Truss queries ---
 
@@ -417,123 +269,88 @@ type TrussStats = utruss.Stats
 // polls its context between support-probability evaluations, so
 // cancellation, deadlines, and WithBudget bounds abort mid-decomposition.
 type TrussQuery struct {
-	g         *Graph
-	eta       float64
-	cfg       utruss.Config
-	limit     int64
-	ten       tenancy
-	shards    int // 0 = unsharded; see WithShards
-	shardProg func(done, total int)
+	p   prepared[EdgeTruss, TrussStats]
+	g   *Graph
+	eta float64
+	cfg utruss.Config
 }
 
 // NewTrussQuery prepares the η-truss decomposition of g. It validates
 // eagerly: a nil graph wraps ErrNilGraph, an eta outside (0,1] wraps
 // ErrEtaRange. Applicable options: WithLimit, WithBudget.
 func NewTrussQuery(g *Graph, eta float64, opts ...Option) (*TrussQuery, error) {
-	o, err := applyOptions(kindTruss, opts)
+	o, b, err := prepare(kindTruss, opts)
 	if err != nil {
 		return nil, err
 	}
-	ten, err := o.validateTenancy()
-	if err != nil {
-		return nil, err
-	}
-	shards, err := o.shardPlan()
-	if err != nil {
-		return nil, err
-	}
-	q, err := newTrussQuery(g, eta, utruss.Config{Budget: o.cfg.Budget, Stall: o.stall}, o.limit)
-	if err != nil {
-		return nil, err
-	}
-	q.ten = ten
-	q.shards = shards
-	q.shardProg = o.shardProgress
-	return q, nil
+	return newTrussQuery(b, g, eta, utruss.Config{Budget: o.cfg.Budget, Stall: o.stall})
 }
 
 // newTrussQuery is the single constructor behind NewTrussQuery and the
-// deprecated wrappers; all invariants are enforced here.
-func newTrussQuery(g *Graph, eta float64, cfg utruss.Config, limit int64) (*TrussQuery, error) {
-	if limit < 0 {
-		return nil, fmt.Errorf("mule: negative limit %d: %w", limit, ErrConfig)
-	}
+// deprecated wrappers.
+func newTrussQuery(b base, g *Graph, eta float64, cfg utruss.Config) (*TrussQuery, error) {
 	if err := utruss.Validate(g, eta, cfg); err != nil {
 		return nil, err
 	}
-	return &TrussQuery{g: g, eta: eta, cfg: cfg, limit: limit}, nil
-}
-
-// run executes the decomposition under the WithLimit bound.
-func (q *TrussQuery) run(ctx context.Context, visit TrussVisitor) (stats TrussStats, userStopped bool, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			stats.Status = StatusPanicked
-			err = panicToError(v)
-		}
-	}()
-	if q.shards != 0 {
-		return q.runSharded(ctx, visit)
-	}
-	release, err := q.ten.admit(ctx, q.cfg.Budget)
-	if err != nil {
-		return TrussStats{Status: StatusFailed}, false, err
-	}
-	defer release()
-	stats, err = utruss.RunContext(ctx, q.g, q.eta, q.cfg, limitVisitor(visit, q.limit, &userStopped))
-	return stats, userStopped, err
+	b.budget = cfg.Budget
+	return &TrussQuery{g: g, eta: eta, cfg: cfg, p: prepared[EdgeTruss, TrussStats]{base: b, miner: miner[EdgeTruss, TrussStats]{
+		mine: func(ctx context.Context, visit func(EdgeTruss) bool) (TrussStats, error) {
+			return utruss.RunContext(ctx, g, eta, cfg, visit)
+		},
+		status:  func(s *TrussStats) *RunStatus { return &s.Status },
+		emitted: func(s *TrussStats) *int64 { return &s.Emitted },
+		order: func(out []EdgeTruss) {
+			sort.Slice(out, func(i, j int) bool {
+				if out[i].U != out[j].U {
+					return out[i].U < out[j].U
+				}
+				return out[i].V < out[j].V
+			})
+		},
+		// Components peel independently: stream order becomes per-component
+		// peel order, but the edge→truss assignment is unchanged.
+		components: eachComponent(g.ShardByComponent, func(sh uncertain.Shard) componentRun[EdgeTruss, TrussStats] {
+			return func(ctx context.Context, budget int64, visit func(EdgeTruss) bool) (TrussStats, error) {
+				cfg := cfg
+				cfg.Budget = budget
+				return utruss.RunContext(ctx, sh.G, eta, cfg, mapVisit(visit, func(e EdgeTruss) EdgeTruss {
+					// The remap is monotone, so U < V survives it.
+					return EdgeTruss{U: sh.NewToOld[e.U], V: sh.NewToOld[e.V], Truss: e.Truss}
+				}))
+			}
+		}),
+		numComponents: g.NumComponents,
+		fold: func(agg *TrussStats, s TrussStats) {
+			agg.Checks += s.Checks
+			agg.Removed += s.Removed
+			agg.Emitted += s.Emitted
+			agg.MaxTruss = max(agg.MaxTruss, s.MaxTruss)
+		},
+		work: func(s TrussStats) int64 { return s.Checks },
+	}}}, nil
 }
 
 // Run performs the decomposition, streaming every edge with its final
 // η-truss number to visit in peel order (visit may be nil to only count;
 // see TrussStats.Emitted). The error contract matches Query.Run.
 func (q *TrussQuery) Run(ctx context.Context, visit TrussVisitor) (TrussStats, error) {
-	stats, userStopped, err := q.run(ctx, visit)
-	if err != nil {
-		return stats, err
-	}
-	if userStopped {
-		return stats, fmt.Errorf("mule: %w", ErrStopped)
-	}
-	return stats, nil
+	return q.p.Run(ctx, visit)
 }
 
 // Collect returns the full decomposition — every edge with its η-truss
 // number — sorted by (U, V).
-func (q *TrussQuery) Collect(ctx context.Context) ([]EdgeTruss, error) {
-	var out []EdgeTruss
-	_, _, err := q.run(ctx, func(e EdgeTruss) bool {
-		out = append(out, e)
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].U != out[j].U {
-			return out[i].U < out[j].U
-		}
-		return out[i].V < out[j].V
-	})
-	return out, nil
-}
+func (q *TrussQuery) Collect(ctx context.Context) ([]EdgeTruss, error) { return q.p.Collect(ctx) }
 
 // Count returns the number of edges the decomposition assigns a truss
 // number (the graph's edge count on a complete run, fewer under WithLimit).
-func (q *TrussQuery) Count(ctx context.Context) (int64, error) {
-	stats, err := q.Run(ctx, nil)
-	return stats.Emitted, err
-}
+func (q *TrussQuery) Count(ctx context.Context) (int64, error) { return q.p.Count(ctx) }
 
 // Stream returns the decomposition as a range-over-func stream in peel
 // order, with the same contract as Query.Cliques: each edge is yielded with
 // a nil error, an aborted run ends with one final (EdgeTruss{}, err) pair,
 // and breaking the loop stops the peeling on the spot with nothing leaked.
 func (q *TrussQuery) Stream(ctx context.Context) iter.Seq2[EdgeTruss, error] {
-	return streamOf(func(emit func(EdgeTruss) bool) error {
-		_, _, err := q.run(ctx, emit)
-		return err
-	})
+	return q.p.Stream(ctx)
 }
 
 // Truss returns the (k,η)-truss of the query's graph: the unique maximal
@@ -542,26 +359,17 @@ func (q *TrussQuery) Stream(ctx context.Context) iter.Seq2[EdgeTruss, error] {
 // result preserves the graph's vertex set; only edges are removed.
 // WithLimit does not apply (the truss is one subgraph, not a stream).
 func (q *TrussQuery) Truss(ctx context.Context, k int) (tr *Graph, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			tr, err = nil, panicToError(v)
-		}
-	}()
-	release, err := q.ten.admit(ctx, q.cfg.Budget)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	tr, _, err = utruss.TrussContext(ctx, q.g, k, q.eta, q.cfg)
+	err = q.p.admitted(ctx, func() (err error) {
+		tr, _, err = utruss.TrussContext(ctx, q.g, k, q.eta, q.cfg)
+		return err
+	})
 	return tr, err
 }
 
 // MaxTruss returns the largest k for which the (k,η)-truss is non-empty,
 // or 0 for an edgeless graph.
 func (q *TrussQuery) MaxTruss(ctx context.Context) (int, error) {
-	full := *q
-	full.limit = 0
-	stats, err := full.Run(ctx, nil)
+	stats, err := q.p.unlimited().Run(ctx, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -586,109 +394,75 @@ type VertexCore = ucore.VertexCore
 // polls its context between η-degree recomputations, so cancellation,
 // deadlines, and WithBudget bounds abort mid-decomposition.
 type CoreQuery struct {
-	g         *Graph
-	eta       float64
-	cfg       ucore.Config
-	limit     int64
-	ten       tenancy
-	shards    int // 0 = unsharded; see WithShards
-	shardProg func(done, total int)
+	p   prepared[VertexCore, CoreStats]
+	g   *Graph
+	eta float64
+	cfg ucore.Config
 }
 
 // NewCoreQuery prepares the η-core decomposition of g. It validates
 // eagerly: a nil graph wraps ErrNilGraph, an eta outside (0,1] wraps
 // ErrEtaRange. Applicable options: WithLimit, WithBudget.
 func NewCoreQuery(g *Graph, eta float64, opts ...Option) (*CoreQuery, error) {
-	o, err := applyOptions(kindCore, opts)
+	o, b, err := prepare(kindCore, opts)
 	if err != nil {
 		return nil, err
 	}
-	ten, err := o.validateTenancy()
-	if err != nil {
-		return nil, err
-	}
-	shards, err := o.shardPlan()
-	if err != nil {
-		return nil, err
-	}
-	q, err := newCoreQuery(g, eta, ucore.Config{Budget: o.cfg.Budget, Stall: o.stall}, o.limit)
-	if err != nil {
-		return nil, err
-	}
-	q.ten = ten
-	q.shards = shards
-	q.shardProg = o.shardProgress
-	return q, nil
+	return newCoreQuery(b, g, eta, ucore.Config{Budget: o.cfg.Budget, Stall: o.stall})
 }
 
 // newCoreQuery is the single constructor behind NewCoreQuery and the
-// deprecated wrappers; all invariants are enforced here.
-func newCoreQuery(g *Graph, eta float64, cfg ucore.Config, limit int64) (*CoreQuery, error) {
-	if limit < 0 {
-		return nil, fmt.Errorf("mule: negative limit %d: %w", limit, ErrConfig)
-	}
+// deprecated wrappers.
+func newCoreQuery(b base, g *Graph, eta float64, cfg ucore.Config) (*CoreQuery, error) {
 	if err := ucore.Validate(g, eta, cfg); err != nil {
 		return nil, err
 	}
-	return &CoreQuery{g: g, eta: eta, cfg: cfg, limit: limit}, nil
-}
-
-// run executes the decomposition under the WithLimit bound.
-func (q *CoreQuery) run(ctx context.Context, visit CoreVisitor) (stats CoreStats, userStopped bool, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			stats.Status = StatusPanicked
-			err = panicToError(v)
-		}
-	}()
-	if q.shards != 0 {
-		return q.runSharded(ctx, visit)
-	}
-	release, err := q.ten.admit(ctx, q.cfg.Budget)
-	if err != nil {
-		return CoreStats{Status: StatusFailed}, false, err
-	}
-	defer release()
-	stats, err = ucore.RunContext(ctx, q.g, q.eta, q.cfg, limitVisitor(visit, q.limit, &userStopped))
-	return stats, userStopped, err
+	b.budget = cfg.Budget
+	return &CoreQuery{g: g, eta: eta, cfg: cfg, p: prepared[VertexCore, CoreStats]{base: b, miner: miner[VertexCore, CoreStats]{
+		mine: func(ctx context.Context, visit func(VertexCore) bool) (CoreStats, error) {
+			return ucore.RunContext(ctx, g, eta, cfg, visit)
+		},
+		status:  func(s *CoreStats) *RunStatus { return &s.Status },
+		emitted: func(s *CoreStats) *int64 { return &s.Emitted },
+		order: func(out []VertexCore) {
+			sort.Slice(out, func(i, j int) bool { return out[i].V < out[j].V })
+		},
+		// Like trusses, only stream order changes under sharding, never the
+		// vertex→core assignment or the folded degeneracy.
+		components: eachComponent(g.ShardByComponent, func(sh uncertain.Shard) componentRun[VertexCore, CoreStats] {
+			return func(ctx context.Context, budget int64, visit func(VertexCore) bool) (CoreStats, error) {
+				cfg := cfg
+				cfg.Budget = budget
+				return ucore.RunContext(ctx, sh.G, eta, cfg, mapVisit(visit, func(vc VertexCore) VertexCore {
+					return VertexCore{V: sh.NewToOld[vc.V], Core: vc.Core}
+				}))
+			}
+		}),
+		numComponents: g.NumComponents,
+		fold: func(agg *CoreStats, s CoreStats) {
+			agg.Recomputes += s.Recomputes
+			agg.Emitted += s.Emitted
+			agg.Degeneracy = max(agg.Degeneracy, s.Degeneracy)
+		},
+		work: func(s CoreStats) int64 { return s.Recomputes },
+	}}}, nil
 }
 
 // Run performs the decomposition, streaming every vertex with its final
 // η-core number to visit in peel order (visit may be nil to only count;
 // see CoreStats.Emitted). The error contract matches Query.Run.
 func (q *CoreQuery) Run(ctx context.Context, visit CoreVisitor) (CoreStats, error) {
-	stats, userStopped, err := q.run(ctx, visit)
-	if err != nil {
-		return stats, err
-	}
-	if userStopped {
-		return stats, fmt.Errorf("mule: %w", ErrStopped)
-	}
-	return stats, nil
+	return q.p.Run(ctx, visit)
 }
 
 // Collect returns the full decomposition — every vertex with its η-core
 // number — sorted by vertex ID.
-func (q *CoreQuery) Collect(ctx context.Context) ([]VertexCore, error) {
-	var out []VertexCore
-	_, _, err := q.run(ctx, func(vc VertexCore) bool {
-		out = append(out, vc)
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].V < out[j].V })
-	return out, nil
-}
+func (q *CoreQuery) Collect(ctx context.Context) ([]VertexCore, error) { return q.p.Collect(ctx) }
 
 // Count returns the number of vertices the decomposition assigns a core
 // number (the graph's vertex count on a complete run, fewer under
 // WithLimit).
-func (q *CoreQuery) Count(ctx context.Context) (int64, error) {
-	stats, err := q.Run(ctx, nil)
-	return stats.Emitted, err
-}
+func (q *CoreQuery) Count(ctx context.Context) (int64, error) { return q.p.Count(ctx) }
 
 // Stream returns the decomposition as a range-over-func stream in peel
 // order (non-decreasing core number), with the same contract as
@@ -696,27 +470,17 @@ func (q *CoreQuery) Count(ctx context.Context) (int64, error) {
 // ends with one final (VertexCore{}, err) pair, and breaking the loop stops
 // the peeling on the spot with nothing leaked.
 func (q *CoreQuery) Stream(ctx context.Context) iter.Seq2[VertexCore, error] {
-	return streamOf(func(emit func(VertexCore) bool) error {
-		_, _, err := q.run(ctx, emit)
-		return err
-	})
+	return q.p.Stream(ctx)
 }
 
 // Decompose returns the decomposition in its classical form: per-vertex
 // core numbers, the degeneracy, and the peel order. WithLimit does not
 // apply — the arrays are only meaningful complete.
 func (q *CoreQuery) Decompose(ctx context.Context) (dec CoreDecomposition, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			dec, err = CoreDecomposition{}, panicToError(v)
-		}
-	}()
-	release, err := q.ten.admit(ctx, q.cfg.Budget)
-	if err != nil {
-		return CoreDecomposition{}, err
-	}
-	defer release()
-	dec, _, err = ucore.DecomposeContext(ctx, q.g, q.eta, q.cfg)
+	err = q.p.admitted(ctx, func() (err error) {
+		dec, _, err = ucore.DecomposeContext(ctx, q.g, q.eta, q.cfg)
+		return err
+	})
 	return dec, err
 }
 
@@ -724,16 +488,9 @@ func (q *CoreQuery) Decompose(ctx context.Context) (dec CoreDecomposition, err e
 // subgraph where every vertex keeps η-degree ≥ k within it. Negative k
 // wraps ErrKRange. WithLimit does not apply.
 func (q *CoreQuery) Core(ctx context.Context, k int) (verts []int, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			verts, err = nil, panicToError(v)
-		}
-	}()
-	release, err := q.ten.admit(ctx, q.cfg.Budget)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	verts, _, err = ucore.CoreContext(ctx, q.g, k, q.eta, q.cfg)
+	err = q.p.admitted(ctx, func() (err error) {
+		verts, _, err = ucore.CoreContext(ctx, q.g, k, q.eta, q.cfg)
+		return err
+	})
 	return verts, err
 }

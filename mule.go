@@ -141,7 +141,7 @@ func FromEdges(n int, edges []Edge) (*Graph, error) { return uncertain.FromEdges
 // historical callback contract: a visitor returning false is a successful
 // early stop, not an error.
 func runLegacy(g *Graph, alpha float64, visit Visitor, cfg Config) (Stats, error) {
-	q, err := newQueryFromConfig(g, alpha, cfg)
+	q, err := newQuery(base{}, g, alpha, cfg)
 	if err != nil {
 		return Stats{}, err
 	}
@@ -186,7 +186,7 @@ func EnumerateWith(g *Graph, alpha float64, visit Visitor, cfg Config) (Stats, e
 // Deprecated: use NewQuery(g, alpha) and Query.Collect, which returns typed
 // Clique values carrying the probabilities.
 func Collect(g *Graph, alpha float64) ([][]int, error) {
-	q, err := newQueryFromConfig(g, alpha, Config{})
+	q, err := newQuery(base{}, g, alpha, Config{})
 	if err != nil {
 		return nil, err
 	}
@@ -205,7 +205,7 @@ func Collect(g *Graph, alpha float64) ([][]int, error) {
 //
 // Deprecated: use NewQuery(g, alpha) and Query.Count.
 func Count(g *Graph, alpha float64) (int64, error) {
-	q, err := newQueryFromConfig(g, alpha, Config{})
+	q, err := newQuery(base{}, g, alpha, Config{})
 	if err != nil {
 		return 0, err
 	}

@@ -10,6 +10,7 @@ import (
 
 	"github.com/uncertain-graphs/mule/internal/core"
 	"github.com/uncertain-graphs/mule/internal/topk"
+	"github.com/uncertain-graphs/mule/internal/uncertain"
 )
 
 // Clique is one α-maximal clique materialized by a Query: the vertex set in
@@ -32,13 +33,10 @@ type Clique struct {
 // A Query is immutable after construction and safe for concurrent use; each
 // run is independent.
 type Query struct {
-	g         *Graph
-	alpha     float64
-	cfg       core.Config
-	limit     int64
-	ten       tenancy
-	shards    int // 0 = unsharded; see WithShards
-	shardProg func(done, total int)
+	p     prepared[Clique, Stats]
+	g     *Graph
+	alpha float64
+	cfg   core.Config
 }
 
 // queryKind is a bitmask naming the query surfaces an Option may configure.
@@ -261,95 +259,87 @@ func WithSides(minL, minR int) Option {
 	return Option{"WithSides", kindBiclique, func(o *queryOptions) { o.minL, o.minR = minL, minR }}
 }
 
-// newQuery is the single constructor behind NewQuery and every legacy
-// wrapper: all Query invariants — the WithLimit bound and the full
-// core.Validate contract — are enforced here, so no entry point can build
-// a Query that another would reject.
-func newQuery(g *Graph, alpha float64, cfg core.Config, limit int64) (*Query, error) {
-	if limit < 0 {
-		return nil, fmt.Errorf("mule: negative limit %d: %w", limit, ErrConfig)
-	}
-	if err := core.Validate(g, alpha, cfg); err != nil {
-		return nil, err
-	}
-	return &Query{g: g, alpha: alpha, cfg: cfg, limit: limit}, nil
-}
-
 // NewQuery prepares an enumeration of the α-maximal cliques of g. It
 // validates eagerly: a nil graph, an alpha outside (0,1], or an invalid
 // option combination is reported here (wrapping ErrNilGraph, ErrAlphaRange,
 // or ErrConfig), so every run method on the returned Query starts from a
 // well-formed question.
 func NewQuery(g *Graph, alpha float64, opts ...Option) (*Query, error) {
-	o, err := applyOptions(kindClique, opts)
+	o, b, err := prepare(kindClique, opts)
 	if err != nil {
 		return nil, err
 	}
-	ten, err := o.validateTenancy()
-	if err != nil {
-		return nil, err
-	}
-	shards, err := o.shardPlan()
-	if err != nil {
-		return nil, err
-	}
-	q, err := newQuery(g, alpha, o.cfg, o.limit)
-	if err != nil {
-		return nil, err
-	}
-	q.ten = ten
-	q.shards = shards
-	q.shardProg = o.shardProgress
 	// The parallel engines submit their frames to the query's executor; the
 	// serial path never touches one.
-	q.cfg.Exec = ten.engineExec()
+	o.cfg.Exec = b.ten.engineExec()
+	return newQuery(b, g, alpha, o.cfg)
+}
+
+// newQuery is the single constructor behind NewQuery and every legacy
+// wrapper, so no entry point can build a Query that another would reject.
+func newQuery(b base, g *Graph, alpha float64, cfg core.Config) (*Query, error) {
+	if err := core.Validate(g, alpha, cfg); err != nil {
+		return nil, err
+	}
+	b.budget = cfg.Budget
+	q := &Query{g: g, alpha: alpha, cfg: cfg}
+	q.p = prepared[Clique, Stats]{base: b, miner: miner[Clique, Stats]{
+		mine: func(ctx context.Context, visit func(Clique) bool) (Stats, error) {
+			return core.EnumerateContext(ctx, g, alpha, engineVisitor(visit), cfg)
+		},
+		status:  func(s *Stats) *RunStatus { return &s.Status },
+		emitted: func(s *Stats) *int64 { return &s.Emitted },
+		clone: func(c Clique) Clique {
+			return Clique{Vertices: append([]int(nil), c.Vertices...), Prob: c.Prob}
+		},
+		order: func(out []Clique) {
+			sort.Slice(out, func(i, j int) bool { return lexLess(out[i].Vertices, out[j].Vertices) })
+		},
+		parallel: cfg.Workers > 1,
+		components: eachComponent(g.ShardByComponent, func(sh uncertain.Shard) componentRun[Clique, Stats] {
+			return func(ctx context.Context, budget int64, visit func(Clique) bool) (Stats, error) {
+				cfg := cfg
+				cfg.Budget = budget
+				return core.EnumerateContext(ctx, sh.G, alpha, engineVisitor(mapVisit(visit, func(c Clique) Clique {
+					return Clique{Vertices: toParent(c.Vertices, sh.NewToOld), Prob: c.Prob}
+				})), cfg)
+			}
+		}),
+		numComponents: g.NumComponents,
+		fold: func(agg *Stats, s Stats) {
+			agg.Calls += s.Calls
+			agg.Emitted += s.Emitted
+			agg.CandidateOps += s.CandidateOps
+			agg.WitnessOps += s.WitnessOps
+			agg.BitsetOps += s.BitsetOps
+			agg.PrunedEdges += s.PrunedEdges
+			agg.SizePruned += s.SizePruned
+			agg.FilterRemoved += s.FilterRemoved
+			agg.Steals += s.Steals
+			agg.Splits += s.Splits
+			agg.MaxDepth = max(agg.MaxDepth, s.MaxDepth)
+			agg.MaxCliqueSize = max(agg.MaxCliqueSize, s.MaxCliqueSize)
+		},
+		work: func(s Stats) int64 { return s.Calls },
+	}}
 	return q, nil
 }
 
-// newQueryFromConfig adapts a legacy Config to a Query; the deprecated
-// top-level functions funnel through it and inherit NewQuery's validation
-// through the shared constructor.
-func newQueryFromConfig(g *Graph, alpha float64, cfg Config) (*Query, error) {
-	return newQuery(g, alpha, cfg, 0)
+// engineVisitor adapts a chassis visitor to the clique engines' callback
+// (the vertex slice is the engine's, reused after the call); nil stays nil.
+func engineVisitor(visit func(Clique) bool) Visitor {
+	if visit == nil {
+		return nil
+	}
+	return func(c []int, p float64) bool { return visit(Clique{Vertices: c, Prob: p}) }
 }
 
-// run executes the query under its WithLimit bound, reporting whether the
-// user-supplied visitor ended the run early (as opposed to the limit doing
-// so). The closure flags are safe: the engines serialize visitor
-// invocations and the run's completion happens-after the last call.
-// Admission control gates the run before any search work; a rejected run
-// reports StatusFailed with an error wrapping ErrAdmission.
-func (q *Query) run(ctx context.Context, visit Visitor) (stats Stats, userStopped bool, err error) {
-	if q.shards != 0 {
-		return q.runSharded(ctx, visit)
+// cliqueVisitor adapts a caller's Visitor to the chassis; nil stays nil.
+func cliqueVisitor(visit Visitor) func(Clique) bool {
+	if visit == nil {
+		return nil
 	}
-	release, err := q.ten.admit(ctx, q.cfg.Budget)
-	if err != nil {
-		return Stats{Status: StatusFailed}, false, err
-	}
-	defer release()
-	wrapped := visit
-	if q.limit > 0 {
-		remaining := q.limit
-		wrapped = func(c []int, p float64) bool {
-			if visit != nil && !visit(c, p) {
-				userStopped = true
-				return false
-			}
-			remaining--
-			return remaining > 0
-		}
-	} else if visit != nil {
-		wrapped = func(c []int, p float64) bool {
-			if !visit(c, p) {
-				userStopped = true
-				return false
-			}
-			return true
-		}
-	}
-	stats, err = core.EnumerateContext(ctx, q.g, q.alpha, wrapped, q.cfg)
-	return stats, userStopped, err
+	return func(c Clique) bool { return visit(c.Vertices, c.Prob) }
 }
 
 // Run enumerates the query's cliques, invoking visit for each (visit may be
@@ -361,37 +351,16 @@ func (q *Query) run(ctx context.Context, visit Visitor) (stats Stats, userStoppe
 // abnormal case the returned Stats are valid for the work done up to the
 // stop, with Stats.Status recording the terminal state.
 func (q *Query) Run(ctx context.Context, visit Visitor) (Stats, error) {
-	stats, userStopped, err := q.run(ctx, visit)
-	if err != nil {
-		return stats, err
-	}
-	if userStopped {
-		return stats, fmt.Errorf("mule: %w", ErrStopped)
-	}
-	return stats, nil
+	return q.p.Run(ctx, cliqueVisitor(visit))
 }
 
 // Collect materializes the query's cliques in canonical order: each vertex
 // set sorted ascending, cliques sorted lexicographically.
-func (q *Query) Collect(ctx context.Context) ([]Clique, error) {
-	var out []Clique
-	_, _, err := q.run(ctx, func(c []int, p float64) bool {
-		out = append(out, Clique{Vertices: append([]int(nil), c...), Prob: p})
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	sort.Slice(out, func(i, j int) bool { return lexLess(out[i].Vertices, out[j].Vertices) })
-	return out, nil
-}
+func (q *Query) Collect(ctx context.Context) ([]Clique, error) { return q.p.Collect(ctx) }
 
 // Count returns the number of cliques the query enumerates, without
 // materializing them.
-func (q *Query) Count(ctx context.Context) (int64, error) {
-	stats, err := q.Run(ctx, nil)
-	return stats.Emitted, err
-}
+func (q *Query) Count(ctx context.Context) (int64, error) { return q.p.Count(ctx) }
 
 // TopK returns the k best cliques of the query under the given criterion
 // (ByProb: highest clique probability first; BySize: largest first), with
@@ -406,9 +375,7 @@ func (q *Query) TopK(ctx context.Context, k int, by TopKCriterion) ([]ScoredCliq
 	if err != nil {
 		return nil, err
 	}
-	full := *q
-	full.limit = 0
-	if _, err := full.Run(ctx, col.Visit); err != nil {
+	if _, err := q.p.unlimited().Run(ctx, cliqueVisitor(col.Visit)); err != nil {
 		return nil, err
 	}
 	return col.Drain(), nil
@@ -419,12 +386,13 @@ func (q *Query) TopK(ctx context.Context, k int, by TopKCriterion) ([]ScoredCliq
 // and WithBudget like every other run method; the parallel, ordering, and
 // WithLimit options do not apply to this search.
 func (q *Query) Maximum(ctx context.Context) ([]int, float64, error) {
-	release, err := q.ten.admit(ctx, q.cfg.Budget)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer release()
-	return core.MaximumCliqueBudget(ctx, q.g, q.alpha, q.cfg.Budget)
+	var c []int
+	var prob float64
+	err := q.p.admitted(ctx, func() (err error) {
+		c, prob, err = core.MaximumCliqueBudget(ctx, q.g, q.alpha, q.cfg.Budget)
+		return err
+	})
+	return c, prob, err
 }
 
 // Cliques returns the query's cliques as a Go 1.23 range-over-func stream:
@@ -441,73 +409,7 @@ func (q *Query) Maximum(ctx context.Context) ([]int, float64, error) {
 // err) pair carries the wrapped cause and the stream ends. Breaking out of
 // the loop stops the underlying enumeration — serial runs stop on the spot,
 // parallel runs within one poll interval — and never leaks goroutines.
-func (q *Query) Cliques(ctx context.Context) iter.Seq2[Clique, error] {
-	if q.cfg.Workers > 1 {
-		return q.cliquesParallel(ctx)
-	}
-	return func(yield func(Clique, error) bool) {
-		consumerDone := false
-		_, _, err := q.run(ctx, func(c []int, p float64) bool {
-			if !yield(Clique{Vertices: append([]int(nil), c...), Prob: p}, nil) {
-				consumerDone = true
-				return false
-			}
-			return true
-		})
-		if err != nil && !consumerDone {
-			yield(Clique{}, err)
-		}
-	}
-}
-
-// cliquesParallel bridges a parallel run to the consumer through a channel:
-// the engines' visitor fires on worker goroutines, and a range-over-func
-// yield must only be called on the consumer's goroutine. Breaking the loop
-// cancels the producer's context; the producer unwinds within one poll
-// interval and the drain below guarantees it is never left blocked on a
-// send, so nothing outlives the loop.
-func (q *Query) cliquesParallel(ctx context.Context) iter.Seq2[Clique, error] {
-	return func(yield func(Clique, error) bool) {
-		runCtx, cancel := context.WithCancel(ctx)
-		defer cancel()
-		cliques := make(chan Clique, 64)
-		errc := make(chan error, 1)
-		go func() {
-			ctxStopped := false
-			_, _, err := q.run(runCtx, func(c []int, p float64) bool {
-				select {
-				case cliques <- Clique{Vertices: append([]int(nil), c...), Prob: p}:
-					return true
-				case <-runCtx.Done():
-					ctxStopped = true
-					return false
-				}
-			})
-			if err == nil && ctxStopped && ctx.Err() != nil {
-				// The caller's context fired while the visitor was parked in
-				// the select above, so the engines saw an ordinary visitor
-				// stop before their next poll; report the true cause. Runs
-				// that completed (or hit their WithLimit) before the context
-				// fired keep their nil error.
-				err = fmt.Errorf("mule: enumeration aborted: %w", ctx.Err())
-			}
-			close(cliques)
-			errc <- err
-		}()
-		for c := range cliques {
-			if !yield(c, nil) {
-				cancel()
-				for range cliques { // unblock the producer until it closes
-				}
-				<-errc
-				return
-			}
-		}
-		if err := <-errc; err != nil {
-			yield(Clique{}, err)
-		}
-	}
-}
+func (q *Query) Cliques(ctx context.Context) iter.Seq2[Clique, error] { return q.p.Stream(ctx) }
 
 // panicToError converts a value recovered at a query-layer containment
 // boundary into the wrapped *PanicError the clique engines produce at

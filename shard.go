@@ -6,15 +6,7 @@ import (
 	"fmt"
 	"iter"
 	"runtime"
-	"sort"
 	"sync"
-
-	"github.com/uncertain-graphs/mule/internal/core"
-	"github.com/uncertain-graphs/mule/internal/ubiclique"
-	"github.com/uncertain-graphs/mule/internal/ucore"
-	"github.com/uncertain-graphs/mule/internal/udensest"
-	"github.com/uncertain-graphs/mule/internal/uquasi"
-	"github.com/uncertain-graphs/mule/internal/utruss"
 )
 
 // Component-sharded mining. No clique, biclique, quasi-clique, truss edge,
@@ -243,131 +235,53 @@ func driveShards[T any](ctx context.Context, tasks iter.Seq[shardTask[T]], conc 
 	return firstErr
 }
 
-// shardDelivery is the shared delivery-side state of a sharded run: the
-// emitted counter, the WithLimit bound, the user-stop flag, and the
-// progress callback.
-type shardDelivery struct {
-	limit       int64
-	delivered   int64
-	userStopped bool
-	done, total int
-	progress    func(done, total int)
-}
-
-// begin fires the initial progress callback.
-func (d *shardDelivery) begin(total int) {
-	if d.progress != nil {
-		d.total = total
-		d.progress(0, total)
-	}
-}
-
-// emit counts one result before handing it to visit (a result that reaches
-// the visitor is emitted even if it stops the run, matching every engine)
-// and applies the WithLimit bound. It reports whether the run continues.
-func (d *shardDelivery) emit(visit func() bool) bool {
-	d.delivered++
-	if !visit() {
-		d.userStopped = true
-		return false
-	}
-	return d.limit <= 0 || d.delivered < d.limit
-}
-
-// shardDone fires the per-component progress callback.
-func (d *shardDelivery) shardDone() {
-	d.done++
-	if d.progress != nil {
-		d.progress(d.done, d.total)
-	}
-}
-
-// finish translates the drive's outcome into the run's (status, error)
-// pair: errors keep the cause's status, an early stop (user or limit) is
-// StatusStopped, anything else completed.
-func (d *shardDelivery) finish(err error) (RunStatus, error) {
-	if err != nil {
-		return statusForError(err), err
-	}
-	if d.userStopped || (d.limit > 0 && d.delivered >= d.limit) {
-		return StatusStopped, nil
-	}
-	return StatusComplete, nil
-}
-
-// --- Clique queries ---
-
-// runSharded executes a clique query component by component; see WithShards
-// for the contract. Stats counters are folded across the per-component
-// engine runs (sums for work counters, maxima for depth and size).
-func (q *Query) runSharded(ctx context.Context, visit Visitor) (stats Stats, userStopped bool, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			stats, userStopped, err = Stats{Status: StatusPanicked}, false, panicToError(v)
-		}
-	}()
-	release, err := q.ten.admit(ctx, q.cfg.Budget)
-	if err != nil {
-		return Stats{Status: StatusFailed}, false, err
-	}
-	defer release()
-
-	conc := resolveShards(q.shards)
-	if q.cfg.Budget > 0 {
+// runSharded executes a query component by component; see WithShards for
+// the contract. visit is the limit-wrapped visitor (nil only counts). Stats
+// are folded across the per-component engine runs. A kind without a finish
+// step streams each component's results as it completes; a kind with one
+// mines every component first (quasi-clique maximality and the densest score
+// threshold need the whole family), finishes the merged family, then
+// reports it, so the report loop behaves exactly like an unsharded run.
+func (p *prepared[T, S]) runSharded(ctx context.Context, visit func(T) bool) (S, error) {
+	conc := resolveShards(p.shards)
+	if p.budget > 0 {
 		conc = 1 // budget handoff needs each component's actual spend, in order
 	}
-	countOnly := visit == nil && q.limit <= 0
-
+	collectAll := p.finish != nil
 	var (
 		mu        sync.Mutex
-		agg       Stats
-		remaining = q.cfg.Budget // written only on the sequential path
+		agg       S
+		remaining = p.budget // written only on the sequential path
 	)
-	fold := func(s Stats) {
-		mu.Lock()
-		agg.Calls += s.Calls
-		agg.Emitted += s.Emitted
-		agg.CandidateOps += s.CandidateOps
-		agg.WitnessOps += s.WitnessOps
-		agg.BitsetOps += s.BitsetOps
-		agg.PrunedEdges += s.PrunedEdges
-		agg.SizePruned += s.SizePruned
-		agg.FilterRemoved += s.FilterRemoved
-		agg.Steals += s.Steals
-		agg.Splits += s.Splits
-		agg.MaxDepth = max(agg.MaxDepth, s.MaxDepth)
-		agg.MaxCliqueSize = max(agg.MaxCliqueSize, s.MaxCliqueSize)
-		mu.Unlock()
-	}
-
-	tasks := func(yield func(shardTask[Clique]) bool) {
-		for sh := range q.g.ShardByComponent() {
-			t := shardTask[Clique]{id: sh.ID, run: func(runCtx context.Context) ([]Clique, error) {
-				cfg := q.cfg
-				if cfg.Budget > 0 {
+	tasks := func(yield func(shardTask[T]) bool) {
+		id := 0
+		for run := range p.components {
+			cid := id
+			id++
+			t := shardTask[T]{id: cid, run: func(runCtx context.Context) ([]T, error) {
+				budget := int64(0)
+				if p.budget > 0 {
 					if remaining <= 0 {
-						return nil, fmt.Errorf("mule: search budget exhausted before component %d: %w", sh.ID, ErrBudget)
+						return nil, fmt.Errorf("mule: search budget exhausted before component %d: %w", cid, ErrBudget)
 					}
-					cfg.Budget = remaining
+					budget = remaining
 				}
-				var engineVisit Visitor
-				var buf []Clique
-				if !countOnly {
-					engineVisit = func(c []int, p float64) bool {
-						mapped := make([]int, len(c))
-						for i, v := range c {
-							mapped[i] = sh.NewToOld[v]
-						}
-						buf = append(buf, Clique{Vertices: mapped, Prob: p})
+				var buf []T
+				var buffer func(T) bool
+				if visit != nil || collectAll {
+					buffer = func(v T) bool {
+						buf = append(buf, v)
 						// No component needs to yield more results than the
 						// global limit keeps; stop its engine there.
-						return q.limit <= 0 || int64(len(buf)) < q.limit
+						return collectAll || p.limit <= 0 || int64(len(buf)) < p.limit
 					}
 				}
-				s, err := core.EnumerateContext(runCtx, sh.G, q.alpha, engineVisit, cfg)
-				fold(s)
-				if q.cfg.Budget > 0 {
-					remaining -= s.Calls
+				s, err := run(runCtx, budget, buffer)
+				mu.Lock()
+				p.fold(&agg, s)
+				mu.Unlock()
+				if p.budget > 0 {
+					remaining -= p.work(s)
 				}
 				return buf, err
 			}}
@@ -377,468 +291,48 @@ func (q *Query) runSharded(ctx context.Context, visit Visitor) (stats Stats, use
 		}
 	}
 
-	d := shardDelivery{limit: q.limit, progress: q.shardProg}
-	if q.shardProg != nil {
-		d.begin(q.g.NumComponents())
+	done, total := 0, 0
+	if p.shardProg != nil {
+		total = p.numComponents()
+		p.shardProg(0, total)
 	}
-	driveErr := driveShards(ctx, tasks, conc, func(out []Clique) bool {
-		for _, c := range out {
-			if !d.emit(func() bool { return visit == nil || visit(c.Vertices, c.Prob) }) {
+	var (
+		all       []T
+		delivered int64
+		stopped   bool
+	)
+	err := driveShards(ctx, tasks, conc, func(out []T) bool {
+		if collectAll {
+			all = append(all, out...)
+		} else {
+			n, stop := report(out, visit)
+			delivered += n
+			if stop {
+				stopped = true
 				return false
 			}
 		}
-		d.shardDone()
+		done++
+		if p.shardProg != nil {
+			p.shardProg(done, total)
+		}
 		return true
 	})
-	agg.Status, err = d.finish(driveErr)
-	if !countOnly {
-		agg.Emitted = d.delivered
-	}
-	return agg, d.userStopped, err
-}
-
-// --- Biclique queries ---
-
-func (q *BicliqueQuery) runSharded(ctx context.Context, visit BicliqueVisitor) (stats BicliqueStats, userStopped bool, err error) {
-	release, err := q.ten.admit(ctx, q.cfg.Budget)
-	if err != nil {
-		return BicliqueStats{Status: StatusFailed}, false, err
-	}
-	defer release()
-
-	conc := resolveShards(q.shards)
-	if q.cfg.Budget > 0 {
-		conc = 1
-	}
-	countOnly := visit == nil && q.limit <= 0
-
-	var (
-		mu        sync.Mutex
-		agg       BicliqueStats
-		remaining = q.cfg.Budget
-	)
-	fold := func(s BicliqueStats) {
-		mu.Lock()
-		agg.Calls += s.Calls
-		agg.Emitted += s.Emitted
-		agg.Cut += s.Cut
-		agg.CandidateOps += s.CandidateOps
-		agg.WitnessOps += s.WitnessOps
-		agg.PrunedEdges += s.PrunedEdges
-		agg.MaxLeft = max(agg.MaxLeft, s.MaxLeft)
-		agg.MaxRight = max(agg.MaxRight, s.MaxRight)
-		mu.Unlock()
-	}
-
-	tasks := func(yield func(shardTask[Biclique]) bool) {
-		for sh := range q.g.ShardByComponent() {
-			t := shardTask[Biclique]{id: sh.ID, run: func(runCtx context.Context) ([]Biclique, error) {
-				cfg := q.cfg
-				if cfg.Budget > 0 {
-					if remaining <= 0 {
-						return nil, fmt.Errorf("mule: search budget exhausted before component %d: %w", sh.ID, ErrBudget)
-					}
-					cfg.Budget = remaining
-				}
-				var engineVisit ubiclique.Visitor
-				var buf []Biclique
-				if !countOnly {
-					engineVisit = func(l, r []int, p float64) bool {
-						ml := make([]int, len(l))
-						for i, v := range l {
-							ml[i] = sh.LeftNewToOld[v]
-						}
-						mr := make([]int, len(r))
-						for i, v := range r {
-							mr[i] = sh.RightNewToOld[v]
-						}
-						buf = append(buf, Biclique{Left: ml, Right: mr, Prob: p})
-						return q.limit <= 0 || int64(len(buf)) < q.limit
-					}
-				}
-				s, err := ubiclique.EnumerateContext(runCtx, sh.G, q.alpha, engineVisit, cfg)
-				fold(s)
-				if q.cfg.Budget > 0 {
-					remaining -= s.Calls
-				}
-				return buf, err
-			}}
-			if !yield(t) {
-				return
-			}
+	if collectAll && err == nil {
+		if err = p.finish(ctx, all, &agg); err == nil {
+			delivered, stopped = report(all, visit)
 		}
 	}
-
-	d := shardDelivery{limit: q.limit, progress: q.shardProg}
-	if q.shardProg != nil {
-		d.begin(q.g.NumComponents())
+	switch {
+	case err != nil:
+		*p.status(&agg) = statusForError(err)
+	case stopped:
+		*p.status(&agg) = StatusStopped
+	default:
+		*p.status(&agg) = StatusComplete
 	}
-	driveErr := driveShards(ctx, tasks, conc, func(out []Biclique) bool {
-		for _, b := range out {
-			if !d.emit(func() bool { return visit == nil || visit(b.Left, b.Right, b.Prob) }) {
-				return false
-			}
-		}
-		d.shardDone()
-		return true
-	})
-	agg.Status, err = d.finish(driveErr)
-	if !countOnly {
-		agg.Emitted = d.delivered
+	if visit != nil || collectAll {
+		*p.emitted(&agg) = delivered
 	}
-	return agg, d.userStopped, err
-}
-
-// --- Quasi-clique queries ---
-
-// runSharded mines every component to completion (maximality needs the
-// whole component; components are independent because γ ≥ ½ forces a
-// quasi-clique's diameter ≤ 2, hence connectivity), then reports the merged
-// sets in global canonical order, so the report loop — and therefore
-// WithLimit and visitor stops — behaves exactly like an unsharded run.
-func (q *QuasiQuery) runSharded(ctx context.Context, visit QuasiVisitor) (stats QuasiStats, userStopped bool, err error) {
-	release, err := q.ten.admit(ctx, q.cfg.Budget)
-	if err != nil {
-		return QuasiStats{Status: StatusFailed}, false, err
-	}
-	defer release()
-
-	conc := resolveShards(q.shards)
-	if q.cfg.Budget > 0 {
-		conc = 1
-	}
-
-	var (
-		mu        sync.Mutex
-		agg       QuasiStats
-		remaining = q.cfg.Budget
-	)
-	fold := func(s QuasiStats) {
-		mu.Lock()
-		agg.Calls += s.Calls
-		agg.Found += s.Found
-		agg.Pruned += s.Pruned
-		agg.Universe += s.Universe
-		agg.FilterOps += s.FilterOps
-		agg.MaxSize = max(agg.MaxSize, s.MaxSize)
-		mu.Unlock()
-	}
-
-	tasks := func(yield func(shardTask[[]int]) bool) {
-		for sh := range q.g.ShardByComponent() {
-			t := shardTask[[]int]{id: sh.ID, run: func(runCtx context.Context) ([][]int, error) {
-				cfg := q.cfg
-				if cfg.Budget > 0 {
-					if remaining <= 0 {
-						return nil, fmt.Errorf("mule: search budget exhausted before component %d: %w", sh.ID, ErrBudget)
-					}
-					cfg.Budget = remaining
-				}
-				sets, s, err := uquasi.CollectContext(runCtx, sh.G, cfg)
-				fold(s)
-				if q.cfg.Budget > 0 {
-					remaining -= s.Calls
-				}
-				for _, set := range sets {
-					for i, v := range set {
-						set[i] = sh.NewToOld[v]
-					}
-				}
-				return sets, err
-			}}
-			if !yield(t) {
-				return
-			}
-		}
-	}
-
-	d := shardDelivery{limit: q.limit, progress: q.shardProg}
-	if q.shardProg != nil {
-		d.begin(q.g.NumComponents())
-	}
-	var all [][]int
-	driveErr := driveShards(ctx, tasks, conc, func(out [][]int) bool {
-		all = append(all, out...)
-		d.shardDone()
-		return true
-	})
-	if driveErr != nil {
-		agg.Status = statusForError(driveErr)
-		return agg, false, driveErr
-	}
-	// Per-component sets are each in canonical order, but the report loop's
-	// contract is global lexicographic order; merge before reporting.
-	sort.Slice(all, func(i, j int) bool { return lexLess(all[i], all[j]) })
-	for _, s := range all {
-		if !d.emit(func() bool { return visit == nil || visit(s) }) {
-			break
-		}
-	}
-	agg.Status, err = d.finish(nil)
-	agg.Emitted = d.delivered
-	return agg, d.userStopped, err
-}
-
-// --- Truss queries ---
-
-// runSharded peels each component independently. Stream order becomes
-// per-component peel order rather than the global level-by-level order, but
-// the edge→truss assignment — and hence Collect, Count, and MaxTruss — is
-// identical: a component's peeling never depends on edges outside it.
-func (q *TrussQuery) runSharded(ctx context.Context, visit TrussVisitor) (stats TrussStats, userStopped bool, err error) {
-	release, err := q.ten.admit(ctx, q.cfg.Budget)
-	if err != nil {
-		return TrussStats{Status: StatusFailed}, false, err
-	}
-	defer release()
-
-	conc := resolveShards(q.shards)
-	if q.cfg.Budget > 0 {
-		conc = 1
-	}
-	countOnly := visit == nil && q.limit <= 0
-
-	var (
-		mu        sync.Mutex
-		agg       TrussStats
-		remaining = q.cfg.Budget
-	)
-	fold := func(s TrussStats) {
-		mu.Lock()
-		agg.Checks += s.Checks
-		agg.Removed += s.Removed
-		agg.Emitted += s.Emitted
-		agg.MaxTruss = max(agg.MaxTruss, s.MaxTruss)
-		mu.Unlock()
-	}
-
-	tasks := func(yield func(shardTask[EdgeTruss]) bool) {
-		for sh := range q.g.ShardByComponent() {
-			t := shardTask[EdgeTruss]{id: sh.ID, run: func(runCtx context.Context) ([]EdgeTruss, error) {
-				cfg := q.cfg
-				if cfg.Budget > 0 {
-					if remaining <= 0 {
-						return nil, fmt.Errorf("mule: search budget exhausted before component %d: %w", sh.ID, ErrBudget)
-					}
-					cfg.Budget = remaining
-				}
-				var engineVisit utruss.Visitor
-				var buf []EdgeTruss
-				if !countOnly {
-					engineVisit = func(e EdgeTruss) bool {
-						// The remap is monotone, so U < V survives it.
-						buf = append(buf, EdgeTruss{U: sh.NewToOld[e.U], V: sh.NewToOld[e.V], Truss: e.Truss})
-						return q.limit <= 0 || int64(len(buf)) < q.limit
-					}
-				}
-				s, err := utruss.RunContext(runCtx, sh.G, q.eta, cfg, engineVisit)
-				fold(s)
-				if q.cfg.Budget > 0 {
-					remaining -= s.Checks
-				}
-				return buf, err
-			}}
-			if !yield(t) {
-				return
-			}
-		}
-	}
-
-	d := shardDelivery{limit: q.limit, progress: q.shardProg}
-	if q.shardProg != nil {
-		d.begin(q.g.NumComponents())
-	}
-	driveErr := driveShards(ctx, tasks, conc, func(out []EdgeTruss) bool {
-		for _, e := range out {
-			if !d.emit(func() bool { return visit == nil || visit(e) }) {
-				return false
-			}
-		}
-		d.shardDone()
-		return true
-	})
-	agg.Status, err = d.finish(driveErr)
-	if !countOnly {
-		agg.Emitted = d.delivered
-	}
-	return agg, d.userStopped, err
-}
-
-// --- Densest queries ---
-
-// runSharded peels every component independently (the engine's candidate
-// family is defined per component, so the peel phase shards exactly), then
-// runs one global scoring pass — the score threshold d̂ is a whole-family
-// property — and reports the merged family in canonical order, so the
-// report loop behaves exactly like an unsharded run.
-func (q *DensestQuery) runSharded(ctx context.Context, visit DensestVisitor) (stats DensestStats, userStopped bool, err error) {
-	release, err := q.ten.admit(ctx, q.cfg.Budget)
-	if err != nil {
-		return DensestStats{Status: StatusFailed}, false, err
-	}
-	defer release()
-
-	conc := resolveShards(q.shards)
-	if q.cfg.Budget > 0 {
-		conc = 1
-	}
-
-	var (
-		mu        sync.Mutex
-		agg       DensestStats
-		remaining = q.cfg.Budget
-	)
-	fold := func(s DensestStats) {
-		mu.Lock()
-		agg.PeelSteps += s.PeelSteps
-		agg.Candidates += s.Candidates
-		if s.BestDensity > agg.BestDensity {
-			agg.BestDensity = s.BestDensity
-		}
-		mu.Unlock()
-	}
-
-	tasks := func(yield func(shardTask[DenseSubgraph]) bool) {
-		for sh := range q.g.ShardByComponent() {
-			t := shardTask[DenseSubgraph]{id: sh.ID, run: func(runCtx context.Context) ([]DenseSubgraph, error) {
-				cfg := q.cfg
-				if cfg.Budget > 0 {
-					if remaining <= 0 {
-						return nil, fmt.Errorf("mule: search budget exhausted before component %d: %w", sh.ID, ErrBudget)
-					}
-					cfg.Budget = remaining
-				}
-				cands, s, err := udensest.PeelContext(runCtx, sh.G, cfg)
-				fold(s)
-				if q.cfg.Budget > 0 {
-					remaining -= s.PeelSteps
-				}
-				for _, c := range cands {
-					// The remap is monotone, so the sets stay ascending.
-					for i, v := range c.Vertices {
-						c.Vertices[i] = sh.NewToOld[v]
-					}
-				}
-				return cands, err
-			}}
-			if !yield(t) {
-				return
-			}
-		}
-	}
-
-	d := shardDelivery{limit: q.limit, progress: q.shardProg}
-	if q.shardProg != nil {
-		d.begin(q.g.NumComponents())
-	}
-	var all []DenseSubgraph
-	driveErr := driveShards(ctx, tasks, conc, func(out []DenseSubgraph) bool {
-		all = append(all, out...)
-		d.shardDone()
-		return true
-	})
-	if driveErr != nil {
-		agg.Status = statusForError(driveErr)
-		return agg, false, driveErr
-	}
-	// One global scoring pass against the whole-family champion density; a
-	// component's internal edges are the same set in the parent graph, so
-	// scoring against q.g reproduces the unsharded probabilities exactly.
-	sstats, err := udensest.ScoreContext(ctx, q.g, all, udensest.BestDensity(all), q.cfg)
-	agg.Scored += sstats.Scored
-	if err != nil {
-		agg.Status = statusForError(err)
-		return agg, false, err
-	}
-	udensest.SortCandidates(all)
-	for _, c := range all {
-		if !d.emit(func() bool { return visit == nil || visit(c) }) {
-			break
-		}
-	}
-	agg.Status, err = d.finish(nil)
-	agg.Emitted = d.delivered
-	return agg, d.userStopped, err
-}
-
-// --- Core queries ---
-
-// runSharded peels each component independently; like truss queries, only
-// stream order changes (per-component peel order), never the vertex→core
-// assignment, Collect, Count, or the folded degeneracy.
-func (q *CoreQuery) runSharded(ctx context.Context, visit CoreVisitor) (stats CoreStats, userStopped bool, err error) {
-	release, err := q.ten.admit(ctx, q.cfg.Budget)
-	if err != nil {
-		return CoreStats{Status: StatusFailed}, false, err
-	}
-	defer release()
-
-	conc := resolveShards(q.shards)
-	if q.cfg.Budget > 0 {
-		conc = 1
-	}
-	countOnly := visit == nil && q.limit <= 0
-
-	var (
-		mu        sync.Mutex
-		agg       CoreStats
-		remaining = q.cfg.Budget
-	)
-	fold := func(s CoreStats) {
-		mu.Lock()
-		agg.Recomputes += s.Recomputes
-		agg.Emitted += s.Emitted
-		agg.Degeneracy = max(agg.Degeneracy, s.Degeneracy)
-		mu.Unlock()
-	}
-
-	tasks := func(yield func(shardTask[VertexCore]) bool) {
-		for sh := range q.g.ShardByComponent() {
-			t := shardTask[VertexCore]{id: sh.ID, run: func(runCtx context.Context) ([]VertexCore, error) {
-				cfg := q.cfg
-				if cfg.Budget > 0 {
-					if remaining <= 0 {
-						return nil, fmt.Errorf("mule: search budget exhausted before component %d: %w", sh.ID, ErrBudget)
-					}
-					cfg.Budget = remaining
-				}
-				var engineVisit ucore.Visitor
-				var buf []VertexCore
-				if !countOnly {
-					engineVisit = func(vc VertexCore) bool {
-						buf = append(buf, VertexCore{V: sh.NewToOld[vc.V], Core: vc.Core})
-						return q.limit <= 0 || int64(len(buf)) < q.limit
-					}
-				}
-				s, err := ucore.RunContext(runCtx, sh.G, q.eta, cfg, engineVisit)
-				fold(s)
-				if q.cfg.Budget > 0 {
-					remaining -= s.Recomputes
-				}
-				return buf, err
-			}}
-			if !yield(t) {
-				return
-			}
-		}
-	}
-
-	d := shardDelivery{limit: q.limit, progress: q.shardProg}
-	if q.shardProg != nil {
-		d.begin(q.g.NumComponents())
-	}
-	driveErr := driveShards(ctx, tasks, conc, func(out []VertexCore) bool {
-		for _, vc := range out {
-			if !d.emit(func() bool { return visit == nil || visit(vc) }) {
-				return false
-			}
-		}
-		d.shardDone()
-		return true
-	})
-	agg.Status, err = d.finish(driveErr)
-	if !countOnly {
-		agg.Emitted = d.delivered
-	}
-	return agg, d.userStopped, err
+	return agg, err
 }

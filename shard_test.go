@@ -74,8 +74,10 @@ var shardSettings = []struct {
 }
 
 // TestShardedEquivalence proves the headline contract on 50 random
-// multi-component graphs: for cliques, trusses, and cores, every WithShards
-// setting collects exactly what the unsharded run collects.
+// multi-component graphs: for cliques, trusses, cores, densest subgraphs,
+// and clusterings, every WithShards setting collects exactly what the
+// unsharded run collects; for the last two, Count agrees and every
+// WithLimit(1..3) prefix equals the unsharded prefix.
 func TestShardedEquivalence(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(271))
@@ -107,6 +109,17 @@ func TestShardedEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantCore, err := baseCore.Collect(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The center count is derived from the trial, not drawn from rng,
+		// so the graph sequence stays that of the rows above.
+		centers := min(1+trial%3, g.NumVertices())
+		wantDensest, err := collectDensest(ctx, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantCluster, err := collectCluster(ctx, g, centers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,8 +168,85 @@ func TestShardedEquivalence(t *testing.T) {
 			if !reflect.DeepEqual(gotCore, wantCore) {
 				t.Fatalf("trial %d %s: cores %v, want %v", trial, s.name, gotCore, wantCore)
 			}
+
+			for _, limit := range []int64{0, 1, 2, 3} {
+				opts := []mule.Option{s.opt}
+				want := wantDensest
+				if limit > 0 {
+					opts = append(opts, mule.WithLimit(limit))
+					want = want[:min(int(limit), len(want))]
+				}
+				got, err := collectDensest(ctx, g, opts...)
+				if err != nil {
+					t.Fatalf("trial %d %s densest limit %d: %v", trial, s.name, limit, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("trial %d %s densest limit %d: %v, want %v", trial, s.name, limit, got, want)
+				}
+				dq, err := mule.NewDensestQuery(g, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n, err := dq.Count(ctx); err != nil || n != int64(len(want)) {
+					t.Fatalf("trial %d %s densest limit %d: Count = %d, %v; want %d", trial, s.name, limit, n, err, len(want))
+				}
+				if got, want := densestStatus(ctx, t, g, opts...), densestStatus(ctx, t, g, opts[1:]...); got != want {
+					t.Fatalf("trial %d %s densest limit %d: status %v, want %v", trial, s.name, limit, got, want)
+				}
+
+				wantC := wantCluster
+				if limit > 0 {
+					wantC = wantC[:min(int(limit), len(wantC))]
+				}
+				gotC, err := collectCluster(ctx, g, centers, opts...)
+				if err != nil {
+					t.Fatalf("trial %d %s cluster limit %d: %v", trial, s.name, limit, err)
+				}
+				if !reflect.DeepEqual(gotC, wantC) {
+					t.Fatalf("trial %d %s cluster limit %d: %v, want %v", trial, s.name, limit, gotC, wantC)
+				}
+				kq, err := mule.NewClusterQuery(g, append(opts, mule.WithCenters(centers))...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n, err := kq.Count(ctx); err != nil || n != int64(len(wantC)) {
+					t.Fatalf("trial %d %s cluster limit %d: Count = %d, %v; want %d", trial, s.name, limit, n, err, len(wantC))
+				}
+			}
 		}
 	}
+}
+
+// collectDensest collects a densest query's scored candidate family.
+func collectDensest(ctx context.Context, g *mule.Graph, opts ...mule.Option) ([]mule.DenseSubgraph, error) {
+	q, err := mule.NewDensestQuery(g, opts...)
+	if err != nil {
+		return nil, err
+	}
+	return q.Collect(ctx)
+}
+
+// densestStatus reports a densest query's terminal status.
+func densestStatus(ctx context.Context, t *testing.T, g *mule.Graph, opts ...mule.Option) mule.RunStatus {
+	t.Helper()
+	q, err := mule.NewDensestQuery(g, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := q.Run(ctx, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stats.Status
+}
+
+// collectCluster collects a cluster query's partition around k centers.
+func collectCluster(ctx context.Context, g *mule.Graph, k int, opts ...mule.Option) ([]mule.ClusterSet, error) {
+	q, err := mule.NewClusterQuery(g, append(opts, mule.WithCenters(k))...)
+	if err != nil {
+		return nil, err
+	}
+	return q.Collect(ctx)
 }
 
 // TestShardedBicliqueQuasiEquivalence extends the equivalence matrix to the
@@ -384,6 +474,7 @@ func TestShardedCancellation(t *testing.T) {
 // TestShardedPanicContainment: a panicking visitor is contained to the run
 // and reported as a wrapped ErrPanic with StatusPanicked, matching the
 // unsharded surfaces; the driver's goroutines are joined on the way out.
+// The other six kinds are checked unsharded and with WithShards(2).
 func TestShardedPanicContainment(t *testing.T) {
 	rng := rand.New(rand.NewSource(313))
 	g := multiComponentGraph(t, rng)
@@ -403,6 +494,84 @@ func TestShardedPanicContainment(t *testing.T) {
 			t.Fatalf("%s: status %v, want StatusPanicked", s.name, stats.Status)
 		}
 		waitNoExtraGoroutines(t, base)
+	}
+
+	bg, err := mule.BipartiteFromEdges(3, 3, []mule.BipartiteEdge{
+		{L: 0, R: 0, P: 0.9}, {L: 1, R: 1, P: 0.8}, {L: 2, R: 2, P: 0.7},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	boom := func() bool { panic("visitor boom") }
+	kinds := []struct {
+		name string
+		run  func(opts ...mule.Option) (mule.RunStatus, error)
+	}{
+		{"biclique", func(opts ...mule.Option) (mule.RunStatus, error) {
+			q, err := mule.NewBicliqueQuery(bg, 0.05, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stats, err := q.Run(ctx, func(l, r []int, p float64) bool { return boom() })
+			return stats.Status, err
+		}},
+		{"quasi", func(opts ...mule.Option) (mule.RunStatus, error) {
+			q, err := mule.NewQuasiQuery(g, append(opts, mule.WithGamma(0.5), mule.WithMinSize(2))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stats, err := q.Run(ctx, func([]int) bool { return boom() })
+			return stats.Status, err
+		}},
+		{"truss", func(opts ...mule.Option) (mule.RunStatus, error) {
+			q, err := mule.NewTrussQuery(g, 0.3, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stats, err := q.Run(ctx, func(mule.EdgeTruss) bool { return boom() })
+			return stats.Status, err
+		}},
+		{"core", func(opts ...mule.Option) (mule.RunStatus, error) {
+			q, err := mule.NewCoreQuery(g, 0.3, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stats, err := q.Run(ctx, func(mule.VertexCore) bool { return boom() })
+			return stats.Status, err
+		}},
+		{"densest", func(opts ...mule.Option) (mule.RunStatus, error) {
+			q, err := mule.NewDensestQuery(g, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stats, err := q.Run(ctx, func(mule.DenseSubgraph) bool { return boom() })
+			return stats.Status, err
+		}},
+		{"cluster", func(opts ...mule.Option) (mule.RunStatus, error) {
+			q, err := mule.NewClusterQuery(g, append(opts, mule.WithCenters(2))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stats, err := q.Run(ctx, func(mule.ClusterSet) bool { return boom() })
+			return stats.Status, err
+		}},
+	}
+	for _, k := range kinds {
+		for _, shard := range []struct {
+			name string
+			opts []mule.Option
+		}{{"unsharded", nil}, {"shards=2", []mule.Option{mule.WithShards(2)}}} {
+			base := runtime.NumGoroutine()
+			status, err := k.run(shard.opts...)
+			if !errors.Is(err, mule.ErrPanic) {
+				t.Fatalf("%s %s: err = %v, want ErrPanic", k.name, shard.name, err)
+			}
+			if status != mule.StatusPanicked {
+				t.Fatalf("%s %s: status %v, want StatusPanicked", k.name, shard.name, status)
+			}
+			waitNoExtraGoroutines(t, base)
+		}
 	}
 }
 

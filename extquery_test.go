@@ -414,7 +414,10 @@ func extensionMiners(t *testing.T) []extMiner {
 	}()
 	bigG := slowDenseGraph(t, 150)
 	quasiG := slowDenseGraph(t, 40)
-	densestG := slowDenseGraph(t, 300)
+	// Core and densest share the 300-vertex input: a full core run on it
+	// takes ~100ms, ten times the mid leg's deadline, where the 150-vertex
+	// input finishes in under 10ms.
+	peelG := slowDenseGraph(t, 300)
 	// 900 vertices ≈ 200k edges: the 64 seeding sweeps alone take well past
 	// the mid leg's 10ms deadline even without the race detector's drag.
 	clusterG := slowDenseGraph(t, 900)
@@ -490,7 +493,7 @@ func extensionMiners(t *testing.T) []extMiner {
 			name:   "core",
 			budget: 2000,
 			run: func(ctx context.Context, opts ...mule.Option) (mule.RunStatus, error) {
-				q, err := mule.NewCoreQuery(bigG, 0.9, opts...)
+				q, err := mule.NewCoreQuery(peelG, 0.9, opts...)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -513,7 +516,7 @@ func extensionMiners(t *testing.T) []extMiner {
 			name:   "densest",
 			budget: 100,
 			run: func(ctx context.Context, opts ...mule.Option) (mule.RunStatus, error) {
-				q, err := mule.NewDensestQuery(densestG, opts...)
+				q, err := mule.NewDensestQuery(peelG, opts...)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -68,6 +68,7 @@ import (
 
 	mule "github.com/uncertain-graphs/mule"
 	"github.com/uncertain-graphs/mule/internal/graphio"
+	"github.com/uncertain-graphs/mule/internal/miners"
 )
 
 // Exit statuses for aborted runs, matching shell conventions (128+SIGINT,
@@ -81,6 +82,9 @@ const (
 	exitAdmission   = 75
 	exitSoftware    = 70
 )
+
+// statsOut receives every mode's stats line (tests swap it to read them).
+var statsOut io.Writer = os.Stderr
 
 func main() {
 	ctx, stop := signalContext(context.Background())
@@ -115,7 +119,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("mule", flag.ContinueOnError)
 	var (
 		in          = fs.String("in", "", "input graph file (.ug text or .ugb binary; .ubg bipartite text for -mine bicliques; required)")
-		mine        = fs.String("mine", "cliques", "what to mine: cliques|bicliques|quasi|truss|core|densest|cluster")
+		mine        = fs.String("mine", "cliques", "what to mine: "+miners.Names())
 		alpha       = fs.Float64("alpha", 0.5, "probability threshold α in (0,1] (cliques, bicliques)")
 		gamma       = fs.Float64("gamma", 0, "quasi-clique density threshold γ in [0.5,1] (-mine quasi)")
 		eta         = fs.Float64("eta", 0, "truss/core confidence threshold η in (0,1] (-mine truss|core)")
@@ -186,11 +190,15 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if *stallWindow < 0 {
 		return fmt.Errorf("-stall-timeout must be non-negative, got %v", *stallWindow)
 	}
+	if *kParam < 0 {
+		return fmt.Errorf("-k must be non-negative, got %d", *kParam)
+	}
+	if *top < 0 {
+		return fmt.Errorf("-top must be non-negative, got %d", *top)
+	}
 
 	m := modeFlags{
-		in: *in, alpha: *alpha, gamma: *gamma, eta: *eta, k: *kParam,
-		centers: *centers, minL: *minL, minR: *minR, minSize: *minSize,
-		limit: *limit, budget: *budget, countOnly: *countOnly, quiet: *quiet,
+		in: *in, limit: *limit, budget: *budget, countOnly: *countOnly, quiet: *quiet,
 		tenant: *tenant, retries: *retries, stall: *stallWindow,
 	}
 	switch {
@@ -208,24 +216,29 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return fmt.Errorf("-shard-batch must be non-negative, got %d", *shardBatch)
 	}
 	m.shardBatch = *shardBatch
+	name := strings.ToLower(*mine)
+	if alias, ok := mineAliases[name]; ok {
+		name = alias
+	}
+	kind := miners.Lookup(name)
+	if kind == nil {
+		return fmt.Errorf("unknown -mine mode %q (want %s)", *mine, miners.Names())
+	}
+	p := miners.Params{Alpha: *alpha, Gamma: *gamma, Eta: *eta, MinSize: *minSize,
+		MinL: *minL, MinR: *minR, Centers: *centers, Workers: *workers}
+	var opts []mule.Option
 	var runErr error
-	switch strings.ToLower(*mine) {
-	case "cliques", "clique":
-		runErr = runCliques(ctx, m, *ordering, *engine, *intersect, *workers, *granularity, *top, out)
-	case "bicliques", "biclique":
-		runErr = runBicliques(ctx, m, out)
-	case "quasi", "quasi-cliques", "quasicliques":
-		runErr = runQuasi(ctx, m, out)
-	case "truss", "trusses":
-		runErr = runTruss(ctx, m, out)
-	case "core", "cores":
-		runErr = runCore(ctx, m, out)
-	case "densest":
-		runErr = runDensest(ctx, m, out)
-	case "cluster", "clusters", "clustering":
-		runErr = runCluster(ctx, m, out)
+	if name == "cliques" {
+		opts, runErr = cliqueOptions(*ordering, *engine, *intersect, *granularity)
+	}
+	switch {
+	case runErr != nil:
+	case name == "cliques" && *top > 0:
+		runErr = runTop(ctx, m, p, opts, *top, out)
+	case (name == "truss" || name == "core") && *kParam > 0:
+		runErr = runK(ctx, m, name, p.Eta, *kParam, out)
 	default:
-		return fmt.Errorf("unknown -mine mode %q (want cliques|bicliques|quasi|truss|core|densest|cluster)", *mine)
+		runErr = mineLoop(ctx, m, kind, p, opts, out)
 	}
 	// The heap profile is written even for aborted runs, so kernel
 	// regressions can be diagnosed from a truncated enumeration.
@@ -235,17 +248,15 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	return runErr
 }
 
-// modeFlags carries the flags every -mine mode shares (plus the per-miner
-// thresholds, which each mode reads as applicable).
+// mineAliases maps the other accepted -mine spellings to a kind's name.
+var mineAliases = map[string]string{
+	"clique": "cliques", "biclique": "bicliques", "quasi-cliques": "quasi", "quasicliques": "quasi",
+	"trusses": "truss", "cores": "core", "clusters": "cluster", "clustering": "cluster",
+}
+
+// modeFlags carries the flags every -mine mode shares.
 type modeFlags struct {
 	in         string
-	alpha      float64
-	gamma      float64
-	eta        float64
-	k          int
-	centers    int
-	minL, minR int
-	minSize    int
 	limit      int64
 	budget     int64
 	countOnly  bool
@@ -258,11 +269,13 @@ type modeFlags struct {
 	shardBatch int  // -shard-batch: out-of-core batch edge cap (0 = off)
 }
 
-// withTenant appends the shared robustness options — WithTenant, WithRetry,
-// WithStallTimeout — when their flags were given; every -mine mode routes its
-// constructor options through it so admission accounting, retry, and the
-// stall watchdog cover all seven query surfaces uniformly.
-func (m modeFlags) withTenant(opts ...mule.Option) []mule.Option {
+// options returns the query options every -mine mode shares: the -limit
+// and -budget allowance, then WithTenant, WithRetry, WithStallTimeout and
+// the shard plan when their flags were given, so admission accounting,
+// retry, the stall watchdog and sharding cover all seven query surfaces
+// uniformly.
+func (m modeFlags) options(limit, budget int64) []mule.Option {
+	opts := []mule.Option{mule.WithLimit(limit), mule.WithBudget(budget)}
 	if m.tenant != "" {
 		opts = append(opts, mule.WithTenant(m.tenant))
 	}
@@ -285,6 +298,24 @@ func (m modeFlags) withTenant(opts ...mule.Option) []mule.Option {
 	return opts
 }
 
+// cliqueOptions parses the clique-only engine flags.
+func cliqueOptions(ordering, engine, intersect string, granularity int) ([]mule.Option, error) {
+	ord, err := parseOrdering(ordering)
+	if err != nil {
+		return nil, err
+	}
+	mode, err := parseEngine(engine)
+	if err != nil {
+		return nil, err
+	}
+	imode, err := parseIntersect(intersect)
+	if err != nil {
+		return nil, err
+	}
+	return []mule.Option{mule.WithParallelMode(mode), mule.WithStealGranularity(granularity),
+		mule.WithOrdering(ord), mule.WithIntersect(imode)}, nil
+}
+
 // errBatchesDone stops the out-of-core batch loop once -limit results have
 // been delivered; it is translated to a clean StatusStopped exit.
 var errBatchesDone = errors.New("result limit reached across batches")
@@ -295,481 +326,199 @@ var errBatchesDone = errors.New("result limit reached across batches")
 // when it is on — the full graph is never materialized. toGlobal maps
 // batch-local vertex IDs back to input IDs (the identity when off); the
 // mapping is monotone, so per-batch canonical output orders survive it.
-func forEachBatch(m modeFlags, fn func(g *mule.Graph, toGlobal func(int) int) error) error {
-	if m.shardBatch <= 0 {
+func forEachBatch(m modeFlags, bipartite bool, fn func(in miners.Input, toGlobal func(int) int) error) error {
+	identity := func(v int) int { return v }
+	switch {
+	case bipartite:
+		b, err := graphio.LoadBipartiteFile(m.in)
+		if err != nil {
+			return err
+		}
+		return fn(miners.Input{Bipartite: b}, identity)
+	case m.shardBatch <= 0:
 		g, err := graphio.LoadFile(m.in)
 		if err != nil {
 			return err
 		}
-		return fn(g, func(v int) int { return v })
+		return fn(miners.Input{Graph: g}, identity)
 	}
 	return graphio.ScanComponentBatches(m.in, m.shardBatch, func(batch *mule.Graph, newToOld []int) error {
-		return fn(batch, func(v int) int { return newToOld[v] })
+		return fn(miners.Input{Graph: batch}, func(v int) int { return newToOld[v] })
 	})
 }
 
 // batchBudget tracks -limit / -budget across out-of-core batches so the
 // two caps mean the same thing batched as unbatched: each batch query gets
-// the remaining allowance, and exhaustion stops the loop.
+// the remaining allowance, a met limit stops the loop, and a spent budget
+// keeps the next batch from starting.
 type batchBudget struct {
 	limit, budget int64 // original flags (0 = unlimited)
 	remaining     int64 // results still allowed
 	left          int64 // search work still allowed
 }
 
-func newBatchBudget(m modeFlags) *batchBudget {
-	return &batchBudget{limit: m.limit, budget: m.budget, remaining: m.limit, left: m.budget}
+// next reports whether another batch may start: ErrBudget once the work
+// allowance is spent. The engines charge their budget in blocks, so a run
+// may complete past its allowance; only the batches after it are refused.
+func (b *batchBudget) next() error {
+	if b.budget > 0 && b.left <= 0 {
+		return fmt.Errorf("search budget exhausted between batches: %w", mule.ErrBudget)
+	}
+	return nil
 }
 
 // spend folds one batch run's consumption (delivered results, dominant work
-// counter) and reports whether the loop should stop: errBatchesDone on a
-// met limit, ErrBudget when the work allowance ran out between batches.
+// counter), returning errBatchesDone once the limit is met.
 func (b *batchBudget) spend(emitted, work int64) error {
+	if b.budget > 0 {
+		b.left -= work
+	}
 	if b.limit > 0 {
 		b.remaining -= emitted
 		if b.remaining <= 0 {
 			return errBatchesDone
 		}
 	}
-	if b.budget > 0 {
-		b.left -= work
-		if b.left <= 0 {
-			return fmt.Errorf("search budget exhausted between batches: %w", mule.ErrBudget)
-		}
-	}
 	return nil
 }
 
-// tally is the accounting every -mine mode shares: the terminal status,
-// the results delivered, and the mode's budget work unit.
-type tally struct {
-	status  mule.RunStatus
-	emitted int64
-	work    int64
-}
-
-// batch is one in-memory portion of the input handed to a mode's query
-// run, with the -limit / -budget allowance left for it.
-type batch struct {
-	g             *mule.Graph
-	toGlobal      func(int) int
-	limit, budget int64
-}
-
-// mineLoop is the loop and tail every -mine mode shares. A batched mode's
-// mine runs once per out-of-core batch — or once on the whole graph when
-// -shard-batch is off — and -limit / -budget carry across batches; an
-// unbatched mode has loaded its input and built its query already, so its
-// mine runs once on a zero batch. The -count line, the stats line, and the
-// flush follow before any abort surfaces, so a canceled run still reports
-// its partial output.
-func mineLoop(m modeFlags, out io.Writer, batched bool, mine func(w *bufio.Writer, b batch) (tally, error), line func(t tally, took time.Duration) string) error {
+// mineLoop runs one -mine mode through its table entry: once per
+// out-of-core batch, or once on the whole graph when -shard-batch is off,
+// with -limit / -budget carried across batches. The -count line, the stats
+// line, and the flush follow before any abort surfaces, so a canceled run
+// still reports its partial output; a run whose input fails to load or
+// whose query fails validation prints nothing.
+func mineLoop(ctx context.Context, m modeFlags, k *miners.Kind, p miners.Params, opts []mule.Option, out io.Writer) error {
+	if m.shardBatch > 0 && k.NoBatch != nil {
+		return k.NoBatch(p)
+	}
 	start := time.Now()
 	w := bufio.NewWriter(out)
-	defer w.Flush()
-	var agg tally
-	var runErr error
-	if batched {
-		bud := newBatchBudget(m)
-		runErr = forEachBatch(m, func(g *mule.Graph, toGlobal func(int) int) error {
-			t, err := mine(w, batch{g, toGlobal, bud.remaining, bud.left})
-			agg = tally{t.status, agg.emitted + t.emitted, agg.work + t.work}
-			if err != nil {
-				return err
-			}
-			return bud.spend(t.emitted, t.work)
-		})
-	} else {
-		agg, runErr = mine(w, batch{})
+	lines := w
+	if m.countOnly {
+		lines = nil
+	}
+	rep := k.Report(p)
+	bud := batchBudget{limit: m.limit, budget: m.budget, remaining: m.limit, left: m.budget}
+	var agg miners.Tally
+	ran := false
+	runErr := forEachBatch(m, k.Bipartite, func(in miners.Input, toGlobal func(int) int) error {
+		if err := bud.next(); err != nil {
+			return err
+		}
+		q, err := k.New(in, p, append(m.options(bud.remaining, bud.left), opts...)...)
+		if err != nil {
+			return err
+		}
+		ran = true
+		t, err := q.Print(ctx, lines, toGlobal, rep)
+		agg = miners.Tally{Status: t.Status, Emitted: agg.Emitted + t.Emitted, Work: agg.Work + t.Work}
+		if err != nil {
+			return err
+		}
+		return bud.spend(t.Emitted, t.Work)
+	})
+	if runErr != nil && !ran {
+		return runErr
 	}
 	if errors.Is(runErr, errBatchesDone) {
-		agg.status, runErr = mule.StatusStopped, nil
+		agg.Status, runErr = mule.StatusStopped, nil
 	} else if errors.Is(runErr, mule.ErrBudget) {
-		agg.status = mule.StatusBudget
+		agg.Status = mule.StatusBudget
 	}
 	if m.countOnly {
-		fmt.Fprintf(w, "%d\n", agg.emitted)
+		fmt.Fprintf(w, "%d\n", agg.Emitted)
 	}
 	if !m.quiet {
-		fmt.Fprint(os.Stderr, line(agg, time.Since(start).Round(time.Millisecond)))
+		fmt.Fprint(statsOut, rep.Line(agg, time.Since(start).Round(time.Millisecond)))
 	}
 	w.Flush()
 	return runErr
 }
 
-// runCliques is the original mode: α-maximal clique enumeration, count,
-// or top-k through mule.NewQuery.
-func runCliques(ctx context.Context, m modeFlags, ordering, engine, intersect string, workers, granularity, top int, out io.Writer) error {
-	ord, err := parseOrdering(ordering)
-	if err != nil {
-		return err
-	}
-	mode, err := parseEngine(engine)
-	if err != nil {
-		return err
-	}
-	imode, err := parseIntersect(intersect)
-	if err != nil {
-		return err
-	}
-	if m.shardBatch > 0 && top > 0 {
+// runTop prints the -top highest-probability α-maximal cliques.
+func runTop(ctx context.Context, m modeFlags, p miners.Params, opts []mule.Option, top int, out io.Writer) error {
+	if m.shardBatch > 0 {
 		return fmt.Errorf("-shard-batch cannot rank across batches; drop -top or -shard-batch")
 	}
-	newQuery := func(g *mule.Graph, limit, budget int64) (*mule.Query, error) {
-		return mule.NewQuery(g, m.alpha, m.withTenant(
-			mule.WithMinSize(m.minSize),
-			mule.WithWorkers(workers),
-			mule.WithParallelMode(mode),
-			mule.WithStealGranularity(granularity),
-			mule.WithOrdering(ord),
-			mule.WithIntersect(imode),
-			mule.WithLimit(limit),
-			mule.WithBudget(budget),
-		)...)
-	}
-
-	if top > 0 {
-		start := time.Now()
-		w := bufio.NewWriter(out)
-		defer w.Flush()
-		g, err := graphio.LoadFile(m.in)
-		if err != nil {
-			return err
-		}
-		q, err := newQuery(g, m.limit, m.budget)
-		if err != nil {
-			return err
-		}
-		scored, terr := q.TopK(ctx, top, mule.ByProb)
-		if terr != nil {
-			return terr
-		}
-		for _, sc := range scored {
-			printClique(w, sc.Vertices, sc.Prob)
-		}
-		if !m.quiet {
-			fmt.Fprintf(os.Stderr, "top-%d of α=%g maximal cliques in %s (n=%d m=%d)\n",
-				top, m.alpha, time.Since(start).Round(time.Millisecond), g.NumVertices(), g.NumEdges())
-		}
-		return nil
-	}
-
-	var maxSize, pruned int
-	return mineLoop(m, out, true, func(w *bufio.Writer, b batch) (tally, error) {
-		q, err := newQuery(b.g, b.limit, b.budget)
-		if err != nil {
-			return tally{}, err
-		}
-		var visit mule.Visitor
-		if !m.countOnly {
-			var buf []int
-			visit = func(c []int, p float64) bool {
-				buf = buf[:0]
-				for _, v := range c {
-					buf = append(buf, b.toGlobal(v))
-				}
-				printClique(w, buf, p)
-				return true
-			}
-		}
-		s, err := q.Run(ctx, visit)
-		maxSize, pruned = max(maxSize, s.MaxCliqueSize), pruned+s.PrunedEdges
-		return tally{s.Status, s.Emitted, s.Calls}, err
-	}, func(t tally, took time.Duration) string {
-		return fmt.Sprintf("%d α-maximal cliques (α=%g, max size %d, %s) in %s; %d search calls, %d edges pruned\n",
-			t.emitted, m.alpha, maxSize, t.status, took, t.work, pruned)
-	})
-}
-
-// runBicliques mines α-maximal bicliques from a bipartite input file.
-func runBicliques(ctx context.Context, m modeFlags, out io.Writer) error {
-	if m.shardBatch > 0 {
-		return fmt.Errorf("-shard-batch streams the unipartite format; use -shards for in-memory sharded biclique runs")
-	}
-	g, err := graphio.LoadBipartiteFile(m.in)
-	if err != nil {
-		return err
-	}
-	q, err := mule.NewBicliqueQuery(g, m.alpha, m.withTenant(
-		mule.WithSides(m.minL, m.minR),
-		mule.WithLimit(m.limit),
-		mule.WithBudget(m.budget),
-	)...)
-	if err != nil {
-		return err
-	}
-	var s mule.BicliqueStats
-	return mineLoop(m, out, false, func(w *bufio.Writer, _ batch) (tally, error) {
-		var visit mule.BicliqueVisitor
-		if !m.countOnly {
-			visit = func(left, right []int, p float64) bool {
-				fmt.Fprintf(w, "%.9g\t", p)
-				printInts(w, left)
-				w.WriteString(" |")
-				for _, v := range right {
-					fmt.Fprintf(w, " %d", v)
-				}
-				w.WriteByte('\n')
-				return true
-			}
-		}
-		var err error
-		s, err = q.Run(ctx, visit)
-		return tally{s.Status, s.Emitted, s.Calls}, err
-	}, func(t tally, took time.Duration) string {
-		return fmt.Sprintf("%d α-maximal bicliques (α=%g, max %d×%d, %s) in %s; %d search calls, %d edges pruned\n",
-			t.emitted, m.alpha, s.MaxLeft, s.MaxRight, t.status, took, t.work, s.PrunedEdges)
-	})
-}
-
-// runQuasi mines maximal expected γ-quasi-cliques.
-func runQuasi(ctx context.Context, m modeFlags, out io.Writer) error {
-	var maxSize int
-	return mineLoop(m, out, true, func(w *bufio.Writer, b batch) (tally, error) {
-		q, err := mule.NewQuasiQuery(b.g, m.withTenant(
-			mule.WithGamma(m.gamma),
-			mule.WithMinSize(m.minSize),
-			mule.WithLimit(b.limit),
-			mule.WithBudget(b.budget),
-		)...)
-		if err != nil {
-			return tally{}, err
-		}
-		var visit mule.QuasiVisitor
-		if !m.countOnly {
-			visit = func(set []int) bool {
-				for i, v := range set {
-					if i > 0 {
-						w.WriteByte(' ')
-					}
-					fmt.Fprintf(w, "%d", b.toGlobal(v))
-				}
-				w.WriteByte('\n')
-				return true
-			}
-		}
-		s, err := q.Run(ctx, visit)
-		maxSize = max(maxSize, s.MaxSize)
-		return tally{s.Status, s.Emitted, s.Calls}, err
-	}, func(t tally, took time.Duration) string {
-		return fmt.Sprintf("%d maximal expected γ-quasi-cliques (γ=%g, max size %d, %s) in %s; %d search calls\n",
-			t.emitted, m.gamma, maxSize, t.status, took, t.work)
-	})
-}
-
-// runTruss prints the η-truss decomposition ("u v k" per edge, peel
-// order), or with -k > 0 the (k,η)-truss subgraph ("u v p" per surviving
-// edge).
-func runTruss(ctx context.Context, m modeFlags, out io.Writer) error {
-	if m.shardBatch > 0 && m.k > 0 {
-		return fmt.Errorf("-shard-batch is incompatible with -k (single-answer mode)")
-	}
-	if m.k > 0 {
-		start := time.Now()
-		w := bufio.NewWriter(out)
-		defer w.Flush()
-		g, err := graphio.LoadFile(m.in)
-		if err != nil {
-			return err
-		}
-		q, err := mule.NewTrussQuery(g, m.eta, m.withTenant(
-			mule.WithLimit(m.limit),
-			mule.WithBudget(m.budget),
-		)...)
-		if err != nil {
-			return err
-		}
-		tr, terr := q.Truss(ctx, m.k)
-		if terr != nil {
-			return terr
-		}
-		switch {
-		case m.countOnly:
-			fmt.Fprintf(w, "%d\n", tr.NumEdges())
-		default:
-			for i, e := range tr.Edges() {
-				if m.limit > 0 && int64(i) >= m.limit {
-					break
-				}
-				fmt.Fprintf(w, "%d %d %.9g\n", e.U, e.V, e.P)
-			}
-		}
-		if !m.quiet {
-			fmt.Fprintf(os.Stderr, "(%d,%g)-truss: %d of %d edges in %s\n",
-				m.k, m.eta, tr.NumEdges(), g.NumEdges(), time.Since(start).Round(time.Millisecond))
-		}
-		return nil
-	}
-	var maxTruss int
-	return mineLoop(m, out, true, func(w *bufio.Writer, b batch) (tally, error) {
-		q, err := mule.NewTrussQuery(b.g, m.eta, m.withTenant(
-			mule.WithLimit(b.limit),
-			mule.WithBudget(b.budget),
-		)...)
-		if err != nil {
-			return tally{}, err
-		}
-		var visit mule.TrussVisitor
-		if !m.countOnly {
-			// The batch-local → global mapping is monotone, so U < V holds
-			// after remapping too.
-			visit = func(e mule.EdgeTruss) bool {
-				fmt.Fprintf(w, "%d %d %d\n", b.toGlobal(e.U), b.toGlobal(e.V), e.Truss)
-				return true
-			}
-		}
-		s, err := q.Run(ctx, visit)
-		maxTruss = max(maxTruss, s.MaxTruss)
-		return tally{s.Status, s.Emitted, s.Checks}, err
-	}, func(t tally, took time.Duration) string {
-		return fmt.Sprintf("η-truss decomposition of %d edges (η=%g, max truss %d, %s) in %s; %d support checks\n",
-			t.emitted, m.eta, maxTruss, t.status, took, t.work)
-	})
-}
-
-// runCore prints the η-core decomposition ("v c" per vertex, peel order),
-// or with -k > 0 the (k,η)-core vertex set.
-func runCore(ctx context.Context, m modeFlags, out io.Writer) error {
-	if m.shardBatch > 0 && m.k > 0 {
-		return fmt.Errorf("-shard-batch is incompatible with -k (single-answer mode)")
-	}
-	if m.k > 0 {
-		start := time.Now()
-		w := bufio.NewWriter(out)
-		defer w.Flush()
-		g, err := graphio.LoadFile(m.in)
-		if err != nil {
-			return err
-		}
-		q, err := mule.NewCoreQuery(g, m.eta, m.withTenant(
-			mule.WithLimit(m.limit),
-			mule.WithBudget(m.budget),
-		)...)
-		if err != nil {
-			return err
-		}
-		verts, cerr := q.Core(ctx, m.k)
-		if cerr != nil {
-			return cerr
-		}
-		switch {
-		case m.countOnly:
-			fmt.Fprintf(w, "%d\n", len(verts))
-		default:
-			for i, v := range verts {
-				if m.limit > 0 && int64(i) >= m.limit {
-					break
-				}
-				fmt.Fprintf(w, "%d\n", v)
-			}
-		}
-		if !m.quiet {
-			fmt.Fprintf(os.Stderr, "(%d,%g)-core: %d of %d vertices in %s\n",
-				m.k, m.eta, len(verts), g.NumVertices(), time.Since(start).Round(time.Millisecond))
-		}
-		return nil
-	}
-	var degeneracy int
-	return mineLoop(m, out, true, func(w *bufio.Writer, b batch) (tally, error) {
-		q, err := mule.NewCoreQuery(b.g, m.eta, m.withTenant(
-			mule.WithLimit(b.limit),
-			mule.WithBudget(b.budget),
-		)...)
-		if err != nil {
-			return tally{}, err
-		}
-		var visit mule.CoreVisitor
-		if !m.countOnly {
-			visit = func(vc mule.VertexCore) bool {
-				fmt.Fprintf(w, "%d %d\n", b.toGlobal(vc.V), vc.Core)
-				return true
-			}
-		}
-		s, err := q.Run(ctx, visit)
-		degeneracy = max(degeneracy, s.Degeneracy)
-		return tally{s.Status, s.Emitted, s.Recomputes}, err
-	}, func(t tally, took time.Duration) string {
-		return fmt.Sprintf("η-core decomposition of %d vertices (η=%g, degeneracy %d, %s) in %s; %d recomputes\n",
-			t.emitted, m.eta, degeneracy, t.status, took, t.work)
-	})
-}
-
-// runDensest mines the most-probable densest-subgraph candidate family:
-// "p d\tv1 v2 …" lines, best first. The probability threshold is a
-// whole-family property, so the mode loads the full graph; -shards still
-// parallelizes the peel per component without changing the output.
-func runDensest(ctx context.Context, m modeFlags, out io.Writer) error {
-	if m.shardBatch > 0 {
-		return fmt.Errorf("-shard-batch would score each batch against its own density threshold; use -shards for in-memory parallel densest runs")
-	}
+	start := time.Now()
+	w := bufio.NewWriter(out)
+	defer w.Flush()
 	g, err := graphio.LoadFile(m.in)
 	if err != nil {
 		return err
 	}
-	q, err := mule.NewDensestQuery(g, m.withTenant(
-		mule.WithLimit(m.limit),
-		mule.WithBudget(m.budget),
-	)...)
+	opts = append(append(m.options(m.limit, m.budget), opts...), mule.WithMinSize(p.MinSize), mule.WithWorkers(p.Workers))
+	q, err := mule.NewQuery(g, p.Alpha, opts...)
 	if err != nil {
 		return err
 	}
-	var s mule.DensestStats
-	return mineLoop(m, out, false, func(w *bufio.Writer, _ batch) (tally, error) {
-		var visit mule.DensestVisitor
-		if !m.countOnly {
-			visit = func(c mule.DenseSubgraph) bool {
-				fmt.Fprintf(w, "%.9g\t%.9g\t", c.Probability, c.ExpectedDensity)
-				printInts(w, c.Vertices)
-				w.WriteByte('\n')
-				return true
-			}
-		}
-		var err error
-		s, err = q.Run(ctx, visit)
-		return tally{s.Status, s.Emitted, s.PeelSteps}, err
-	}, func(t tally, took time.Duration) string {
-		return fmt.Sprintf("%d densest-subgraph candidates (best density %g, %s) in %s; %d peel steps, %d scored\n",
-			t.emitted, s.BestDensity, t.status, took, t.work, s.Scored)
-	})
+	scored, err := q.TopK(ctx, top, mule.ByProb)
+	if err != nil {
+		return err
+	}
+	for _, sc := range scored {
+		fmt.Fprintf(w, "%.9g\t%s\n", sc.Prob, strings.Trim(fmt.Sprint(sc.Vertices), "[]"))
+	}
+	if !m.quiet {
+		fmt.Fprintf(statsOut, "top-%d of α=%g maximal cliques in %s (n=%d m=%d)\n",
+			top, p.Alpha, time.Since(start).Round(time.Millisecond), g.NumVertices(), g.NumEdges())
+	}
+	return nil
 }
 
-// runCluster partitions the graph around -centers k center vertices:
-// "p c\tm1 m2 …" lines in ascending center order. The partition is a
-// whole-graph property, so the mode loads the full graph.
-func runCluster(ctx context.Context, m modeFlags, out io.Writer) error {
+// runK prints the single answer of -k: the (k,η)-truss subgraph ("u v p"
+// per surviving edge) or the (k,η)-core vertices.
+func runK(ctx context.Context, m modeFlags, name string, eta float64, k int, out io.Writer) error {
 	if m.shardBatch > 0 {
-		return fmt.Errorf("-shard-batch cannot place the %d centers globally; cluster runs load the full graph", m.centers)
+		return fmt.Errorf("-shard-batch is incompatible with -k (single-answer mode)")
 	}
+	start := time.Now()
+	w := bufio.NewWriter(out)
+	defer w.Flush()
 	g, err := graphio.LoadFile(m.in)
 	if err != nil {
 		return err
 	}
-	q, err := mule.NewClusterQuery(g, m.withTenant(
-		mule.WithCenters(m.centers),
-		mule.WithLimit(m.limit),
-		mule.WithBudget(m.budget),
-	)...)
-	if err != nil {
-		return err
-	}
-	var s mule.ClusterStats
-	return mineLoop(m, out, false, func(w *bufio.Writer, _ batch) (tally, error) {
-		var visit mule.ClusterVisitor
-		if !m.countOnly {
-			visit = func(c mule.ClusterSet) bool {
-				fmt.Fprintf(w, "%.9g\t%d\t", c.Probability, c.Center)
-				printInts(w, c.Members)
-				w.WriteByte('\n')
-				return true
-			}
+	// n answers; put writes the i-th as its output line.
+	var n int
+	var put func(i int)
+	total, unit := g.NumEdges(), "edges"
+	if name == "truss" {
+		q, err := mule.NewTrussQuery(g, eta, m.options(m.limit, m.budget)...)
+		if err != nil {
+			return err
 		}
-		var err error
-		s, err = q.Run(ctx, visit)
-		return tally{s.Status, s.Emitted, s.Sweeps}, err
-	}, func(t tally, took time.Duration) string {
-		return fmt.Sprintf("%d clusters (centers=%d, rounds=%d, converged=%v, %s) in %s; %d reliability sweeps\n",
-			t.emitted, m.centers, s.Rounds, s.Converged, t.status, took, t.work)
-	})
+		tr, err := q.Truss(ctx, k)
+		if err != nil {
+			return err
+		}
+		edges := tr.Edges()
+		n, put = len(edges), func(i int) { fmt.Fprintf(w, "%d %d %.9g\n", edges[i].U, edges[i].V, edges[i].P) }
+	} else {
+		q, err := mule.NewCoreQuery(g, eta, m.options(m.limit, m.budget)...)
+		if err != nil {
+			return err
+		}
+		verts, err := q.Core(ctx, k)
+		if err != nil {
+			return err
+		}
+		n, put = len(verts), func(i int) { fmt.Fprintf(w, "%d\n", verts[i]) }
+		total, unit = g.NumVertices(), "vertices"
+	}
+	if m.countOnly {
+		fmt.Fprintf(w, "%d\n", n)
+	} else {
+		for i := 0; i < n && (m.limit <= 0 || int64(i) < m.limit); i++ {
+			put(i)
+		}
+	}
+	if !m.quiet {
+		fmt.Fprintf(statsOut, "(%d,%g)-%s: %d of %d %s in %s\n",
+			k, eta, name, n, total, unit, time.Since(start).Round(time.Millisecond))
+	}
+	return nil
 }
 
 // writeMemProfile dumps a heap profile after a final GC so kernel
@@ -786,22 +535,6 @@ func writeMemProfile(path string) error {
 	defer f.Close()
 	runtime.GC() // materialize the steady-state picture, not transient garbage
 	return pprof.WriteHeapProfile(f)
-}
-
-func printClique(w *bufio.Writer, c []int, p float64) {
-	fmt.Fprintf(w, "%.9g\t", p)
-	printInts(w, c)
-	w.WriteByte('\n')
-}
-
-// printInts writes vs space-separated.
-func printInts(w *bufio.Writer, vs []int) {
-	for i, v := range vs {
-		if i > 0 {
-			w.WriteByte(' ')
-		}
-		fmt.Fprintf(w, "%d", v)
-	}
 }
 
 func parseEngine(s string) (mule.ParallelMode, error) {

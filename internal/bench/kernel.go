@@ -15,6 +15,7 @@ import (
 	mule "github.com/uncertain-graphs/mule"
 	"github.com/uncertain-graphs/mule/internal/core"
 	"github.com/uncertain-graphs/mule/internal/gen"
+	"github.com/uncertain-graphs/mule/internal/miners"
 	"github.com/uncertain-graphs/mule/internal/uncertain"
 )
 
@@ -260,147 +261,66 @@ func measureKernel(g *uncertain.Graph, alpha float64, coreCfg core.Config, once 
 }
 
 // extensionKernelCells returns the extension-path cells of the sweep: a
-// small biclique enumeration, an η-truss decomposition, a
-// component-sharded clique run, a densest-subgraph run, a k-center
-// clustering, an η-core decomposition and a quasi-clique enumeration, all
-// measured through the public
-// prepared-query API so the trajectory catches regressions on the §6 query
-// surface (run-control polling included). The cells are sized to stay
+// small biclique enumeration, an η-truss decomposition, a component-sharded
+// clique run, a densest-subgraph run, a k-center clustering, an η-core
+// decomposition and a quasi-clique enumeration, all measured through the
+// public prepared-query API so the trajectory catches regressions on the §6
+// query surface (run-control polling included). The cells are sized to stay
 // 1-CPU-friendly per the trajectory-comparability convention (the sharded
 // cell's two shard slots idle-wait rather than saturate). KernelEntry
-// reuse: Alpha
-// carries the miner's threshold (α / η / γ), Cliques the emitted results
-// (bicliques / edges / vertices / sets), Calls the charged work units
-// (search nodes / support checks / η-degree recomputes).
+// reuse: Alpha carries the miner's threshold (α / η / γ; 0 for densest and
+// cluster), Cliques the emitted results (bicliques / edges / vertices /
+// sets / candidates / clusters), Calls the kind's charged work units
+// (search nodes / support checks / η-degree recomputes / peel steps /
+// center sweeps).
 func extensionKernelCells(cfg Config, once bool) ([]KernelEntry, error) {
-	ctx := context.Background()
-	out := make([]KernelEntry, 0, 7)
-
-	bg := AffinityBipartite(200, 150, 6, cfg.Seed)
-	be := KernelEntry{Workload: "biclique-aff200x150", Alpha: 0.2, Engine: "serial", Workers: 1}
-	var bStats mule.BicliqueStats
-	var runErr error
-	bq, err := mule.NewBicliqueQuery(bg, be.Alpha, mule.WithSides(2, 2))
-	if err != nil {
-		return nil, err
+	ba := miners.Input{Graph: gen.BA(800, cfg.Seed)}
+	community := miners.Input{Graph: CommunityGraph(150, 8, 7, cfg.Seed)}
+	serial := func(workload string, alpha float64) KernelEntry {
+		return KernelEntry{Workload: workload, Alpha: alpha, Engine: "serial", Workers: 1}
 	}
-	measureTimed(&be, func() { bStats, runErr = bq.Run(ctx, nil) }, once)
-	if runErr != nil {
-		return nil, fmt.Errorf("bench: biclique kernel cell: %w", runErr)
+	cells := []struct {
+		e    KernelEntry
+		kind string
+		in   miners.Input
+		p    miners.Params
+		opts []mule.Option
+	}{
+		{serial("biclique-aff200x150", 0.2), "bicliques",
+			miners.Input{Bipartite: AffinityBipartite(200, 150, 6, cfg.Seed)}, miners.Params{Alpha: 0.2, MinL: 2, MinR: 2}, nil},
+		{serial("truss-community150", 0.5), "truss", community, miners.Params{Eta: 0.5}, nil},
+		// The quick sweep's first cell driven through WithShards(2), so the
+		// trajectory catches regressions in the shard driver itself (lazy
+		// component extraction, reorder buffer, stats folding) rather than
+		// only in the per-shard engines.
+		{KernelEntry{Workload: "sharded-ba800", Alpha: 0.001, Engine: "sharded", Workers: 2}, "cliques",
+			ba, miners.Params{Alpha: 0.001}, []mule.Option{mule.WithShards(2)}},
+		// The peel walks every vertex and the scoring DP re-reads every edge
+		// per candidate, so this cell covers both udensest phases.
+		{serial("densest-ba800", 0), "densest", ba, miners.Params{}, nil},
+		// Seeding plus Lloyd refinement exercise the reliability-Dijkstra
+		// sweep kernel.
+		{serial("cluster-community150", 0), "cluster", community, miners.Params{Centers: 8}, nil},
+		// Thousands of Poisson-binomial η-degree recomputes as the min-peel
+		// walks every vertex.
+		{serial("core-ba800", 0.3), "core", ba, miners.Params{Eta: 0.3}, nil},
+		{serial("quasi-community150", 0.7), "quasi", community, miners.Params{Gamma: 0.7, MinSize: 4}, nil},
 	}
-	be.Cliques = bStats.Emitted
-	be.Calls = bStats.Calls
-	out = append(out, be)
-
-	tg := CommunityGraph(150, 8, 7, cfg.Seed)
-	te := KernelEntry{Workload: "truss-community150", Alpha: 0.5, Engine: "serial", Workers: 1}
-	var tStats mule.TrussStats
-	tq, err := mule.NewTrussQuery(tg, te.Alpha)
-	if err != nil {
-		return nil, err
+	out := make([]KernelEntry, 0, len(cells))
+	for _, c := range cells {
+		q, err := miners.Lookup(c.kind).New(c.in, c.p, c.opts...)
+		if err != nil {
+			return nil, err
+		}
+		var t miners.Tally
+		var runErr error
+		measureTimed(&c.e, func() { t, runErr = q.Count(context.Background()) }, once)
+		if runErr != nil {
+			return nil, fmt.Errorf("bench: %s kernel cell: %w", c.kind, runErr)
+		}
+		c.e.Cliques, c.e.Calls = t.Emitted, t.Work
+		out = append(out, c.e)
 	}
-	measureTimed(&te, func() { tStats, runErr = tq.Run(ctx, nil) }, once)
-	if runErr != nil {
-		return nil, fmt.Errorf("bench: truss kernel cell: %w", runErr)
-	}
-	te.Cliques = tStats.Emitted
-	te.Calls = tStats.Checks
-	out = append(out, te)
-
-	// Component-sharded clique enumeration over the BA-800 workload: the
-	// same graph and α as the quick sweep's first cell, but driven through
-	// WithShards(2), so the trajectory catches regressions in the shard
-	// driver itself (lazy component extraction, reorder buffer, stats
-	// folding) rather than only in the per-shard engines.
-	sg := gen.BA(800, cfg.Seed)
-	se := KernelEntry{Workload: "sharded-ba800", Alpha: 0.001, Engine: "sharded", Workers: 2}
-	var sStats mule.Stats
-	sq, err := mule.NewQuery(sg, se.Alpha, mule.WithShards(2))
-	if err != nil {
-		return nil, err
-	}
-	measureTimed(&se, func() { sStats, runErr = sq.Run(ctx, nil) }, once)
-	if runErr != nil {
-		return nil, fmt.Errorf("bench: sharded kernel cell: %w", runErr)
-	}
-	se.Cliques = sStats.Emitted
-	se.Calls = sStats.Calls
-	out = append(out, se)
-
-	// Most-probable densest subgraph over the BA-800 workload: the peel
-	// walks every vertex and the scoring DP re-reads every edge per
-	// candidate, so this cell covers both new udensest phases. Alpha is
-	// unused by the miner; Cliques carries candidates emitted, Calls the
-	// charged peel steps.
-	dg := gen.BA(800, cfg.Seed)
-	de := KernelEntry{Workload: "densest-ba800", Engine: "serial", Workers: 1}
-	var dStats mule.DensestStats
-	dq, err := mule.NewDensestQuery(dg)
-	if err != nil {
-		return nil, err
-	}
-	measureTimed(&de, func() { dStats, runErr = dq.Run(ctx, nil) }, once)
-	if runErr != nil {
-		return nil, fmt.Errorf("bench: densest kernel cell: %w", runErr)
-	}
-	de.Cliques = dStats.Emitted
-	de.Calls = dStats.PeelSteps
-	out = append(out, de)
-
-	// k-center clustering over the community workload: seeding plus Lloyd
-	// refinement exercise the reliability-Dijkstra sweep kernel. Cliques
-	// carries clusters emitted, Calls the charged center sweeps.
-	cg := CommunityGraph(150, 8, 7, cfg.Seed)
-	ce := KernelEntry{Workload: "cluster-community150", Engine: "serial", Workers: 1}
-	var cStats mule.ClusterStats
-	cq, err := mule.NewClusterQuery(cg, mule.WithCenters(8))
-	if err != nil {
-		return nil, err
-	}
-	measureTimed(&ce, func() { cStats, runErr = cq.Run(ctx, nil) }, once)
-	if runErr != nil {
-		return nil, fmt.Errorf("bench: cluster kernel cell: %w", runErr)
-	}
-	ce.Cliques = cStats.Emitted
-	ce.Calls = cStats.Sweeps
-	out = append(out, ce)
-
-	// η-core decomposition over the BA-800 workload at the benchmark's η:
-	// thousands of Poisson-binomial η-degree recomputes as the min-peel
-	// walks every vertex. Cliques carries vertices emitted, Calls the
-	// charged recomputes.
-	og := gen.BA(800, cfg.Seed)
-	oe := KernelEntry{Workload: "core-ba800", Alpha: 0.3, Engine: "serial", Workers: 1}
-	var oStats mule.CoreStats
-	oq, err := mule.NewCoreQuery(og, oe.Alpha)
-	if err != nil {
-		return nil, err
-	}
-	measureTimed(&oe, func() { oStats, runErr = oq.Run(ctx, nil) }, once)
-	if runErr != nil {
-		return nil, fmt.Errorf("bench: core kernel cell: %w", runErr)
-	}
-	oe.Cliques = oStats.Emitted
-	oe.Calls = oStats.Recomputes
-	out = append(out, oe)
-
-	// Maximal expected γ-quasi-cliques of at least four vertices over the
-	// community workload. Alpha carries γ, Cliques the maximal sets, Calls
-	// the search nodes.
-	qg := CommunityGraph(150, 8, 7, cfg.Seed)
-	qe := KernelEntry{Workload: "quasi-community150", Alpha: 0.7, Engine: "serial", Workers: 1}
-	var qStats mule.QuasiStats
-	qq, err := mule.NewQuasiQuery(qg, mule.WithGamma(qe.Alpha), mule.WithMinSize(4))
-	if err != nil {
-		return nil, err
-	}
-	measureTimed(&qe, func() { qStats, runErr = qq.Run(ctx, nil) }, once)
-	if runErr != nil {
-		return nil, fmt.Errorf("bench: quasi kernel cell: %w", runErr)
-	}
-	qe.Cliques = qStats.Emitted
-	qe.Calls = qStats.Calls
-	out = append(out, qe)
 	return out, nil
 }
 

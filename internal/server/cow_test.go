@@ -54,10 +54,10 @@ func mineJSON(t *testing.T, g *mule.Graph, ex *mule.Executor) []byte {
 		t.Fatal(err)
 	}
 	out := run(context.Background())
-	if out.err != nil || out.encErr != nil {
-		t.Fatal(out.err, out.encErr)
+	if out.Err != nil || out.EncErr != nil {
+		t.Fatal(out.Err, out.EncErr)
 	}
-	return out.results
+	return out.Results
 }
 
 // TestApplySnapshotSwapRace is the copy-on-write pin: while a writer

@@ -3,15 +3,14 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"io"
-	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -80,12 +79,12 @@ func oracleRun(t testing.TB, snap *Snapshot, ex *mule.Executor, p *qparams) (res
 	t.Helper()
 	ctx := context.Background()
 	opts := p.commonOptions(ex, nil)
-	switch p.miner {
+	switch p.kind.Name {
 	case "cliques":
-		if p.minSize > 0 {
-			opts = append(opts, mule.WithMinSize(p.minSize))
+		if p.MinSize > 0 {
+			opts = append(opts, mule.WithMinSize(p.MinSize))
 		}
-		q, qerr := mule.NewQuery(snap.Graph, p.alpha, opts...)
+		q, qerr := mule.NewQuery(snap.Graph, p.Alpha, opts...)
 		if qerr != nil {
 			t.Fatal(qerr)
 		}
@@ -94,13 +93,13 @@ func oracleRun(t testing.TB, snap *Snapshot, ex *mule.Executor, p *qparams) (res
 			out = append(out, cliqueJSON{Vertices: append([]int(nil), c...), Prob: prob})
 			return true
 		})
-		sort.Slice(out, func(i, j int) bool { return lexLess(out[i].Vertices, out[j].Vertices) })
+		sort.Slice(out, func(i, j int) bool { return slices.Compare(out[i].Vertices, out[j].Vertices) < 0 })
 		return out, int64(len(out)), st.Status, st, err
 	case "bicliques":
-		if p.minL > 1 || p.minR > 1 {
-			opts = append(opts, mule.WithSides(p.minL, p.minR))
+		if p.MinL > 1 || p.MinR > 1 {
+			opts = append(opts, mule.WithSides(p.MinL, p.MinR))
 		}
-		q, qerr := mule.NewBicliqueQuery(snap.Bipartite, p.alpha, opts...)
+		q, qerr := mule.NewBicliqueQuery(snap.Bipartite, p.Alpha, opts...)
 		if qerr != nil {
 			t.Fatal(qerr)
 		}
@@ -110,19 +109,19 @@ func oracleRun(t testing.TB, snap *Snapshot, ex *mule.Executor, p *qparams) (res
 			return true
 		})
 		sort.Slice(out, func(i, j int) bool {
-			if !slicesEqual(out[i].Left, out[j].Left) {
-				return lexLess(out[i].Left, out[j].Left)
+			if !slices.Equal(out[i].Left, out[j].Left) {
+				return slices.Compare(out[i].Left, out[j].Left) < 0
 			}
-			return lexLess(out[i].Right, out[j].Right)
+			return slices.Compare(out[i].Right, out[j].Right) < 0
 		})
 		return out, int64(len(out)), st.Status, st, err
 	case "quasi":
-		opts = append(opts, mule.WithGamma(p.gamma))
-		if p.minSize > 0 {
-			opts = append(opts, mule.WithMinSize(p.minSize))
+		opts = append(opts, mule.WithGamma(p.Gamma))
+		if p.MinSize > 0 {
+			opts = append(opts, mule.WithMinSize(p.MinSize))
 		}
-		if p.maxSize > 0 {
-			opts = append(opts, mule.WithMaxSize(p.maxSize))
+		if p.MaxSize > 0 {
+			opts = append(opts, mule.WithMaxSize(p.MaxSize))
 		}
 		q, qerr := mule.NewQuasiQuery(snap.Graph, opts...)
 		if qerr != nil {
@@ -135,7 +134,7 @@ func oracleRun(t testing.TB, snap *Snapshot, ex *mule.Executor, p *qparams) (res
 		})
 		return out, int64(len(out)), st.Status, st, err
 	case "truss":
-		q, qerr := mule.NewTrussQuery(snap.Graph, p.eta, opts...)
+		q, qerr := mule.NewTrussQuery(snap.Graph, p.Eta, opts...)
 		if qerr != nil {
 			t.Fatal(qerr)
 		}
@@ -152,7 +151,7 @@ func oracleRun(t testing.TB, snap *Snapshot, ex *mule.Executor, p *qparams) (res
 		})
 		return out, int64(len(out)), st.Status, st, err
 	case "core":
-		q, qerr := mule.NewCoreQuery(snap.Graph, p.eta, opts...)
+		q, qerr := mule.NewCoreQuery(snap.Graph, p.Eta, opts...)
 		if qerr != nil {
 			t.Fatal(qerr)
 		}
@@ -175,7 +174,7 @@ func oracleRun(t testing.TB, snap *Snapshot, ex *mule.Executor, p *qparams) (res
 		})
 		return out, int64(len(out)), st.Status, st, err
 	case "cluster":
-		opts = append(opts, mule.WithCenters(p.centers))
+		opts = append(opts, mule.WithCenters(p.Centers))
 		q, qerr := mule.NewClusterQuery(snap.Graph, opts...)
 		if qerr != nil {
 			t.Fatal(qerr)
@@ -187,7 +186,7 @@ func oracleRun(t testing.TB, snap *Snapshot, ex *mule.Executor, p *qparams) (res
 		})
 		return out, int64(len(out)), st.Status, st, err
 	}
-	t.Fatalf("unknown miner %q", p.miner)
+	t.Fatalf("unknown miner %q", p.kind.Name)
 	return nil, 0, 0, nil, nil
 }
 
@@ -215,7 +214,7 @@ func oracleBody(t testing.TB, s *Server, graph, query string, cached bool) []byt
 	statsJSON, _ := json.Marshal(stats)
 	var buf bytes.Buffer
 	if err := json.NewEncoder(&buf).Encode(queryResponse{
-		Graph: graph, Epoch: snap.Epoch, Miner: p.miner, Cached: cached,
+		Graph: graph, Epoch: snap.Epoch, Miner: p.kind.Name, Cached: cached,
 		Truncated: runErr != nil || status == mule.StatusStopped,
 		Status:    status.String(),
 		Count:     count,
@@ -332,102 +331,6 @@ func TestQueryBodiesMatchEncoder(t *testing.T) {
 			}
 		}
 	}
-}
-
-// FuzzAppendMatchesJSON checks every append encoder against json.Marshal
-// of the tagged wire structs, on floats from raw bits (with NaN and the
-// infinities failing alike), nil and empty slices, and any int.
-func FuzzAppendMatchesJSON(f *testing.F) {
-	seeds := []float64{
-		0, math.Copysign(0, -1), 1, -2, 0.5, 0.1, 1e20, 123456789, 1e-7, -3.5e-9,
-		math.SmallestNonzeroFloat64, 0x1p-1022 - math.SmallestNonzeroFloat64, // subnormals
-		1e-6, math.Nextafter(1e-6, 0), math.Nextafter(1e-6, 1),
-		1e21, math.Nextafter(1e21, 0), math.Nextafter(1e21, math.Inf(1)),
-		math.MaxFloat64, math.NaN(), math.Inf(1), math.Inf(-1),
-	}
-	ids := binary.LittleEndian.AppendUint64(nil, math.MaxUint64>>1)
-	ids = binary.LittleEndian.AppendUint64(ids, 1<<63)
-	for i, x := range seeds {
-		f.Add(math.Float64bits(x), math.Float64bits(seeds[(i+1)%len(seeds)]), ids, byte(i))
-	}
-	f.Add(uint64(0), uint64(0), []byte(nil), byte(0))
-	f.Add(uint64(0), uint64(0), []byte(nil), byte(7))
-	f.Fuzz(func(t *testing.T, bits1, bits2 uint64, raw []byte, shape byte) {
-		x, y := math.Float64frombits(bits1), math.Float64frombits(bits2)
-		// Three int slices from raw, 8 bytes an int; shape's low bits make
-		// an empty one nil.
-		var ints [3][]int
-		for i := range ints {
-			if shape&(1<<i) == 0 {
-				ints[i] = []int{}
-			}
-		}
-		for i := 0; len(raw) >= 8; i++ {
-			ints[i%3] = append(ints[i%3], int(binary.LittleEndian.Uint64(raw)))
-			raw = raw[8:]
-		}
-		a, b, c := ints[0], ints[1], ints[2]
-		n := func(i int) int {
-			if len(a) > i {
-				return a[i]
-			}
-			return i
-		}
-		check := func(name string, got []byte, gotErr error, want any) {
-			t.Helper()
-			wantB, wantErr := json.Marshal(want)
-			switch {
-			case (gotErr == nil) != (wantErr == nil):
-				t.Fatalf("%s: error %v, json.Marshal's %v", name, gotErr, wantErr)
-			case gotErr != nil && gotErr.Error() != wantErr.Error():
-				t.Fatalf("%s: error %q, json.Marshal's %q", name, gotErr, wantErr)
-			case gotErr == nil && !bytes.Equal(got, wantB):
-				t.Fatalf("%s:\ngot  %s\nwant %s", name, got, wantB)
-			}
-		}
-		fb, err := appendFloat(nil, x)
-		check("float", fb, err, x)
-
-		// shape bit 3 makes the cliques answer nil, bit 4 empty.
-		cl, clJ := []clique{{a, x}, {b, y}}, []cliqueJSON{{a, x}, {b, y}}
-		if shape&8 != 0 {
-			cl, clJ = nil, nil
-		} else if shape&16 != 0 {
-			cl, clJ = cl[:0], clJ[:0]
-		}
-		got, err := encodeList(cl, appendClique)
-		check("cliques", got, err, clJ)
-
-		bc, bcJ := []biclique{{a, b, x}, {c, nil, y}}, []bicliqueJSON{{a, b, x}, {c, nil, y}}
-		got, err = encodeList(bc, appendBiclique)
-		check("bicliques", got, err, bcJ)
-
-		qs := [][]int{a, b, c}
-		if shape&8 != 0 {
-			qs = nil
-		}
-		got, err = encodeList(qs, appendVertexSet)
-		check("quasi", got, err, qs)
-
-		tr := []mule.EdgeTruss{{U: n(0), V: n(1), Truss: n(2)}, {U: n(3), V: -n(4), Truss: 2}}
-		trJ := []edgeTrussJSON{{n(0), n(1), n(2)}, {n(3), -n(4), 2}}
-		got, err = encodeList(tr, appendEdgeTruss)
-		check("truss", got, err, trJ)
-
-		co, coJ := []mule.VertexCore{{V: n(5), Core: n(6)}}, []vertexCoreJSON{{n(5), n(6)}}
-		got, err = encodeList(co, appendVertexCore)
-		check("core", got, err, coJ)
-
-		de := []mule.DenseSubgraph{{Vertices: a, ExpectedDensity: x, Probability: y}, {Vertices: c, ExpectedDensity: y, Probability: x}}
-		deJ := []denseSubgraphJSON{{a, x, y}, {c, y, x}}
-		got, err = encodeList(de, appendDenseSubgraph)
-		check("densest", got, err, deJ)
-
-		cs := []mule.ClusterSet{{Center: n(7), Members: b, Probability: y}}
-		csJ := []clusterJSON{{n(7), b, y}}
-		got, err = encodeList(cs, appendCluster)
-		check("cluster", got, err, csJ)
-	})
 }
 
 // TestConcurrentHitsShareStoredBytes hammers one cached answer from eight

@@ -18,22 +18,24 @@ import (
 // or split one question across two keys.
 func canonicalValues(p *qparams) url.Values {
 	ff := func(f float64) string { return strconv.FormatFloat(f, 'g', 17, 64) }
-	v := url.Values{"miner": {p.miner}}
-	switch p.miner {
+	v := url.Values{"miner": {p.kind.Name}}
+	switch p.kind.Name {
 	case "cliques":
-		v.Set("alpha", ff(p.alpha))
-		v.Set("minsize", strconv.Itoa(p.minSize))
-		v.Set("workers", strconv.Itoa(p.workers))
+		v.Set("alpha", ff(p.Alpha))
+		v.Set("minsize", strconv.Itoa(p.MinSize))
+		v.Set("workers", strconv.Itoa(p.Workers))
 	case "bicliques":
-		v.Set("alpha", ff(p.alpha))
-		v.Set("minl", strconv.Itoa(p.minL))
-		v.Set("minr", strconv.Itoa(p.minR))
+		v.Set("alpha", ff(p.Alpha))
+		v.Set("minl", strconv.Itoa(p.MinL))
+		v.Set("minr", strconv.Itoa(p.MinR))
 	case "quasi":
-		v.Set("gamma", ff(p.gamma))
-		v.Set("minsize", strconv.Itoa(p.minSize))
-		v.Set("maxsize", strconv.Itoa(p.maxSize))
+		v.Set("gamma", ff(p.Gamma))
+		v.Set("minsize", strconv.Itoa(p.MinSize))
+		v.Set("maxsize", strconv.Itoa(p.MaxSize))
 	case "truss", "core":
-		v.Set("eta", ff(p.eta))
+		v.Set("eta", ff(p.Eta))
+	case "cluster":
+		v.Set("centers", strconv.Itoa(p.Centers))
 	}
 	v.Set("limit", strconv.FormatInt(p.limit, 10))
 	v.Set("budget", strconv.FormatInt(p.budget, 10))
@@ -45,6 +47,11 @@ func canonicalValues(p *qparams) url.Values {
 	}
 	if p.nocache {
 		v.Set("nocache", "true")
+	}
+	if p.shardsAuto {
+		v.Set("shards", "auto")
+	} else if p.shards > 0 {
+		v.Set("shards", strconv.Itoa(p.shards))
 	}
 	return v
 }
@@ -91,6 +98,9 @@ func FuzzQueryParams(f *testing.F) {
 	f.Add("miner=cliques&alpha=NaN")
 	f.Add("miner=wat&eta=bad&%%%")
 	f.Add("alpha=0.5")
+	f.Add("miner=cluster&centers=1")
+	f.Add("miner=cliques&alpha=0.5&shards=2&limit=1")
+	f.Add("miner=densest")
 
 	f.Fuzz(func(t *testing.T, raw string) {
 		v, err := url.ParseQuery(raw)

@@ -4,12 +4,12 @@ import (
 	"context"
 	"fmt"
 	"net/url"
-	"sort"
+	"slices"
 	"strconv"
-	"strings"
 	"time"
 
 	mule "github.com/uncertain-graphs/mule"
+	"github.com/uncertain-graphs/mule/internal/miners"
 )
 
 // maxWorkersParam bounds the per-query parallelism cap a client may request;
@@ -23,16 +23,8 @@ const maxWorkersParam = 256
 // anything malformed, unknown, out of range, or inapplicable to the chosen
 // miner is rejected at parse time with an error the handler maps to 400.
 type qparams struct {
-	miner   string  // cliques | bicliques | quasi | truss | core | densest | cluster
-	alpha   float64 // cliques, bicliques
-	gamma   float64 // quasi
-	eta     float64 // truss, core
-	minSize int     // cliques, quasi
-	maxSize int     // quasi
-	minL    int     // bicliques
-	minR    int     // bicliques
-	centers int     // cluster
-	workers int     // cliques; results are worker-count-invariant
+	kind *miners.Kind
+	miners.Params
 
 	limit   int64
 	budget  int64
@@ -47,18 +39,8 @@ type qparams struct {
 // sharded reports whether the request asked for component-sharded execution.
 func (p *qparams) sharded() bool { return p.shards > 0 || p.shardsAuto }
 
-// paramScope names which keys each miner accepts beyond the common set.
-var paramScope = map[string]map[string]bool{
-	"cliques":   {"alpha": true, "minsize": true, "workers": true},
-	"bicliques": {"alpha": true, "minl": true, "minr": true},
-	"quasi":     {"gamma": true, "minsize": true, "maxsize": true},
-	"truss":     {"eta": true},
-	"core":      {"eta": true},
-	"densest":   {},
-	"cluster":   {"centers": true},
-}
-
-// commonParams are accepted by every miner.
+// commonParams are accepted by every miner; each miner's own keys are its
+// table entry's.
 var commonParams = map[string]bool{
 	"miner": true, "limit": true, "budget": true, "timeout": true,
 	"tenant": true, "nocache": true, "shards": true,
@@ -81,24 +63,24 @@ func parseQueryParams(v url.Values) (*qparams, error) {
 		return vals[0], true, nil
 	}
 
-	miner, ok, err := single("miner")
+	name, ok, err := single("miner")
 	if err != nil {
 		return nil, err
 	}
-	if !ok || miner == "" {
-		return nil, fmt.Errorf("missing required parameter %q (cliques|bicliques|quasi|truss|core|densest|cluster)", "miner")
+	if !ok || name == "" {
+		return nil, fmt.Errorf("missing required parameter %q (%s)", "miner", miners.Names())
 	}
-	scope, known := paramScope[miner]
-	if !known {
-		return nil, fmt.Errorf("unknown miner %q (want cliques|bicliques|quasi|truss|core|densest|cluster)", miner)
+	kind := miners.Lookup(name)
+	if kind == nil {
+		return nil, fmt.Errorf("unknown miner %q (want %s)", name, miners.Names())
 	}
 	for key := range v {
-		if !commonParams[key] && !scope[key] {
-			return nil, fmt.Errorf("parameter %q does not apply to miner %q", key, miner)
+		if !commonParams[key] && !slices.Contains(kind.Keys, key) {
+			return nil, fmt.Errorf("parameter %q does not apply to miner %q", key, name)
 		}
 	}
 
-	p := &qparams{miner: miner}
+	p := &qparams{kind: kind}
 	parseFloat := func(key string, dst *float64) error {
 		raw, ok, err := single(key)
 		if err != nil || !ok {
@@ -139,16 +121,23 @@ func parseQueryParams(v url.Values) (*qparams, error) {
 		return nil
 	}
 
+	for _, key := range kind.Keys {
+		f, n := p.Field(key)
+		bound := 1 << 30
+		if key == "workers" {
+			bound = maxWorkersParam
+		}
+		var err error
+		if f != nil {
+			err = parseFloat(key, f)
+		} else {
+			err = parseInt(key, n, 0, bound)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
 	for _, step := range []error{
-		parseFloat("alpha", &p.alpha),
-		parseFloat("gamma", &p.gamma),
-		parseFloat("eta", &p.eta),
-		parseInt("minsize", &p.minSize, 0, 1<<30),
-		parseInt("maxsize", &p.maxSize, 0, 1<<30),
-		parseInt("minl", &p.minL, 0, 1<<30),
-		parseInt("minr", &p.minR, 0, 1<<30),
-		parseInt("centers", &p.centers, 0, 1<<30),
-		parseInt("workers", &p.workers, 0, maxWorkersParam),
 		parseInt64("limit", &p.limit),
 		parseInt64("budget", &p.budget),
 	} {
@@ -198,25 +187,12 @@ func parseQueryParams(v url.Values) (*qparams, error) {
 		p.nocache = b
 	}
 
-	// Required per-miner threshold: requiring it here (rather than
+	// The miner's first key is required: requiring it here (rather than
 	// defaulting) keeps the canonical form unique and mirrors the library,
 	// where NewQuasiQuery without WithGamma is an eager error.
-	switch miner {
-	case "cliques", "bicliques":
-		if _, ok := v["alpha"]; !ok {
-			return nil, fmt.Errorf("miner %q requires parameter %q", miner, "alpha")
-		}
-	case "quasi":
-		if _, ok := v["gamma"]; !ok {
-			return nil, fmt.Errorf("miner %q requires parameter %q", miner, "gamma")
-		}
-	case "truss", "core":
-		if _, ok := v["eta"]; !ok {
-			return nil, fmt.Errorf("miner %q requires parameter %q", miner, "eta")
-		}
-	case "cluster":
-		if _, ok := v["centers"]; !ok {
-			return nil, fmt.Errorf("miner %q requires parameter %q", miner, "centers")
+	if len(kind.Keys) > 0 {
+		if _, ok := v[kind.Keys[0]]; !ok {
+			return nil, fmt.Errorf("miner %q requires parameter %q", name, kind.Keys[0])
 		}
 	}
 	return p, nil
@@ -232,35 +208,30 @@ func (p *qparams) cacheKey(graph string, epoch uint64) string {
 	if p.nocache {
 		return ""
 	}
-	ff := func(f float64) string { return strconv.FormatFloat(f, 'g', 17, 64) }
-	var b strings.Builder
 	// The graph name is user-controlled: length-prefix it so a crafted name
 	// cannot collide with another key's field encoding.
-	fmt.Fprintf(&b, "%d:%s|e=%d|m=%s", len(graph), graph, epoch, p.miner)
-	switch p.miner {
-	case "cliques":
-		fmt.Fprintf(&b, "|a=%s|ms=%d", ff(p.alpha), p.minSize)
-	case "bicliques":
-		fmt.Fprintf(&b, "|a=%s|ml=%d|mr=%d", ff(p.alpha), p.minL, p.minR)
-	case "quasi":
-		fmt.Fprintf(&b, "|g=%s|ms=%d|xs=%d", ff(p.gamma), p.minSize, p.maxSize)
-	case "truss", "core":
-		fmt.Fprintf(&b, "|h=%s", ff(p.eta))
-	case "cluster":
-		fmt.Fprintf(&b, "|k=%d", p.centers)
-		// "densest" has no per-miner parameters: the graph and epoch alone
-		// determine the candidate family.
+	b := fmt.Appendf(nil, "%d:%s|e=%d|m=%s", len(graph), graph, epoch, p.kind.Name)
+	for _, key := range p.kind.Keys {
+		if key == "workers" {
+			continue
+		}
+		b = append(append(append(b, '|'), key...), '=')
+		if f, n := p.Field(key); f != nil {
+			b = strconv.AppendFloat(b, *f, 'g', 17, 64)
+		} else {
+			b = strconv.AppendInt(b, int64(*n), 10)
+		}
 	}
-	fmt.Fprintf(&b, "|l=%d", p.limit)
+	b = fmt.Appendf(b, "|l=%d", p.limit)
 	// The result set is shard-invariant, so sharded and unsharded runs share
 	// cache entries — except under a limit, where the truncated prefix
 	// follows the delivery order: engine order unsharded, component order
 	// sharded. The component order is the same for every shard setting, so
 	// one flag (not the shard count) splits the key space.
 	if p.sharded() && p.limit > 0 {
-		b.WriteString("|s=1")
+		b = append(b, "|s=1"...)
 	}
-	return b.String()
+	return string(b)
 }
 
 // commonOptions assembles the option set shared by every miner. prog, when
@@ -287,204 +258,25 @@ func (p *qparams) commonOptions(ex *mule.Executor, prog func(done, total int)) [
 	return opts
 }
 
-// runOutcome is what a runner produces: the answer in canonical order,
-// JSON-encoded, with its length, the terminal status, the miner's stats
-// struct, and the run error, if any. On a budget abort the results hold the
-// partial prefix delivered before the abort. encErr is set, and results
-// nil, when the answer holds a value JSON cannot encode (a non-finite
-// float).
-type runOutcome struct {
-	results []byte
-	encErr  error
-	count   int64
-	status  mule.RunStatus
-	stats   any
-	err     error
-}
-
-// outcome encodes a runner's sorted answer with elem and completes its
-// runOutcome.
-func outcome[T any](out []T, elem func([]byte, T) ([]byte, error), status mule.RunStatus, stats any, err error) runOutcome {
-	results, encErr := encodeList(out, elem)
-	return runOutcome{results: results, encErr: encErr, count: int64(len(out)), status: status, stats: stats, err: err}
-}
-
-// runner executes one prepared query against one snapshot.
-type runner func(ctx context.Context) runOutcome
+// runner executes one prepared query against one snapshot. On a budget
+// abort the answer holds the partial prefix delivered before the abort.
+type runner func(ctx context.Context) miners.Answer
 
 // newRunner builds the prepared query for p against snap on ex, validating
 // eagerly — a bad threshold, an out-of-scope option, or a miner/graph-kind
 // mismatch surfaces here, before the cache is consulted or any work runs.
 // prog, when non-nil, receives per-component progress on sharded requests.
 func (p *qparams) newRunner(snap *Snapshot, ex *mule.Executor, prog func(done, total int)) (runner, error) {
-	if p.miner == "bicliques" {
+	if p.kind.Bipartite {
 		if snap.Bipartite == nil {
-			return nil, fmt.Errorf("miner %q needs a bipartite graph: %w", p.miner, mule.ErrConfig)
+			return nil, fmt.Errorf("miner %q needs a bipartite graph: %w", p.kind.Name, mule.ErrConfig)
 		}
 	} else if snap.Graph == nil {
-		return nil, fmt.Errorf("miner %q needs a regular graph, not bipartite: %w", p.miner, mule.ErrConfig)
+		return nil, fmt.Errorf("miner %q needs a regular graph, not bipartite: %w", p.kind.Name, mule.ErrConfig)
 	}
-
-	opts := p.commonOptions(ex, prog)
-	switch p.miner {
-	case "cliques":
-		if p.minSize > 0 {
-			opts = append(opts, mule.WithMinSize(p.minSize))
-		}
-		if p.workers > 1 {
-			opts = append(opts, mule.WithWorkers(p.workers))
-		}
-		q, err := mule.NewQuery(snap.Graph, p.alpha, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return func(ctx context.Context) runOutcome {
-			out := []clique{}
-			stats, err := q.Run(ctx, func(c []int, prob float64) bool {
-				out = append(out, clique{vertices: append([]int(nil), c...), prob: prob})
-				return true
-			})
-			sort.Slice(out, func(i, j int) bool { return lexLess(out[i].vertices, out[j].vertices) })
-			return outcome(out, appendClique, stats.Status, stats, err)
-		}, nil
-
-	case "bicliques":
-		if p.minL > 1 || p.minR > 1 {
-			opts = append(opts, mule.WithSides(p.minL, p.minR))
-		}
-		q, err := mule.NewBicliqueQuery(snap.Bipartite, p.alpha, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return func(ctx context.Context) runOutcome {
-			out := []biclique{}
-			stats, err := q.Run(ctx, func(l, r []int, prob float64) bool {
-				out = append(out, biclique{
-					left:  append([]int(nil), l...),
-					right: append([]int(nil), r...),
-					prob:  prob,
-				})
-				return true
-			})
-			sort.Slice(out, func(i, j int) bool {
-				if !slicesEqual(out[i].left, out[j].left) {
-					return lexLess(out[i].left, out[j].left)
-				}
-				return lexLess(out[i].right, out[j].right)
-			})
-			return outcome(out, appendBiclique, stats.Status, stats, err)
-		}, nil
-
-	case "quasi":
-		opts = append(opts, mule.WithGamma(p.gamma))
-		if p.minSize > 0 {
-			opts = append(opts, mule.WithMinSize(p.minSize))
-		}
-		if p.maxSize > 0 {
-			opts = append(opts, mule.WithMaxSize(p.maxSize))
-		}
-		q, err := mule.NewQuasiQuery(snap.Graph, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return func(ctx context.Context) runOutcome {
-			out := [][]int{}
-			stats, err := q.Run(ctx, func(s []int) bool {
-				out = append(out, append([]int(nil), s...))
-				return true
-			})
-			return outcome(out, appendVertexSet, stats.Status, stats, err)
-		}, nil
-
-	case "truss":
-		q, err := mule.NewTrussQuery(snap.Graph, p.eta, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return func(ctx context.Context) runOutcome {
-			out := []mule.EdgeTruss{}
-			stats, err := q.Run(ctx, func(e mule.EdgeTruss) bool {
-				out = append(out, e)
-				return true
-			})
-			sort.Slice(out, func(i, j int) bool {
-				if out[i].U != out[j].U {
-					return out[i].U < out[j].U
-				}
-				return out[i].V < out[j].V
-			})
-			return outcome(out, appendEdgeTruss, stats.Status, stats, err)
-		}, nil
-
-	case "core":
-		q, err := mule.NewCoreQuery(snap.Graph, p.eta, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return func(ctx context.Context) runOutcome {
-			out := []mule.VertexCore{}
-			stats, err := q.Run(ctx, func(vc mule.VertexCore) bool {
-				out = append(out, vc)
-				return true
-			})
-			sort.Slice(out, func(i, j int) bool { return out[i].V < out[j].V })
-			return outcome(out, appendVertexCore, stats.Status, stats, err)
-		}, nil
-
-	case "densest":
-		q, err := mule.NewDensestQuery(snap.Graph, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return func(ctx context.Context) runOutcome {
-			// The engine's best-first order is canonical; keep it, like quasi.
-			out := []mule.DenseSubgraph{}
-			stats, err := q.Run(ctx, func(c mule.DenseSubgraph) bool {
-				c.Vertices = append([]int(nil), c.Vertices...)
-				out = append(out, c)
-				return true
-			})
-			return outcome(out, appendDenseSubgraph, stats.Status, stats, err)
-		}, nil
-
-	case "cluster":
-		opts = append(opts, mule.WithCenters(p.centers))
-		q, err := mule.NewClusterQuery(snap.Graph, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return func(ctx context.Context) runOutcome {
-			// Ascending center order is canonical; keep it.
-			out := []mule.ClusterSet{}
-			stats, err := q.Run(ctx, func(c mule.ClusterSet) bool {
-				c.Members = append([]int(nil), c.Members...)
-				out = append(out, c)
-				return true
-			})
-			return outcome(out, appendCluster, stats.Status, stats, err)
-		}, nil
+	q, err := p.kind.New(miners.Input{Graph: snap.Graph, Bipartite: snap.Bipartite}, p.Params, p.commonOptions(ex, prog)...)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("unknown miner %q: %w", p.miner, mule.ErrConfig)
-}
-
-// lexLess orders int slices lexicographically.
-func lexLess(a, b []int) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
-}
-
-func slicesEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return q.Answer, nil
 }

@@ -35,6 +35,7 @@ import (
 
 	mule "github.com/uncertain-graphs/mule"
 	"github.com/uncertain-graphs/mule/internal/graphio"
+	"github.com/uncertain-graphs/mule/internal/miners"
 )
 
 // Config tunes a Server.
@@ -355,7 +356,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var prog func(done, total int)
 	if p.sharded() {
 		var id int64
-		id, prog = s.progress.register(name, p.miner)
+		id, prog = s.progress.register(name, p.kind.Name)
 		defer s.progress.unregister(id)
 	}
 	run, err := p.newRunner(snap, s.ex, prog)
@@ -370,7 +371,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if hit, ok := s.cache.get(key); ok {
 			// A hit marks the shape worth re-warming after the next Apply.
 			s.warm.record(name, p)
-			writeQuery(w, name, snap.Epoch, p.miner, true, &hit)
+			writeQuery(w, name, snap.Epoch, p.kind.Name, true, &hit)
 			return
 		}
 	}
@@ -388,14 +389,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// Budget exhaustion is a truncation, not a failure: the partial prefix
 	// is delivered with truncated=true, mirroring exit 0 + partial output
 	// in the CLI. Everything else maps through httpStatusOf.
-	if out.err != nil && !errors.Is(out.err, mule.ErrBudget) {
-		code, detail := httpStatusOf(out.err)
+	if out.Err != nil && !errors.Is(out.Err, mule.ErrBudget) {
+		code, detail := httpStatusOf(out.Err)
 		if code == http.StatusTooManyRequests {
 			// The rejection was instantaneous (admission, not execution), so a
 			// prompt retry is reasonable once a slot frees up.
 			w.Header().Set("Retry-After", "1")
 		}
-		writeError(w, code, detail, out.err)
+		writeError(w, code, detail, out.Err)
 		return
 	}
 
@@ -404,7 +405,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "", err)
 		return
 	}
-	writeQuery(w, name, snap.Epoch, p.miner, false, &res)
+	writeQuery(w, name, snap.Epoch, p.kind.Name, false, &res)
 }
 
 // settle builds the stored form of a finished run, which handleQuery
@@ -412,20 +413,20 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // settled: a complete run or a limit-truncated one. A budget abort depends
 // on the budget and is recomputed; key "" caches nothing. The error is the
 // answer's encoding failure.
-func (s *Server) settle(key string, out runOutcome) (cachedResult, error) {
-	if out.encErr != nil {
-		return cachedResult{}, out.encErr
+func (s *Server) settle(key string, out miners.Answer) (cachedResult, error) {
+	if out.EncErr != nil {
+		return cachedResult{}, out.EncErr
 	}
 	// A stats struct that fails to marshal leaves the field out.
-	stats, _ := json.Marshal(out.stats)
+	stats, _ := json.Marshal(out.Stats)
 	res := cachedResult{
-		Status:    out.status.String(),
-		Truncated: out.err != nil || out.status == mule.StatusStopped,
-		Count:     out.count,
-		Results:   out.results,
+		Status:    out.Status.String(),
+		Truncated: out.Err != nil || out.Status == mule.StatusStopped,
+		Count:     out.Count,
+		Results:   out.Results,
 		Stats:     stats,
 	}
-	if key != "" && out.err == nil {
+	if key != "" && out.Err == nil {
 		s.cache.put(key, res)
 	}
 	return res, nil

@@ -173,7 +173,7 @@ func (s *Server) warmOne(name string, p *qparams) {
 		return
 	}
 	out := run(context.Background())
-	if out.err != nil {
+	if out.Err != nil {
 		s.warmCount.failed.Add(1)
 		return
 	}

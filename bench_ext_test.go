@@ -6,6 +6,7 @@
 package mule_test
 
 import (
+	"context"
 	"testing"
 
 	"github.com/uncertain-graphs/mule/internal/bench"
@@ -104,9 +105,14 @@ func BenchmarkExtensionTopK(b *testing.B) {
 		k := k
 		b.Run("k="+itoa(k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := topk.ByProb(g, 0.01, k); err != nil {
+				col, err := topk.NewCollector(k, topk.CriterionProb)
+				if err != nil {
 					b.Fatal(err)
 				}
+				if _, err := core.Enumerate(g, 0.01, col.Visit); err != nil {
+					b.Fatal(err)
+				}
+				col.Drain()
 			}
 		})
 	}
@@ -131,7 +137,7 @@ func BenchmarkExtensionDynamic(b *testing.B) {
 			if i%2 == 1 {
 				p = 0.5
 			}
-			if _, err := m.SetEdge(0, 1, p); err != nil {
+			if _, _, err := m.SetEdgeContext(context.Background(), 0, 1, p); err != nil {
 				b.Fatal(err)
 			}
 		}

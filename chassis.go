@@ -17,7 +17,7 @@ import (
 // base is the kind-independent state of a prepared query.
 type base struct {
 	limit     int64
-	budget    int64 // the engine config's WithBudget bound (0 = none)
+	budget    int64 // the WithBudget bound (0 = none)
 	ten       tenancy
 	shards    int // 0 = unsharded; see WithShards
 	shardProg func(done, total int)
@@ -42,7 +42,7 @@ func prepare(kind queryKind, opts []Option) (queryOptions, base, error) {
 	if o.limit < 0 {
 		return o, base{}, fmt.Errorf("mule: negative limit %d: %w", o.limit, ErrConfig)
 	}
-	return o, base{limit: o.limit, ten: ten, shards: shards, shardProg: o.shardProgress}, nil
+	return o, base{limit: o.limit, budget: o.cfg.Budget, ten: ten, shards: shards, shardProg: o.shardProgress}, nil
 }
 
 // miner describes one query kind's engine to the chassis: T is its result

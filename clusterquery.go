@@ -56,7 +56,6 @@ func NewClusterQuery(g *Graph, opts ...Option) (*ClusterQuery, error) {
 	if err := ucluster.Validate(g, cfg); err != nil {
 		return nil, err
 	}
-	b.budget = cfg.Budget
 	// No components: the partition is global, so a sharded run executes
 	// whole-graph as one shard.
 	return &ClusterQuery{prepared[ClusterSet, ClusterStats]{base: b, miner: miner[ClusterSet, ClusterStats]{

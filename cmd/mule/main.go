@@ -190,6 +190,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if *stallWindow < 0 {
 		return fmt.Errorf("-stall-timeout must be non-negative, got %v", *stallWindow)
 	}
+	if *timeout < 0 {
+		return fmt.Errorf("-timeout must be non-negative, got %v", *timeout)
+	}
 	if *kParam < 0 {
 		return fmt.Errorf("-k must be non-negative, got %d", *kParam)
 	}

@@ -93,11 +93,11 @@ func TestBudgetMetByLastBatch(t *testing.T) {
 	}
 }
 
-// TestRunRejectsNegativeKAndTop: a negative -k or -top is an error, not
-// the full answer.
+// TestRunRejectsNegativeKAndTop: a negative -k, -top or -timeout is an
+// error, not the full answer.
 func TestRunRejectsNegativeKAndTop(t *testing.T) {
 	mc := writeMultiComponentGraph(t)
-	for _, args := range []string{"-mine core -eta 0.5 -k -2", "-mine truss -eta 0.5 -k -1", "-alpha 0.5 -top -1"} {
+	for _, args := range []string{"-mine core -eta 0.5 -k -2", "-mine truss -eta 0.5 -k -1", "-alpha 0.5 -top -1", "-alpha 0.5 -timeout -1s"} {
 		line, out, err := statsLine(t, append([]string{"-in", mc}, strings.Fields(args)...)...)
 		if err == nil || out != "" || line != "" {
 			t.Errorf("%s: err %v, stdout %q, stats %q; want an error and no output", args, err, out, line)

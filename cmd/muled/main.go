@@ -37,6 +37,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -188,10 +189,12 @@ func parseByteSize(v string) (int64, error) {
 		if err != nil {
 			break
 		}
-		if n <= 0 {
-			return 0, fmt.Errorf("byte size must be positive")
+		// NaN, ±Inf and sizes of 2^63 bytes or more have no int64 value, and
+		// a size below one byte would truncate to 0, which selects the default.
+		if b := n * float64(sf.mult); b >= 1 && b < math.MaxInt64 {
+			return int64(b), nil
 		}
-		return int64(n * float64(sf.mult)), nil
+		return 0, fmt.Errorf("byte size %s must be at least 1 byte and below 2^63 bytes", v)
 	}
 	return 0, fmt.Errorf("want an entry count or a byte size like 64MB")
 }

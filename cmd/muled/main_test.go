@@ -286,6 +286,12 @@ func TestParseCacheFlag(t *testing.T) {
 		{in: "-5MB", wantErr: true},       // negative size
 		{in: "MB", wantErr: true},         // no number
 		{in: "deadbeef", wantErr: true},   //
+		{in: "nanMB", wantErr: true},      // no int64 value
+		{in: "infGB", wantErr: true},      //
+		{in: "+InfKiB", wantErr: true},    //
+		{in: "1e30GB", wantErr: true},     // above 2^63 bytes
+		{in: "0.4b", wantErr: true},       // truncates to 0 (the default)
+		{in: "1e-9k", wantErr: true},      //
 	}
 	for _, tc := range cases {
 		entries, bytes, err := parseCacheFlag(tc.in)

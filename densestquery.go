@@ -55,7 +55,6 @@ func NewDensestQuery(g *Graph, opts ...Option) (*DensestQuery, error) {
 	if err := udensest.Validate(g, cfg); err != nil {
 		return nil, err
 	}
-	b.budget = cfg.Budget
 	return &DensestQuery{prepared[DenseSubgraph, DensestStats]{base: b, miner: miner[DenseSubgraph, DensestStats]{
 		mine: func(ctx context.Context, visit func(DenseSubgraph) bool) (DensestStats, error) {
 			return udensest.RunContext(ctx, g, cfg, visit)

@@ -17,13 +17,12 @@ var (
 	ErrNilGraph = core.ErrNilGraph
 	// ErrAlphaRange reports a probability threshold α outside (0, 1].
 	ErrAlphaRange = core.ErrAlphaRange
-	// ErrConfig reports an invalid option or Config field (negative sizes,
-	// worker counts, limits or budgets; unknown orderings or engines).
+	// ErrConfig reports an invalid option value (negative sizes, worker
+	// counts, limits or budgets; unknown orderings or engines).
 	ErrConfig = core.ErrConfig
 	// ErrStopped reports that a Visitor ended a Query.Run early by
 	// returning false; the run's Stats remain valid for the delivered
-	// prefix. The deprecated callback functions swallow it (their original
-	// contract treats an early stop as success).
+	// prefix.
 	ErrStopped = core.ErrStopped
 	// ErrBudget reports that a run exhausted its WithBudget node budget
 	// before completing.

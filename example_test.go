@@ -123,25 +123,6 @@ func ExampleQuery_topK() {
 	// [0 1 2] 0.648
 }
 
-// ExampleEnumerate shows the original callback entry point, which survives
-// as a deprecated thin wrapper over NewQuery with identical behavior.
-func ExampleEnumerate() {
-	b := mule.NewBuilder(4)
-	_ = b.AddEdge(0, 1, 0.9)
-	_ = b.AddEdge(0, 2, 0.8)
-	_ = b.AddEdge(1, 2, 0.9)
-	_ = b.AddEdge(2, 3, 0.5)
-	g := b.Build()
-
-	_, _ = mule.Enumerate(g, 0.5, func(clique []int, prob float64) bool {
-		fmt.Printf("%v %.3f\n", clique, prob)
-		return true
-	})
-	// Output:
-	// [0 1 2] 0.648
-	// [2 3] 0.500
-}
-
 // ExampleNewBicliqueQuery_stream streams the α-maximal bicliques of an
 // uncertain bipartite graph with the same range-over-func contract as
 // Query.Cliques: results arrive as the search finds them, a non-nil error
@@ -239,7 +220,7 @@ func ExampleNewMaintainer() {
 	fmt.Println("cliques:", m.NumCliques())
 
 	// Closing the triangle replaces {0,1} and {1,2} with {0,1,2}.
-	diff, _ := m.SetEdge(0, 2, 0.9)
+	diff, _, _ := m.SetEdgeContext(context.Background(), 0, 2, 0.9)
 	fmt.Println("added:", len(diff.Added), "removed:", len(diff.Removed))
 	fmt.Println("cliques:", m.NumCliques())
 	// Output:

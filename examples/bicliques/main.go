@@ -26,6 +26,7 @@ const (
 )
 
 func main() {
+	ctx := context.Background()
 	g := buildAffinityGraph()
 	fmt.Printf("affinity graph: %d users x %d products, %d possible edges\n\n",
 		g.NumLeft(), g.NumRight(), g.NumEdges())
@@ -33,7 +34,11 @@ func main() {
 	// Sweep the confidence threshold. High α keeps only the planted cohorts;
 	// low α admits looser combinations.
 	for _, alpha := range []float64{0.5, 0.2, 0.05} {
-		stats, err := mule.EnumerateBicliques(g, alpha, nil)
+		q, err := mule.NewBicliqueQuery(g, alpha)
+		if err != nil {
+			log.Fatal(err)
+		}
+		stats, err := q.Run(ctx, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -42,14 +47,17 @@ func main() {
 	}
 
 	// Blocks worth acting on have at least 3 users and 2 products. Like the
-	// clique Query API, the biclique search is cancellable via its context
-	// variant.
+	// clique Query API, every run method takes a context, so the search is
+	// cancellable.
 	fmt.Println("\ncohorts with ≥ 3 users and ≥ 2 products at α = 0.2:")
-	cfg := mule.BicliqueConfig{MinLeft: 3, MinRight: 2}
-	_, err := mule.EnumerateBicliquesContext(context.Background(), g, 0.2, func(users, products []int, prob float64) bool {
+	q, err := mule.NewBicliqueQuery(g, 0.2, mule.WithSides(3, 2))
+	if err != nil {
+		log.Fatal(err)
+	}
+	_, err = q.Run(ctx, func(users, products []int, prob float64) bool {
 		fmt.Printf("  users %v x products %v   P[all buy all] = %.3f\n", users, products, prob)
 		return true
-	}, cfg)
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -20,7 +20,6 @@ import (
 
 	mule "github.com/uncertain-graphs/mule"
 	"github.com/uncertain-graphs/mule/internal/gen"
-	"github.com/uncertain-graphs/mule/internal/ucore"
 	"github.com/uncertain-graphs/mule/internal/uncertain"
 )
 
@@ -65,7 +64,11 @@ func main() {
 	// direction): the (k,η)-core keeps authors with at least k probable
 	// collaborators, giving a coarser community signal.
 	const eta = 0.5
-	dec, err := ucore.Decompose(g, eta)
+	cq, err := mule.NewCoreQuery(g, eta)
+	if err != nil {
+		log.Fatal(err)
+	}
+	dec, err := cq.Decompose(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}

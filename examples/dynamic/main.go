@@ -52,9 +52,9 @@ func main() {
 		var diff mule.CliqueDiff
 		var err error
 		if r.p == 0 {
-			diff, err = m.RemoveEdge(r.u, r.v)
+			diff, _, err = m.RemoveEdgeContext(ctx, r.u, r.v)
 		} else {
-			diff, err = m.SetEdge(r.u, r.v, r.p)
+			diff, _, err = m.SetEdgeContext(ctx, r.u, r.v, r.p)
 		}
 		if err != nil {
 			log.Fatal(err)
@@ -78,7 +78,7 @@ func main() {
 		if u == v {
 			continue
 		}
-		if _, err := m.SetEdge(u, v, 0.2+0.8*rng.Float64()); err != nil {
+		if _, _, err := m.SetEdgeContext(ctx, u, v, 0.2+0.8*rng.Float64()); err != nil {
 			log.Fatal(err)
 		}
 	}

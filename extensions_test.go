@@ -26,8 +26,13 @@ func buildBipartite(t *testing.T) *mule.Bipartite {
 }
 
 func TestFacadeBicliques(t *testing.T) {
+	ctx := context.Background()
 	g := buildBipartite(t)
-	bcs, err := mule.CollectBicliques(g, 0.6)
+	q, err := mule.NewBicliqueQuery(g, 0.6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bcs, err := q.Collect(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,12 +48,16 @@ func TestFacadeBicliques(t *testing.T) {
 		t.Fatalf("got %+v, want %+v", got, want)
 	}
 
-	stats, err := mule.EnumerateBicliquesWith(g, 0.3, nil, mule.BicliqueConfig{MinLeft: 2, MinRight: 2})
+	sides, err := mule.NewBicliqueQuery(g, 0.3, mule.WithSides(2, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := sides.Run(ctx, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Emitted != 1 {
-		t.Fatalf("MinLeft/MinRight run emitted %d, want 1", stats.Emitted)
+		t.Fatalf("WithSides(2, 2) run emitted %d, want 1", stats.Emitted)
 	}
 }
 
@@ -80,7 +89,11 @@ func buildTriangleWithPendant(t *testing.T) *mule.Graph {
 
 func TestFacadeQuasiCliques(t *testing.T) {
 	g := buildTriangleWithPendant(t)
-	sets, err := mule.CollectQuasiCliques(g, mule.QuasiConfig{Gamma: 1})
+	q, err := mule.NewQuasiQuery(g, mule.WithGamma(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sets, err := q.Collect(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,8 +124,13 @@ func TestFacadeQuasiCliques(t *testing.T) {
 }
 
 func TestFacadeTruss(t *testing.T) {
+	ctx := context.Background()
 	g := buildTriangleWithPendant(t)
-	tr, err := mule.Truss(g, 3, 0.9)
+	q, err := mule.NewTrussQuery(g, 0.9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := q.Truss(ctx, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +139,7 @@ func TestFacadeTruss(t *testing.T) {
 	if tr.NumEdges() != 3 {
 		t.Fatalf("(3,0.9)-truss has %d edges, want 3", tr.NumEdges())
 	}
-	dec, err := mule.TrussDecompose(g, 0.9)
+	dec, err := q.Collect(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,15 +156,20 @@ func TestFacadeTruss(t *testing.T) {
 }
 
 func TestFacadeCores(t *testing.T) {
+	ctx := context.Background()
 	g := buildTriangleWithPendant(t)
-	dec, err := mule.CoreDecompose(g, 0.5)
+	q, err := mule.NewCoreQuery(g, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := q.Decompose(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(dec.CoreNumber) != g.NumVertices() {
 		t.Fatalf("core decomposition covers %d of %d vertices", len(dec.CoreNumber), g.NumVertices())
 	}
-	core, err := mule.Core(g, 2, 0.5)
+	core, err := q.Core(ctx, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,6 +180,7 @@ func TestFacadeCores(t *testing.T) {
 }
 
 func TestFacadeMaintainer(t *testing.T) {
+	ctx := context.Background()
 	g := buildTriangleWithPendant(t)
 	m, err := mule.NewMaintainer(g, 0.5)
 	if err != nil {
@@ -166,7 +190,7 @@ func TestFacadeMaintainer(t *testing.T) {
 		t.Fatal("maintainer seeded empty")
 	}
 	// Strengthen the pendant edge {3,4} so that it qualifies at α = 0.5.
-	diff, err := m.SetEdge(3, 4, 0.9)
+	diff, _, err := m.SetEdgeContext(ctx, 3, 4, 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,25 +198,23 @@ func TestFacadeMaintainer(t *testing.T) {
 		t.Fatalf("strengthening an edge added nothing: %+v", diff)
 	}
 	// The maintainer must agree with a fresh enumeration of its own graph.
-	want, err := mule.Collect(m.Graph(), 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := collectVertices(t, newQuery(t, m.Graph(), 0.5))
 	got := m.Cliques()
 	if len(got) != len(want) {
 		t.Fatalf("maintainer has %d cliques, fresh run %d", len(got), len(want))
 	}
-	if _, err := m.RemoveEdge(3, 4); err != nil {
+	if _, _, err := m.RemoveEdgeContext(ctx, 3, 4); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.RemoveEdge(3, 4); err == nil {
+	if _, _, err := m.RemoveEdgeContext(ctx, 3, 4); err == nil {
 		t.Fatal("double removal succeeded")
 	}
 }
 
 func TestFacadeTopK(t *testing.T) {
-	g := buildTriangleWithPendant(t)
-	best, err := mule.TopKByProb(g, 0.1, 2)
+	ctx := context.Background()
+	q := newQuery(t, buildTriangleWithPendant(t), 0.1)
+	best, err := q.TopK(ctx, 2, mule.ByProb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +227,7 @@ func TestFacadeTopK(t *testing.T) {
 	if best[0].Prob != 1 {
 		t.Fatalf("best clique probability %v, want the certain triangle's 1", best[0].Prob)
 	}
-	largest, err := mule.TopKBySize(g, 0.1, 1)
+	largest, err := q.TopK(ctx, 1, mule.BySize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,9 +245,12 @@ func TestFacadeBicliquesContext(t *testing.T) {
 			}
 		}
 	}
-	g := b.Build()
+	q, err := mule.NewBicliqueQuery(b.Build(), 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// A live context enumerates normally.
-	stats, err := mule.EnumerateBicliquesContext(context.Background(), g, 0.5, nil, mule.BicliqueConfig{})
+	stats, err := q.Run(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +260,7 @@ func TestFacadeBicliquesContext(t *testing.T) {
 	// A dead context aborts with a wrapped context.Canceled.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := mule.EnumerateBicliquesContext(ctx, g, 0.5, nil, mule.BicliqueConfig{}); !errors.Is(err, context.Canceled) {
+	if _, err := q.Run(ctx, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("dead-context biclique run returned %v, want wrapped context.Canceled", err)
 	}
 }

@@ -18,9 +18,7 @@ import (
 // methods (Run / Collect / Count plus per-miner extras), and a Stream
 // range-over-func with the same break-stops-the-engine, no-goroutine-leak
 // contract as Query.Cliques. Each type describes its engine to the query
-// chassis (chassis.go) and delegates its run methods to it. The deprecated
-// flat functions in extensions.go funnel through these constructors, so no
-// entry point can run a configuration the query surface would reject.
+// chassis (chassis.go) and delegates its run methods to it.
 
 // --- Biclique queries ---
 
@@ -42,16 +40,10 @@ func NewBicliqueQuery(g *Bipartite, alpha float64, opts ...Option) (*BicliqueQue
 	if err != nil {
 		return nil, err
 	}
-	return newBicliqueQuery(b, g, alpha, ubiclique.Config{MinLeft: o.minL, MinRight: o.minR, Budget: o.cfg.Budget, Stall: o.stall})
-}
-
-// newBicliqueQuery is the single constructor behind NewBicliqueQuery and
-// the deprecated wrappers.
-func newBicliqueQuery(b base, g *Bipartite, alpha float64, cfg ubiclique.Config) (*BicliqueQuery, error) {
+	cfg := ubiclique.Config{MinLeft: o.minL, MinRight: o.minR, Budget: o.cfg.Budget, Stall: o.stall}
 	if err := ubiclique.Validate(g, alpha, cfg); err != nil {
 		return nil, err
 	}
-	b.budget = cfg.Budget
 	return &BicliqueQuery{prepared[Biclique, BicliqueStats]{base: b, miner: miner[Biclique, BicliqueStats]{
 		mine: func(ctx context.Context, visit func(Biclique) bool) (BicliqueStats, error) {
 			return ubiclique.EnumerateContext(ctx, g, alpha, bicliqueEngineVisitor(visit), cfg)
@@ -172,16 +164,10 @@ func NewQuasiQuery(g *Graph, opts ...Option) (*QuasiQuery, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newQuasiQuery(b, g, uquasi.Config{Gamma: o.gamma, MinSize: o.cfg.MinSize, MaxSize: o.maxSize, Budget: o.cfg.Budget, Stall: o.stall})
-}
-
-// newQuasiQuery is the single constructor behind NewQuasiQuery and the
-// deprecated wrappers.
-func newQuasiQuery(b base, g *Graph, cfg uquasi.Config) (*QuasiQuery, error) {
+	cfg := uquasi.Config{Gamma: o.gamma, MinSize: o.cfg.MinSize, MaxSize: o.maxSize, Budget: o.cfg.Budget, Stall: o.stall}
 	if err := uquasi.Validate(g, cfg); err != nil {
 		return nil, err
 	}
-	b.budget = cfg.Budget
 	return &QuasiQuery{prepared[[]int, QuasiStats]{base: b, miner: miner[[]int, QuasiStats]{
 		mine: func(ctx context.Context, visit func([]int) bool) (QuasiStats, error) {
 			sets, s, err := uquasi.CollectContext(ctx, g, cfg)
@@ -283,16 +269,10 @@ func NewTrussQuery(g *Graph, eta float64, opts ...Option) (*TrussQuery, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newTrussQuery(b, g, eta, utruss.Config{Budget: o.cfg.Budget, Stall: o.stall})
-}
-
-// newTrussQuery is the single constructor behind NewTrussQuery and the
-// deprecated wrappers.
-func newTrussQuery(b base, g *Graph, eta float64, cfg utruss.Config) (*TrussQuery, error) {
+	cfg := utruss.Config{Budget: o.cfg.Budget, Stall: o.stall}
 	if err := utruss.Validate(g, eta, cfg); err != nil {
 		return nil, err
 	}
-	b.budget = cfg.Budget
 	return &TrussQuery{g: g, eta: eta, cfg: cfg, p: prepared[EdgeTruss, TrussStats]{base: b, miner: miner[EdgeTruss, TrussStats]{
 		mine: func(ctx context.Context, visit func(EdgeTruss) bool) (TrussStats, error) {
 			return utruss.RunContext(ctx, g, eta, cfg, visit)
@@ -408,16 +388,10 @@ func NewCoreQuery(g *Graph, eta float64, opts ...Option) (*CoreQuery, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newCoreQuery(b, g, eta, ucore.Config{Budget: o.cfg.Budget, Stall: o.stall})
-}
-
-// newCoreQuery is the single constructor behind NewCoreQuery and the
-// deprecated wrappers.
-func newCoreQuery(b base, g *Graph, eta float64, cfg ucore.Config) (*CoreQuery, error) {
+	cfg := ucore.Config{Budget: o.cfg.Budget, Stall: o.stall}
 	if err := ucore.Validate(g, eta, cfg); err != nil {
 		return nil, err
 	}
-	b.budget = cfg.Budget
 	return &CoreQuery{g: g, eta: eta, cfg: cfg, p: prepared[VertexCore, CoreStats]{base: b, miner: miner[VertexCore, CoreStats]{
 		mine: func(ctx context.Context, visit func(VertexCore) bool) (CoreStats, error) {
 			return ucore.RunContext(ctx, g, eta, cfg, visit)

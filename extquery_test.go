@@ -13,13 +13,20 @@ import (
 
 	mule "github.com/uncertain-graphs/mule"
 	"github.com/uncertain-graphs/mule/internal/baseline"
+	"github.com/uncertain-graphs/mule/internal/core"
+	"github.com/uncertain-graphs/mule/internal/dynamic"
 	"github.com/uncertain-graphs/mule/internal/gen"
+	"github.com/uncertain-graphs/mule/internal/ubiclique"
+	"github.com/uncertain-graphs/mule/internal/ucore"
+	"github.com/uncertain-graphs/mule/internal/uquasi"
+	"github.com/uncertain-graphs/mule/internal/utruss"
 )
 
-// This file pins the tentpole of the extension-query redesign: every §6
-// miner is a prepared query with the exact ergonomics of Query, the
-// deprecated flat functions are output-identical to the new surface, and
-// the cancellation/budget/limit/stream contracts hold for each miner.
+// This file pins the extension queries: every §6 miner is a prepared query
+// with the exact ergonomics of Query, its output equals its engine's called
+// directly (the "legacy" reference of the MatchesLegacy suites, which does
+// not go through the query chassis), and the cancellation/budget/limit/
+// stream contracts hold for each miner.
 
 // randomBipartite returns a small random uncertain bipartite graph.
 func randomBipartite(rng *rand.Rand) *mule.Bipartite {
@@ -46,16 +53,16 @@ func smallRandomGraph(rng *rand.Rand, n int) *mule.Graph {
 	return g
 }
 
-// TestBicliqueQueryMatchesLegacy pins old≡new on 50 random bipartite
-// graphs: the deprecated CollectBicliques, the new Collect, and the Stream
-// iterator all produce the same biclique multiset.
+// TestBicliqueQueryMatchesLegacy pins engine≡query on 50 random bipartite
+// graphs: ubiclique.Collect, the query's Collect, and the Stream iterator
+// all produce the same biclique multiset.
 func TestBicliqueQueryMatchesLegacy(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(41))
 	for i := 0; i < 50; i++ {
 		g := randomBipartite(rng)
 		alpha := []float64{0.1, 0.3, 0.6}[i%3]
-		want, err := mule.CollectBicliques(g, alpha)
+		want, err := ubiclique.Collect(g, alpha)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,26 +92,26 @@ func TestBicliqueQueryMatchesLegacy(t *testing.T) {
 		if err != nil || n != int64(len(want)) {
 			t.Fatalf("graph %d: Count = (%d, %v), want %d", i, n, err, len(want))
 		}
-		// The legacy Enumerate trio agrees too.
-		stats, err := mule.EnumerateBicliques(g, alpha, nil)
+		// The engine's count-only run agrees too.
+		stats, err := ubiclique.Enumerate(g, alpha, nil)
 		if err != nil || stats.Emitted != int64(len(want)) {
-			t.Fatalf("graph %d: legacy Enumerate = (%d, %v)", i, stats.Emitted, err)
+			t.Fatalf("graph %d: engine Enumerate = (%d, %v)", i, stats.Emitted, err)
 		}
 		if stats.Status != mule.StatusComplete {
-			t.Fatalf("graph %d: legacy run status %v", i, stats.Status)
+			t.Fatalf("graph %d: engine run status %v", i, stats.Status)
 		}
 	}
 }
 
-// TestQuasiQueryMatchesLegacy pins old≡new on 50 small random graphs for
-// the quasi-clique miner across the supported γ range.
+// TestQuasiQueryMatchesLegacy pins engine≡query on 50 small random graphs
+// for the quasi-clique miner across the supported γ range.
 func TestQuasiQueryMatchesLegacy(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(43))
 	for i := 0; i < 50; i++ {
 		g := smallRandomGraph(rng, 8+rng.Intn(8))
 		gamma := []float64{0.5, 0.75, 1}[i%3]
-		want, err := mule.CollectQuasiCliques(g, mule.QuasiConfig{Gamma: gamma})
+		want, err := uquasi.Collect(g, uquasi.Config{Gamma: gamma})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,15 +139,15 @@ func TestQuasiQueryMatchesLegacy(t *testing.T) {
 	}
 }
 
-// TestTrussQueryMatchesLegacy pins old≡new for the truss decomposition and
-// the (k,η)-truss subgraph on 50 random graphs.
+// TestTrussQueryMatchesLegacy pins engine≡query for the truss
+// decomposition and the (k,η)-truss subgraph on 50 random graphs.
 func TestTrussQueryMatchesLegacy(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(47))
 	for i := 0; i < 50; i++ {
 		g := smallRandomGraph(rng, 12+rng.Intn(14))
 		eta := []float64{0.2, 0.5, 0.9}[i%3]
-		want, err := mule.TrussDecompose(g, eta)
+		want, err := utruss.Decompose(g, eta)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,7 +179,7 @@ func TestTrussQueryMatchesLegacy(t *testing.T) {
 			}
 		}
 		for _, k := range []int{2, 3, 4} {
-			wantTr, err := mule.Truss(g, k, eta)
+			wantTr, err := utruss.Truss(g, k, eta)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -187,15 +194,15 @@ func TestTrussQueryMatchesLegacy(t *testing.T) {
 	}
 }
 
-// TestCoreQueryMatchesLegacy pins old≡new for the core decomposition and
-// the (k,η)-core on 50 random graphs.
+// TestCoreQueryMatchesLegacy pins engine≡query for the core decomposition
+// and the (k,η)-core on 50 random graphs.
 func TestCoreQueryMatchesLegacy(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(53))
 	for i := 0; i < 50; i++ {
 		g := smallRandomGraph(rng, 12+rng.Intn(14))
 		eta := []float64{0.2, 0.5, 0.9}[i%3]
-		want, err := mule.CoreDecompose(g, eta)
+		want, err := ucore.Decompose(g, eta)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,7 +231,7 @@ func TestCoreQueryMatchesLegacy(t *testing.T) {
 			}
 		}
 		for _, k := range []int{1, 2, 3} {
-			wantCore, err := mule.Core(g, k, eta)
+			wantCore, err := ucore.Core(g, k, eta)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -240,15 +247,16 @@ func TestCoreQueryMatchesLegacy(t *testing.T) {
 }
 
 // TestMaintainerContextMatchesLegacy drives two maintainers through the
-// same update sequence — one with the deprecated SetEdge/RemoveEdge, one
-// with the context-aware methods — and checks identical diffs and states;
-// Apply's net diff must reconcile the initial and final clique sets.
+// same update sequence — one built by internal/dynamic with its
+// per-operation stats discarded, one built through the facade with its
+// stats checked — and checks identical diffs and states; Apply's net diff
+// must reconcile the initial and final clique sets.
 func TestMaintainerContextMatchesLegacy(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(59))
 	g := smallRandomGraph(rng, 18)
 	const alpha = 0.2
-	m1, err := mule.NewMaintainer(g, alpha)
+	m1, err := dynamic.New(g, alpha)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +270,7 @@ func TestMaintainerContextMatchesLegacy(t *testing.T) {
 			continue
 		}
 		if _, ok := m1.Prob(u, v); ok && rng.Float64() < 0.3 {
-			d1, err1 := m1.RemoveEdge(u, v)
+			d1, _, err1 := m1.RemoveEdgeContext(ctx, u, v)
 			d2, stats, err2 := m2.RemoveEdgeContext(ctx, u, v)
 			if (err1 == nil) != (err2 == nil) {
 				t.Fatalf("step %d: error mismatch %v vs %v", step, err1, err2)
@@ -275,7 +283,7 @@ func TestMaintainerContextMatchesLegacy(t *testing.T) {
 			}
 		} else {
 			p := 0.3 + 0.7*rng.Float64()
-			d1, err1 := m1.SetEdge(u, v, p)
+			d1, _, err1 := m1.SetEdgeContext(ctx, u, v, p)
 			d2, stats, err2 := m2.SetEdgeContext(ctx, u, v, p)
 			if (err1 == nil) != (err2 == nil) {
 				t.Fatalf("step %d: error mismatch %v vs %v", step, err1, err2)
@@ -333,7 +341,7 @@ func TestMaintainerContextMatchesLegacy(t *testing.T) {
 		}
 	}
 	// The maintainer agrees with a fresh enumeration of its own graph.
-	fresh, err := mule.Collect(m2.Graph(), alpha)
+	fresh, _, err := core.CollectWith(m2.Graph(), alpha, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -996,19 +1004,6 @@ func TestExtensionSentinelTable(t *testing.T) {
 		{"core eta 0", func() error { _, err := mule.NewCoreQuery(g, 0); return err }, mule.ErrEtaRange},
 		{"core eta NaN-like", func() error { _, err := mule.NewCoreQuery(g, 2); return err }, mule.ErrEtaRange},
 		{"core negative k", func() error { _, err := cq.Core(ctx, -1); return err }, mule.ErrKRange},
-		// Deprecated wrappers share the same validation.
-		{"legacy quasi gamma", func() error {
-			_, err := mule.CollectQuasiCliques(g, mule.QuasiConfig{Gamma: 0.2})
-			return err
-		}, mule.ErrGammaRange},
-		{"legacy truss k", func() error { _, err := mule.Truss(g, 1, 0.5); return err }, mule.ErrKRange},
-		{"legacy truss eta", func() error { _, err := mule.TrussDecompose(g, 0); return err }, mule.ErrEtaRange},
-		{"legacy core eta", func() error { _, err := mule.CoreDecompose(g, -1); return err }, mule.ErrEtaRange},
-		{"legacy core k", func() error { _, err := mule.Core(g, -2, 0.5); return err }, mule.ErrKRange},
-		{"legacy bicliques sides", func() error {
-			_, err := mule.EnumerateBicliquesWith(bg, 0.5, nil, mule.BicliqueConfig{MinLeft: -1})
-			return err
-		}, mule.ErrConfig},
 		// Predicate helpers.
 		{"support prob range", func() error { _, err := mule.TrussSupportProb(g, 0, 9, 1); return err }, mule.ErrVertexRange},
 		{"support prob t", func() error { _, err := mule.TrussSupportProb(g, 0, 1, -1); return err }, mule.ErrConfig},
@@ -1102,7 +1097,7 @@ func TestMaintainerStatusFailed(t *testing.T) {
 }
 
 // TestExtensionRunErrStopped: a visitor returning false surfaces ErrStopped
-// from every extension Run, while the deprecated wrappers swallow it.
+// from every extension Run.
 func TestExtensionRunErrStopped(t *testing.T) {
 	ctx := context.Background()
 	g := slowDenseGraph(t, 40)
@@ -1114,9 +1109,6 @@ func TestExtensionRunErrStopped(t *testing.T) {
 	}
 	if _, err := bq.Run(ctx, func(l, r []int, p float64) bool { return false }); !errors.Is(err, mule.ErrStopped) {
 		t.Fatalf("biclique Run = %v, want wrapped ErrStopped", err)
-	}
-	if _, err := mule.EnumerateBicliques(bg, 1e-30, func(l, r []int, p float64) bool { return false }); err != nil {
-		t.Fatalf("legacy biclique wrapper surfaced the stop: %v", err)
 	}
 
 	tq, err := mule.NewTrussQuery(g, 0.5)

@@ -213,6 +213,27 @@ type Stats struct {
 	Splits        int64     // work-stealing: lone frames split at the iteration level
 }
 
+// MergeStats folds s into agg: counters add, MaxDepth and MaxCliqueSize
+// take the larger value. Every field is a sum or a max, so folding parts in
+// a fixed order yields a deterministic aggregate. Status is not merged: the
+// caller decides a run's terminal state once. The parallel engines fold
+// their per-slot stats with it and the query layer its per-component runs,
+// so a counter is folded the same way on every path.
+func MergeStats(agg *Stats, s Stats) {
+	agg.Calls += s.Calls
+	agg.Emitted += s.Emitted
+	agg.MaxDepth = max(agg.MaxDepth, s.MaxDepth)
+	agg.MaxCliqueSize = max(agg.MaxCliqueSize, s.MaxCliqueSize)
+	agg.CandidateOps += s.CandidateOps
+	agg.WitnessOps += s.WitnessOps
+	agg.BitsetOps += s.BitsetOps
+	agg.PrunedEdges += s.PrunedEdges
+	agg.SizePruned += s.SizePruned
+	agg.FilterRemoved += s.FilterRemoved
+	agg.Steals += s.Steals
+	agg.Splits += s.Splits
+}
+
 // Enumerate runs plain MULE (Algorithm 1): it enumerates every α-maximal
 // clique of g, invoking visit for each. visit may be nil to count only.
 // alpha must lie in (0, 1]; at alpha = 1 the semantics coincide with
@@ -416,12 +437,6 @@ func CollectContext(ctx context.Context, g *uncertain.Graph, alpha float64, cfg 
 // Count returns the number of α-maximal cliques without materializing them.
 func Count(g *uncertain.Graph, alpha float64) (int64, error) {
 	stats, err := Enumerate(g, alpha, nil)
-	return stats.Emitted, err
-}
-
-// CountContext is Count under a context and explicit configuration.
-func CountContext(ctx context.Context, g *uncertain.Graph, alpha float64, cfg Config) (int64, error) {
-	stats, err := EnumerateContext(ctx, g, alpha, nil, cfg)
 	return stats.Emitted, err
 }
 

@@ -7,30 +7,21 @@ import (
 	"github.com/uncertain-graphs/mule/internal/uncertain"
 )
 
-// MaximumClique returns one maximum-cardinality α-clique of g (ties broken
-// by search order) together with its clique probability. It runs the MULE
-// search with a dynamic LARGE-MULE-style bound: a branch is cut as soon as
-// |C'| + |I'| cannot beat the best clique found so far, which is exactly the
-// Algorithm 6 cut with a threshold that tightens during the search. For an
-// empty graph it returns (nil, 1).
+// MaximumCliqueBudget returns one maximum-cardinality α-clique of g (ties
+// broken by search order) together with its clique probability. It runs the
+// MULE search with a dynamic LARGE-MULE-style bound: a branch is cut as soon
+// as |C'| + |I'| cannot beat the best clique found so far, which is exactly
+// the Algorithm 6 cut with a threshold that tightens during the search. For
+// an empty graph it returns (nil, 1).
 //
 // Note the result is a maximum α-clique, which is necessarily α-maximal;
 // enumerating all of them is possible with EnumerateWith and a MinSize of
 // the returned size, but a single witness is the common query.
-func MaximumClique(g *uncertain.Graph, alpha float64) ([]int, float64, error) {
-	return MaximumCliqueContext(context.Background(), g, alpha)
-}
-
-// MaximumCliqueContext is MaximumClique under ctx: the branch-and-bound
-// search polls the context every abortCheckInterval nodes and returns a
-// wrapped context error if it fires before the search space is exhausted.
-func MaximumCliqueContext(ctx context.Context, g *uncertain.Graph, alpha float64) ([]int, float64, error) {
-	return MaximumCliqueBudget(ctx, g, alpha, 0)
-}
-
-// MaximumCliqueBudget is MaximumCliqueContext with a node budget: the
-// search aborts with a wrapped ErrBudget after expanding more than budget
-// search nodes (0 = unlimited), the same accounting as Config.Budget.
+//
+// The search polls ctx every abortCheckInterval nodes and returns a wrapped
+// context error if it fires before the search space is exhausted; it aborts
+// with a wrapped ErrBudget after expanding more than budget search nodes
+// (0 = unlimited), the same accounting as Config.Budget.
 func MaximumCliqueBudget(ctx context.Context, g *uncertain.Graph, alpha float64, budget int64) ([]int, float64, error) {
 	if err := Validate(g, alpha, Config{Budget: budget}); err != nil {
 		return nil, 0, err

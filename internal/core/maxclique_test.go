@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -30,7 +31,7 @@ func TestMaximumCliqueMatchesEnumeration(t *testing.T) {
 		g := randomDyadic(n, 0.5, rng)
 		alpha := dyadicAlphas[rng.Intn(len(dyadicAlphas))]
 		want := maxCliqueRef(t, g, alpha)
-		got, prob, err := MaximumClique(g, alpha)
+		got, prob, err := MaximumCliqueBudget(context.Background(), g, alpha, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,20 +51,20 @@ func TestMaximumCliqueMatchesEnumeration(t *testing.T) {
 
 func TestMaximumCliqueEdgeCases(t *testing.T) {
 	// Empty graph.
-	got, prob, err := MaximumClique(uncertain.NewBuilder(0).Build(), 0.5)
+	got, prob, err := MaximumCliqueBudget(context.Background(), uncertain.NewBuilder(0).Build(), 0.5, 0)
 	if err != nil || len(got) != 0 || prob != 1 {
 		t.Fatalf("empty graph: %v %v %v", got, prob, err)
 	}
 	// Isolated vertices: best is a singleton.
-	got, _, err = MaximumClique(uncertain.NewBuilder(3).Build(), 0.5)
+	got, _, err = MaximumCliqueBudget(context.Background(), uncertain.NewBuilder(3).Build(), 0.5, 0)
 	if err != nil || len(got) != 1 {
 		t.Fatalf("isolated: %v %v", got, err)
 	}
 	// Validation.
-	if _, _, err := MaximumClique(nil, 0.5); err == nil {
+	if _, _, err := MaximumCliqueBudget(context.Background(), nil, 0.5, 0); err == nil {
 		t.Error("nil graph should fail")
 	}
-	if _, _, err := MaximumClique(uncertain.NewBuilder(1).Build(), 0); err == nil {
+	if _, _, err := MaximumCliqueBudget(context.Background(), uncertain.NewBuilder(1).Build(), 0, 0); err == nil {
 		t.Error("alpha=0 should fail")
 	}
 }
@@ -79,7 +80,7 @@ func TestMaximumCliqueAlphaShrinksSize(t *testing.T) {
 	g := b.Build()
 	prev := 11
 	for _, alpha := range []float64{0.0001, 0.01, 0.125, 0.5} {
-		got, _, err := MaximumClique(g, alpha)
+		got, _, err := MaximumCliqueBudget(context.Background(), g, alpha, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +95,7 @@ func BenchmarkMaximumClique(b *testing.B) {
 	g := randomDyadic(120, 0.3, rand.New(rand.NewSource(3)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := MaximumClique(g, 0.0625); err != nil {
+		if _, _, err := MaximumCliqueBudget(context.Background(), g, 0.0625, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -102,7 +102,7 @@ func (e *enumerator) runTopLevel(x *exec.Executor, workers int) {
 		if l == nil {
 			continue
 		}
-		e.stats.merge(&l.stats)
+		MergeStats(e.stats, l.stats)
 		l.e.releasePooled()
 	}
 	e.stopped = e.ctl.stop.Load()
@@ -170,27 +170,4 @@ func (e *enumerator) rootCut(x int32) bool {
 		}
 	}
 	return true
-}
-
-// merge folds o into s. All counter fields are sums or maxes, so merging
-// per-slot stats in ascending slot order yields a deterministic aggregate.
-// Status is not merged: the terminal state is decided once by the run
-// control after all slots have drained.
-func (s *Stats) merge(o *Stats) {
-	s.Calls += o.Calls
-	s.Emitted += o.Emitted
-	if o.MaxDepth > s.MaxDepth {
-		s.MaxDepth = o.MaxDepth
-	}
-	if o.MaxCliqueSize > s.MaxCliqueSize {
-		s.MaxCliqueSize = o.MaxCliqueSize
-	}
-	s.CandidateOps += o.CandidateOps
-	s.WitnessOps += o.WitnessOps
-	s.BitsetOps += o.BitsetOps
-	s.PrunedEdges += o.PrunedEdges
-	s.SizePruned += o.SizePruned
-	s.FilterRemoved += o.FilterRemoved
-	s.Steals += o.Steals
-	s.Splits += o.Splits
 }

@@ -17,7 +17,7 @@ import (
 // Ownership discipline is unchanged: a checked-out resource belongs to
 // exactly one enumerator (one query-worker pair) until it is returned, and
 // returns happen only on terminal paths — the deferred release in
-// EnumerateContext / MaximumClique for serial state, the post-Wait merge
+// EnumerateContext / MaximumCliqueBudget for serial state, the post-Wait merge
 // loop of the parallel engines for worker state — so cancel, budget, and
 // limit unwinds all funnel through the same return points.
 //

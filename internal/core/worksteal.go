@@ -267,7 +267,7 @@ func (e *enumerator) runWorkStealing(x *exec.Executor, workers, granularity int)
 		}
 		w.stats.Steals += w.steals
 		w.stats.Splits += w.splits
-		e.stats.merge(&w.stats)
+		MergeStats(e.stats, w.stats)
 		w.e.releasePooled()
 	}
 	e.stopped = e.ctl.stop.Load()

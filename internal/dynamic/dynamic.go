@@ -178,17 +178,6 @@ func (m *Maintainer) Graph() *uncertain.Graph {
 	return b.Build()
 }
 
-// SetEdge sets the probability of edge {u,v} to p (inserting the edge if
-// absent) and returns the clique-set diff.
-//
-// Deprecated: use SetEdgeContext, which bounds the neighborhood
-// re-enumerations with a context and reports per-operation Stats. SetEdge
-// remains a thin wrapper with the original behavior.
-func (m *Maintainer) SetEdge(u, v int, p float64) (Diff, error) {
-	diff, _, err := m.SetEdgeContext(context.Background(), u, v, p)
-	return diff, err
-}
-
 // SetEdgeContext sets the probability of edge {u,v} to p (inserting the
 // edge if absent) and returns the clique-set diff plus the Stats of this
 // operation. The affected-neighborhood re-enumerations poll ctx exactly
@@ -217,17 +206,6 @@ func (m *Maintainer) SetEdgeContext(ctx context.Context, u, v int, p float64) (D
 		return Diff{}, stats, err
 	}
 	return diff, stats, nil
-}
-
-// RemoveEdge deletes edge {u,v} (equivalent to probability 0) and returns
-// the clique-set diff. Removing a non-existent edge is an error.
-//
-// Deprecated: use RemoveEdgeContext, which bounds the neighborhood
-// re-enumerations with a context and reports per-operation Stats.
-// RemoveEdge remains a thin wrapper with the original behavior.
-func (m *Maintainer) RemoveEdge(u, v int) (Diff, error) {
-	diff, _, err := m.RemoveEdgeContext(context.Background(), u, v)
-	return diff, err
 }
 
 // RemoveEdgeContext deletes edge {u,v} (equivalent to probability 0) and

@@ -1,6 +1,7 @@
 package dynamic
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"reflect"
@@ -90,12 +91,12 @@ func TestRandomUpdateSequences(t *testing.T) {
 				continue
 			}
 			if _, exists := m.Prob(u, v); exists && rng.Float64() < 0.35 {
-				if _, err := m.RemoveEdge(u, v); err != nil {
+				if _, _, err := m.RemoveEdgeContext(context.Background(), u, v); err != nil {
 					t.Fatalf("trial %d step %d: remove: %v", trial, step, err)
 				}
 			} else {
 				p := dyadicProbs[rng.Intn(len(dyadicProbs))]
-				if _, err := m.SetEdge(u, v, p); err != nil {
+				if _, _, err := m.SetEdgeContext(context.Background(), u, v, p); err != nil {
 					t.Fatalf("trial %d step %d: set: %v", trial, step, err)
 				}
 			}
@@ -125,9 +126,9 @@ func TestDiffsAreExact(t *testing.T) {
 		}
 		var diff Diff
 		if _, exists := m.Prob(u, v); exists && rng.Float64() < 0.4 {
-			diff, err = m.RemoveEdge(u, v)
+			diff, _, err = m.RemoveEdgeContext(context.Background(), u, v)
 		} else {
-			diff, err = m.SetEdge(u, v, dyadicProbs[rng.Intn(len(dyadicProbs))])
+			diff, _, err = m.SetEdgeContext(context.Background(), u, v, dyadicProbs[rng.Intn(len(dyadicProbs))])
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -166,24 +167,24 @@ func TestSetEdgeValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.SetEdge(0, 0, 0.5); err == nil {
+	if _, _, err := m.SetEdgeContext(context.Background(), 0, 0, 0.5); err == nil {
 		t.Error("self-loop accepted")
 	}
-	if _, err := m.SetEdge(-1, 2, 0.5); err == nil {
+	if _, _, err := m.SetEdgeContext(context.Background(), -1, 2, 0.5); err == nil {
 		t.Error("negative vertex accepted")
 	}
-	if _, err := m.SetEdge(0, 9, 0.5); err == nil {
+	if _, _, err := m.SetEdgeContext(context.Background(), 0, 9, 0.5); err == nil {
 		t.Error("out-of-range vertex accepted")
 	}
 	for _, p := range []float64{0, -0.5, 1.1, math.NaN()} {
-		if _, err := m.SetEdge(0, 1, p); err == nil {
+		if _, _, err := m.SetEdgeContext(context.Background(), 0, 1, p); err == nil {
 			t.Errorf("probability %v accepted", p)
 		}
 	}
-	if _, err := m.RemoveEdge(0, 1); err == nil {
+	if _, _, err := m.RemoveEdgeContext(context.Background(), 0, 1); err == nil {
 		t.Error("removing a missing edge succeeded")
 	}
-	if _, err := m.RemoveEdge(0, 0); err == nil {
+	if _, _, err := m.RemoveEdgeContext(context.Background(), 0, 0); err == nil {
 		t.Error("removing a self-loop succeeded")
 	}
 }
@@ -210,11 +211,11 @@ func TestInsertThenRemoveRoundTrip(t *testing.T) {
 	if u < 0 {
 		t.Skip("random graph is complete")
 	}
-	addDiff, err := m.SetEdge(u, v, 1)
+	addDiff, _, err := m.SetEdgeContext(context.Background(), u, v, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	removeDiff, err := m.RemoveEdge(u, v)
+	removeDiff, _, err := m.RemoveEdgeContext(context.Background(), u, v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +244,7 @@ func TestSingletonsTrackIsolation(t *testing.T) {
 	if got := m.Cliques(); !reflect.DeepEqual(got, [][]int{{0, 1}}) {
 		t.Fatalf("initial cliques %v", got)
 	}
-	diff, err := m.RemoveEdge(0, 1)
+	diff, _, err := m.RemoveEdgeContext(context.Background(), 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,10 +256,10 @@ func TestSingletonsTrackIsolation(t *testing.T) {
 	}
 	// Lowering the probability below α has the same effect as removal for
 	// qualification while the support edge remains.
-	if _, err := m.SetEdge(0, 1, 0.5); err != nil {
+	if _, _, err := m.SetEdgeContext(context.Background(), 0, 1, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.SetEdge(0, 1, 0.25); err != nil {
+	if _, _, err := m.SetEdgeContext(context.Background(), 0, 1, 0.25); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.Cliques(); !reflect.DeepEqual(got, [][]int{{0}, {1}}) {
@@ -274,7 +275,7 @@ func TestProbReflectsUpdates(t *testing.T) {
 	if _, ok := m.Prob(0, 1); ok {
 		t.Fatal("edge exists before insertion")
 	}
-	if _, err := m.SetEdge(0, 1, 0.75); err != nil {
+	if _, _, err := m.SetEdgeContext(context.Background(), 0, 1, 0.75); err != nil {
 		t.Fatal(err)
 	}
 	if p, ok := m.Prob(0, 1); !ok || p != 0.75 {
@@ -283,7 +284,7 @@ func TestProbReflectsUpdates(t *testing.T) {
 	if p, ok := m.Prob(1, 0); !ok || p != 0.75 {
 		t.Fatalf("Prob not symmetric: %v,%v", p, ok)
 	}
-	if _, err := m.SetEdge(0, 1, 0.25); err != nil {
+	if _, _, err := m.SetEdgeContext(context.Background(), 0, 1, 0.25); err != nil {
 		t.Fatal(err)
 	}
 	if p, _ := m.Prob(0, 1); p != 0.25 {
@@ -327,7 +328,7 @@ func TestQuickSingleUpdateCorrect(t *testing.T) {
 		if u == v {
 			return true
 		}
-		if _, err := m.SetEdge(u, v, dyadicProbs[int(pi)%len(dyadicProbs)]); err != nil {
+		if _, _, err := m.SetEdgeContext(context.Background(), u, v, dyadicProbs[int(pi)%len(dyadicProbs)]); err != nil {
 			return false
 		}
 		want, err := core.Collect(m.Graph(), 0.25)

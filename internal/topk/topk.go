@@ -1,16 +1,16 @@
 // Package topk ranks α-maximal cliques. The most closely related prior work
 // to the paper (Zou, Li, Gao, Zhang; ICDE 2010) mines the k maximal cliques
-// of highest probability; this package provides that query surface on top of
-// MULE: among all α-maximal cliques of the graph, return the k with the
-// highest clique probability (or the k largest).
+// of highest probability; this package ranks for that query (the root
+// package's Query.TopK) on top of MULE: among all α-maximal cliques of the
+// graph, keep the k with the highest clique probability (or the k largest).
 //
 // Note that the threshold α cannot simply be raised to the running k-th best
 // probability during the search: α-maximality is defined relative to α, so a
 // larger threshold changes which vertex sets are maximal at all (a large
 // clique that fails a higher α splinters into smaller maximal cliques).
-// TopK therefore enumerates the full α-maximal family once and maintains a
-// bounded min-heap, which is exact and costs O(output · log k) beyond the
-// enumeration itself.
+// Query.TopK therefore enumerates the full α-maximal family once into a
+// Collector's bounded min-heap, which is exact and costs O(output · log k)
+// beyond the enumeration itself.
 package topk
 
 import (
@@ -18,7 +18,6 @@ import (
 	"fmt"
 
 	"github.com/uncertain-graphs/mule/internal/core"
-	"github.com/uncertain-graphs/mule/internal/uncertain"
 )
 
 // ScoredClique is an α-maximal clique with its clique probability.
@@ -90,30 +89,6 @@ func (c *Collector) Visit(clique []int, p float64) bool {
 // is empty afterwards.
 func (c *Collector) Drain() []ScoredClique {
 	return drainDescending(c.h)
-}
-
-// ByProb returns the k α-maximal cliques with the highest clique
-// probability, ordered best-first. Ties break toward larger cliques, then
-// lexicographically smaller vertex sets, making the result deterministic.
-func ByProb(g *uncertain.Graph, alpha float64, k int) ([]ScoredClique, error) {
-	return collect(g, alpha, k, CriterionProb)
-}
-
-// BySize returns the k largest α-maximal cliques, ordered largest-first.
-// Ties break toward higher probability, then lexicographically.
-func BySize(g *uncertain.Graph, alpha float64, k int) ([]ScoredClique, error) {
-	return collect(g, alpha, k, CriterionSize)
-}
-
-func collect(g *uncertain.Graph, alpha float64, k int, by Criterion) ([]ScoredClique, error) {
-	col, err := NewCollector(k, by)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := core.Enumerate(g, alpha, col.Visit); err != nil {
-		return nil, err
-	}
-	return col.Drain(), nil
 }
 
 func copyInts(a []int) []int {

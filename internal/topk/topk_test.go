@@ -25,6 +25,19 @@ func randomGraph(n int, density float64, seed int64) *uncertain.Graph {
 	return b.Build()
 }
 
+// topK ranks g's α-maximal family with a Collector fed by the serial
+// enumerator, the way the query layer drives it.
+func topK(g *uncertain.Graph, alpha float64, k int, by Criterion) ([]ScoredClique, error) {
+	col, err := NewCollector(k, by)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := core.Enumerate(g, alpha, col.Visit); err != nil {
+		return nil, err
+	}
+	return col.Drain(), nil
+}
+
 // exhaustive reference: enumerate everything, sort by the same criteria,
 // truncate.
 func refByProb(t *testing.T, g *uncertain.Graph, alpha float64, k int) []ScoredClique {
@@ -50,7 +63,7 @@ func TestByProbMatchesExhaustive(t *testing.T) {
 	for trial := int64(0); trial < 20; trial++ {
 		g := randomGraph(14, 0.5, trial)
 		for _, k := range []int{1, 3, 10, 1000} {
-			got, err := ByProb(g, 0.125, k)
+			got, err := topK(g, 0.125, k, CriterionProb)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -64,7 +77,7 @@ func TestByProbMatchesExhaustive(t *testing.T) {
 
 func TestByProbOrderingAndBound(t *testing.T) {
 	g := randomGraph(20, 0.5, 7)
-	got, err := ByProb(g, 0.25, 5)
+	got, err := topK(g, 0.25, 5, CriterionProb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +101,7 @@ func TestByProbOrderingAndBound(t *testing.T) {
 
 func TestBySizeOrdering(t *testing.T) {
 	g := randomGraph(20, 0.6, 8)
-	got, err := BySize(g, 0.0625, 4)
+	got, err := topK(g, 0.0625, 4, CriterionSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +128,7 @@ func TestBySizeOrdering(t *testing.T) {
 
 func TestKLargerThanOutput(t *testing.T) {
 	g := randomGraph(8, 0.4, 9)
-	got, err := ByProb(g, 0.5, 10000)
+	got, err := topK(g, 0.5, 10000, CriterionProb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,10 +143,10 @@ func TestKLargerThanOutput(t *testing.T) {
 
 func TestInvalidK(t *testing.T) {
 	g := randomGraph(5, 0.5, 10)
-	if _, err := ByProb(g, 0.5, 0); err == nil {
+	if _, err := topK(g, 0.5, 0, CriterionProb); err == nil {
 		t.Error("k=0 should fail")
 	}
-	if _, err := BySize(g, 0.5, -3); err == nil {
+	if _, err := topK(g, 0.5, -3, CriterionSize); err == nil {
 		t.Error("negative k should fail")
 	}
 }
@@ -144,11 +157,11 @@ func TestDeterministicTieBreaks(t *testing.T) {
 	g, _ := uncertain.FromEdges(4, []uncertain.Edge{
 		{U: 0, V: 1, P: 0.5}, {U: 2, V: 3, P: 0.5},
 	})
-	a, err := ByProb(g, 0.5, 1)
+	a, err := topK(g, 0.5, 1, CriterionProb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ByProb(g, 0.5, 1)
+	b, err := topK(g, 0.5, 1, CriterionProb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,9 +175,9 @@ func TestDeterministicTieBreaks(t *testing.T) {
 
 func TestSingletonsRankedLast(t *testing.T) {
 	// A singleton has probability 1 — higher than any multi-vertex clique
-	// with p<1 edges. ByProb must respect that honestly.
+	// with p<1 edges. Ranking by probability must respect that honestly.
 	g, _ := uncertain.FromEdges(3, []uncertain.Edge{{U: 0, V: 1, P: 0.5}})
-	got, err := ByProb(g, 0.5, 3)
+	got, err := topK(g, 0.5, 3, CriterionProb)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,11 +30,9 @@
 // WithBudget, …) is the primary API: a Query is validated once, reusable,
 // and every run method — Run, Collect, Count, TopK, Maximum, Cliques —
 // takes a context.Context, so enumerations are cancellable and
-// deadline-bounded all the way into the search kernels. The original
-// flat functions (Enumerate, Collect, Count, …) remain as thin deprecated
-// wrappers with their exact historical behavior.
+// deadline-bounded all the way into the search kernels.
 //
-// Setting Config.Workers > 1 runs the search on a work-stealing parallel
+// WithWorkers(w) with w > 1 runs the search on a work-stealing parallel
 // engine: each worker executes its own subtree depth-first from a private
 // deque of splittable search frames and steals half of the oldest frames
 // from a victim when its deque drains, so even a single dominant subtree —
@@ -60,14 +58,9 @@
 // cross-cutting options (WithLimit, WithBudget, per-miner knobs like
 // WithGamma and WithSides), and exposes Run/Collect/Count plus a Stream
 // range-over-func with the Query.Cliques break-stops-the-engine contract.
-// The original flat extension functions survive in extensions.go as
-// deprecated wrappers funneled through the same constructors.
 package mule
 
 import (
-	"context"
-	"errors"
-
 	"github.com/uncertain-graphs/mule/internal/core"
 	"github.com/uncertain-graphs/mule/internal/uncertain"
 )
@@ -85,14 +78,6 @@ type Edge = uncertain.Edge
 // Stats reports the work performed by an enumeration run, including its
 // terminal Status (complete, stopped, canceled, deadline, budget).
 type Stats = core.Stats
-
-// Config tunes an enumeration run; the zero value is the paper's plain MULE.
-//
-// Deprecated: Config survives for the legacy EnumerateWith entry point.
-// New code should build a Query with NewQuery and functional options
-// (WithMinSize, WithOrdering, WithWorkers, …), which validates eagerly and
-// adds context support.
-type Config = core.Config
 
 // Visitor receives each α-maximal clique (sorted, reused between calls) and
 // its clique probability; returning false stops the enumeration.
@@ -120,7 +105,8 @@ const (
 	IntersectBitset   = core.IntersectBitset
 )
 
-// ParallelMode selects the engine used when Config.Workers > 1.
+// ParallelMode selects the engine used when WithWorkers enables
+// parallelism (see WithParallelMode).
 type ParallelMode = core.ParallelMode
 
 // Parallel engines: work stealing (the default) subdivides heavy subtrees
@@ -137,81 +123,6 @@ func NewBuilder(n int) *Builder { return uncertain.NewBuilder(n) }
 // FromEdges builds an uncertain graph on n vertices from an edge list.
 func FromEdges(n int, edges []Edge) (*Graph, error) { return uncertain.FromEdges(n, edges) }
 
-// runLegacy executes a Config-shaped run through the Query layer with the
-// historical callback contract: a visitor returning false is a successful
-// early stop, not an error.
-func runLegacy(g *Graph, alpha float64, visit Visitor, cfg Config) (Stats, error) {
-	q, err := newQuery(base{}, g, alpha, cfg)
-	if err != nil {
-		return Stats{}, err
-	}
-	stats, err := q.Run(context.Background(), visit)
-	if errors.Is(err, ErrStopped) {
-		err = nil
-	}
-	return stats, err
-}
-
-// Enumerate enumerates every α-maximal clique of g (Algorithm 1, MULE).
-// visit may be nil to only count (see Stats.Emitted).
-//
-// Deprecated: use NewQuery(g, alpha) and Query.Run, which adds context
-// cancellation and typed errors. Enumerate remains a thin wrapper with the
-// original behavior.
-func Enumerate(g *Graph, alpha float64, visit Visitor) (Stats, error) {
-	return runLegacy(g, alpha, visit, Config{})
-}
-
-// EnumerateLarge enumerates every α-maximal clique with at least minSize
-// vertices (Algorithm 5, LARGE-MULE).
-//
-// Deprecated: use NewQuery(g, alpha, WithMinSize(minSize)) and Query.Run.
-func EnumerateLarge(g *Graph, alpha float64, minSize int, visit Visitor) (Stats, error) {
-	return runLegacy(g, alpha, visit, Config{MinSize: minSize})
-}
-
-// EnumerateWith runs MULE with explicit configuration (ordering, parallel
-// workers, minimum size, instrumentation).
-//
-// Deprecated: use NewQuery with the matching functional options
-// (WithOrdering, WithWorkers, WithParallelMode, WithStealGranularity, …)
-// and Query.Run.
-func EnumerateWith(g *Graph, alpha float64, visit Visitor, cfg Config) (Stats, error) {
-	return runLegacy(g, alpha, visit, cfg)
-}
-
-// Collect returns all α-maximal cliques in canonical order (each clique
-// sorted ascending; cliques sorted lexicographically).
-//
-// Deprecated: use NewQuery(g, alpha) and Query.Collect, which returns typed
-// Clique values carrying the probabilities.
-func Collect(g *Graph, alpha float64) ([][]int, error) {
-	q, err := newQuery(base{}, g, alpha, Config{})
-	if err != nil {
-		return nil, err
-	}
-	cliques, err := q.Collect(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]int, len(cliques))
-	for i, c := range cliques {
-		out[i] = c.Vertices
-	}
-	return out, nil
-}
-
-// Count returns the number of α-maximal cliques without materializing them.
-//
-// Deprecated: use NewQuery(g, alpha) and Query.Count.
-func Count(g *Graph, alpha float64) (int64, error) {
-	q, err := newQuery(base{}, g, alpha, Config{})
-	if err != nil {
-		return 0, err
-	}
-	return q.Count(context.Background())
-}
-
 // CliqueProb returns clq(set, g): the probability that set is a clique in a
 // world sampled from g (Observation 1: the product of induced edge
 // probabilities; 0 if set is not a clique of the support graph).
@@ -222,13 +133,4 @@ func CliqueProb(g *Graph, set []int) float64 { return g.CliqueProb(set) }
 // the enumeration fast path.
 func IsAlphaMaximalClique(g *Graph, set []int, alpha float64) bool {
 	return g.IsAlphaMaximalClique(set, alpha)
-}
-
-// MaximumClique returns one maximum-cardinality α-clique and its probability
-// using a branch-and-bound variant of the MULE search.
-//
-// Deprecated: use NewQuery(g, alpha) and Query.Maximum, which honors a
-// context.
-func MaximumClique(g *Graph, alpha float64) ([]int, float64, error) {
-	return core.MaximumClique(g, alpha)
 }

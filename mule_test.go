@@ -1,6 +1,7 @@
 package mule_test
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -22,12 +23,33 @@ func buildDocGraph(t *testing.T) *mule.Graph {
 	return b.Build()
 }
 
-func TestFacadeQuickstart(t *testing.T) {
-	g := buildDocGraph(t)
-	got, err := mule.Collect(g, 0.5)
+// collectVertices runs q.Collect and returns the vertex sets alone.
+func collectVertices(t *testing.T, q *mule.Query) [][]int {
+	t.Helper()
+	cs, err := q.Collect(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := make([][]int, len(cs))
+	for i, c := range cs {
+		out[i] = c.Vertices
+	}
+	return out
+}
+
+// newQuery is mule.NewQuery for arguments the test knows are valid.
+func newQuery(t *testing.T, g *mule.Graph, alpha float64, opts ...mule.Option) *mule.Query {
+	t.Helper()
+	q, err := mule.NewQuery(g, alpha, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
+func TestFacadeQuickstart(t *testing.T) {
+	g := buildDocGraph(t)
+	got := collectVertices(t, newQuery(t, g, 0.5))
 	// clq({0,1,2}) = 0.9·0.8·0.9 = 0.648 ≥ 0.5; {2,3} = 0.5 ≥ 0.5.
 	want := [][]int{{0, 1, 2}, {2, 3}}
 	if !reflect.DeepEqual(got, want) {
@@ -36,9 +58,10 @@ func TestFacadeQuickstart(t *testing.T) {
 }
 
 func TestFacadeEnumerateAndCount(t *testing.T) {
-	g := buildDocGraph(t)
+	ctx := context.Background()
+	q := newQuery(t, buildDocGraph(t), 0.5)
 	var seen int
-	stats, err := mule.Enumerate(g, 0.5, func(c []int, p float64) bool {
+	stats, err := q.Run(ctx, func(c []int, p float64) bool {
 		seen++
 		if p < 0.5 {
 			t.Fatalf("clique %v reported with prob %v < α", c, p)
@@ -51,7 +74,7 @@ func TestFacadeEnumerateAndCount(t *testing.T) {
 	if seen != 2 || stats.Emitted != 2 {
 		t.Fatalf("enumerated %d cliques (stats %d), want 2", seen, stats.Emitted)
 	}
-	n, err := mule.Count(g, 0.5)
+	n, err := q.Count(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,9 +84,9 @@ func TestFacadeEnumerateAndCount(t *testing.T) {
 }
 
 func TestFacadeLarge(t *testing.T) {
-	g := buildDocGraph(t)
+	q := newQuery(t, buildDocGraph(t), 0.5, mule.WithMinSize(3))
 	var got [][]int
-	_, err := mule.EnumerateLarge(g, 0.5, 3, func(c []int, _ float64) bool {
+	_, err := q.Run(context.Background(), func(c []int, _ float64) bool {
 		cp := make([]int, len(c))
 		copy(cp, c)
 		got = append(got, cp)
@@ -79,15 +102,16 @@ func TestFacadeLarge(t *testing.T) {
 
 func TestFacadeConfigAndOrderings(t *testing.T) {
 	g := buildDocGraph(t)
-	want, _ := mule.Collect(g, 0.5)
+	want := collectVertices(t, newQuery(t, g, 0.5))
 	for _, ord := range []mule.Ordering{mule.OrderNatural, mule.OrderDegree, mule.OrderDegeneracy, mule.OrderRandom} {
 		var got [][]int
-		_, err := mule.EnumerateWith(g, 0.5, func(c []int, _ float64) bool {
+		q := newQuery(t, g, 0.5, mule.WithOrdering(ord), mule.WithWorkers(2))
+		_, err := q.Run(context.Background(), func(c []int, _ float64) bool {
 			cp := make([]int, len(c))
 			copy(cp, c)
 			got = append(got, cp)
 			return true
-		}, mule.Config{Ordering: ord, Workers: 2})
+		})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -269,19 +269,13 @@ func NewQuery(g *Graph, alpha float64, opts ...Option) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
+	cfg := o.cfg
 	// The parallel engines submit their frames to the query's executor; the
 	// serial path never touches one.
-	o.cfg.Exec = b.ten.engineExec()
-	return newQuery(b, g, alpha, o.cfg)
-}
-
-// newQuery is the single constructor behind NewQuery and every legacy
-// wrapper, so no entry point can build a Query that another would reject.
-func newQuery(b base, g *Graph, alpha float64, cfg core.Config) (*Query, error) {
+	cfg.Exec = b.ten.engineExec()
 	if err := core.Validate(g, alpha, cfg); err != nil {
 		return nil, err
 	}
-	b.budget = cfg.Budget
 	q := &Query{g: g, alpha: alpha, cfg: cfg}
 	q.p = prepared[Clique, Stats]{base: b, miner: miner[Clique, Stats]{
 		mine: func(ctx context.Context, visit func(Clique) bool) (Stats, error) {
@@ -306,21 +300,8 @@ func newQuery(b base, g *Graph, alpha float64, cfg core.Config) (*Query, error) 
 			}
 		}),
 		numComponents: g.NumComponents,
-		fold: func(agg *Stats, s Stats) {
-			agg.Calls += s.Calls
-			agg.Emitted += s.Emitted
-			agg.CandidateOps += s.CandidateOps
-			agg.WitnessOps += s.WitnessOps
-			agg.BitsetOps += s.BitsetOps
-			agg.PrunedEdges += s.PrunedEdges
-			agg.SizePruned += s.SizePruned
-			agg.FilterRemoved += s.FilterRemoved
-			agg.Steals += s.Steals
-			agg.Splits += s.Splits
-			agg.MaxDepth = max(agg.MaxDepth, s.MaxDepth)
-			agg.MaxCliqueSize = max(agg.MaxCliqueSize, s.MaxCliqueSize)
-		},
-		work: func(s Stats) int64 { return s.Calls },
+		fold:          core.MergeStats,
+		work:          func(s Stats) int64 { return s.Calls },
 	}}
 	return q, nil
 }
@@ -382,9 +363,9 @@ func (q *Query) TopK(ctx context.Context, k int, by TopKCriterion) ([]ScoredCliq
 }
 
 // Maximum returns one maximum-cardinality α-clique of the query's graph and
-// its probability, via branch-and-bound (see MaximumClique). It honors ctx
-// and WithBudget like every other run method; the parallel, ordering, and
-// WithLimit options do not apply to this search.
+// its probability, via a branch-and-bound variant of the MULE search. It
+// honors ctx and WithBudget like every other run method; the parallel,
+// ordering, and WithLimit options do not apply to this search.
 func (q *Query) Maximum(ctx context.Context) ([]int, float64, error) {
 	var c []int
 	var prob float64

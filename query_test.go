@@ -11,7 +11,9 @@ import (
 	"time"
 
 	mule "github.com/uncertain-graphs/mule"
+	"github.com/uncertain-graphs/mule/internal/core"
 	"github.com/uncertain-graphs/mule/internal/gen"
+	"github.com/uncertain-graphs/mule/internal/topk"
 )
 
 // slowGraph returns a dense graph whose full enumeration takes hundreds of
@@ -85,7 +87,7 @@ func TestQueryCliquesMatchesCollect(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		g := randomGraph(rng)
 		alpha := []float64{0.05, 0.2, 0.5}[i%3]
-		want, err := mule.Collect(g, alpha) // legacy wrapper, canonical order
+		want, _, err := core.CollectWith(g, alpha, core.Config{}) // the serial engine, canonical order
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +166,7 @@ func startSharedExecutor(t *testing.T) {
 func TestQueryCancellationMatrix(t *testing.T) {
 	g := slowGraph(t)
 	const alpha = 1e-30
-	full, err := mule.Count(g, alpha)
+	full, err := core.Count(g, alpha)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +322,7 @@ func TestQueryLimit(t *testing.T) {
 }
 
 // TestQueryRunErrStopped: a visitor returning false surfaces ErrStopped
-// from Query.Run, while the deprecated Enumerate wrapper still reports nil.
+// from Query.Run.
 func TestQueryRunErrStopped(t *testing.T) {
 	g := slowGraph(t)
 	q, err := mule.NewQuery(g, 1e-30)
@@ -333,9 +335,6 @@ func TestQueryRunErrStopped(t *testing.T) {
 	}
 	if stats.Emitted != 1 || stats.Status != mule.StatusStopped {
 		t.Fatalf("stopped run stats: %+v", stats)
-	}
-	if _, err := mule.Enumerate(g, 1e-30, func(c []int, p float64) bool { return false }); err != nil {
-		t.Fatalf("legacy Enumerate surfaced the stop: %v", err)
 	}
 }
 
@@ -403,7 +402,7 @@ func TestQueryCliquesStreamError(t *testing.T) {
 	}
 }
 
-// TestQueryTopK agrees with the deprecated top-level helpers.
+// TestQueryTopK agrees with a topk.Collector fed by the serial engine.
 func TestQueryTopK(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := randomGraph(rng)
@@ -417,7 +416,7 @@ func TestQueryTopK(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := mule.TopKByProb(g, 0.1, k)
+		want, err := engineTopK(g, 0.1, k, mule.ByProb)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -428,7 +427,7 @@ func TestQueryTopK(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantS, err := mule.TopKBySize(g, 0.1, k)
+		wantS, err := engineTopK(g, 0.1, k, mule.BySize)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -441,7 +440,21 @@ func TestQueryTopK(t *testing.T) {
 	}
 }
 
-// TestQueryMaximum agrees with the deprecated MaximumClique and honors ctx.
+// engineTopK ranks g's α-maximal family with a topk.Collector fed by the
+// serial engine, outside the query chassis.
+func engineTopK(g *mule.Graph, alpha float64, k int, by mule.TopKCriterion) ([]mule.ScoredClique, error) {
+	col, err := topk.NewCollector(k, by)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := core.Enumerate(g, alpha, col.Visit); err != nil {
+		return nil, err
+	}
+	return col.Drain(), nil
+}
+
+// TestQueryMaximum agrees with the branch-and-bound engine called directly
+// and honors ctx.
 func TestQueryMaximum(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := randomGraph(rng)
@@ -453,7 +466,7 @@ func TestQueryMaximum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantC, wantP, err := mule.MaximumClique(g, 0.1)
+	wantC, wantP, err := core.MaximumCliqueBudget(context.Background(), g, 0.1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,45 +516,8 @@ func TestNewQueryValidation(t *testing.T) {
 	}
 }
 
-// TestLegacyWrappersShareQueryValidation pins that the deprecated flat
-// functions funnel through the same constructor as NewQuery: every Config
-// a NewQuery would reject is rejected by the wrappers with the same
-// sentinel, so no entry point can run an invalid Query.
-func TestLegacyWrappersShareQueryValidation(t *testing.T) {
-	g, err := mule.FromEdges(3, []mule.Edge{{U: 0, V: 1, P: 0.5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := []mule.Config{
-		{MinSize: -1},
-		{Workers: -2},
-		{Budget: -5},
-		{StealGranularity: -1},
-		{Parallel: mule.ParallelMode(9)},
-		{Ordering: mule.Ordering(99)},
-		{Intersect: mule.IntersectMode(9)},
-	}
-	for i, cfg := range bad {
-		if _, err := mule.EnumerateWith(g, 0.5, nil, cfg); !errors.Is(err, mule.ErrConfig) {
-			t.Errorf("bad config %d: EnumerateWith err = %v, want wrapped ErrConfig", i, err)
-		}
-	}
-	if _, err := mule.Enumerate(nil, 0.5, nil); !errors.Is(err, mule.ErrNilGraph) {
-		t.Errorf("Enumerate(nil): err = %v, want wrapped ErrNilGraph", err)
-	}
-	if _, err := mule.Count(g, 0); !errors.Is(err, mule.ErrAlphaRange) {
-		t.Errorf("Count(α=0): err = %v, want wrapped ErrAlphaRange", err)
-	}
-	if _, err := mule.Collect(g, 1.01); !errors.Is(err, mule.ErrAlphaRange) {
-		t.Errorf("Collect(α>1): err = %v, want wrapped ErrAlphaRange", err)
-	}
-	if _, err := mule.EnumerateLarge(g, 0.5, -3, nil); !errors.Is(err, mule.ErrConfig) {
-		t.Errorf("EnumerateLarge(minSize<0): err = %v, want wrapped ErrConfig", err)
-	}
-}
-
-// TestQueryOptionEquivalence: every option reproduces its Config-era
-// semantics — same clique sets as the deprecated EnumerateWith.
+// TestQueryOptionEquivalence: every option reproduces the engine run under
+// the matching core.Config — same clique sets as core.EnumerateWith.
 func TestQueryOptionEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	ctx := context.Background()
@@ -549,14 +525,14 @@ func TestQueryOptionEquivalence(t *testing.T) {
 		g := randomGraph(rng)
 		cfgs := []struct {
 			opts []mule.Option
-			cfg  mule.Config
+			cfg  core.Config
 		}{
-			{[]mule.Option{mule.WithMinSize(3)}, mule.Config{MinSize: 3}},
-			{[]mule.Option{mule.WithOrdering(mule.OrderDegeneracy)}, mule.Config{Ordering: mule.OrderDegeneracy}},
-			{[]mule.Option{mule.WithOrdering(mule.OrderRandom), mule.WithSeed(42)}, mule.Config{Ordering: mule.OrderRandom, Seed: 42}},
-			{[]mule.Option{mule.WithWorkers(3), mule.WithStealGranularity(2)}, mule.Config{Workers: 3, StealGranularity: 2}},
-			{[]mule.Option{mule.WithIntersect(mule.IntersectBitset)}, mule.Config{Intersect: mule.IntersectBitset}},
-			{[]mule.Option{mule.WithIntersect(mule.IntersectSorted)}, mule.Config{Intersect: mule.IntersectSorted}},
+			{[]mule.Option{mule.WithMinSize(3)}, core.Config{MinSize: 3}},
+			{[]mule.Option{mule.WithOrdering(mule.OrderDegeneracy)}, core.Config{Ordering: mule.OrderDegeneracy}},
+			{[]mule.Option{mule.WithOrdering(mule.OrderRandom), mule.WithSeed(42)}, core.Config{Ordering: mule.OrderRandom, Seed: 42}},
+			{[]mule.Option{mule.WithWorkers(3), mule.WithStealGranularity(2)}, core.Config{Workers: 3, StealGranularity: 2}},
+			{[]mule.Option{mule.WithIntersect(mule.IntersectBitset)}, core.Config{Intersect: mule.IntersectBitset}},
+			{[]mule.Option{mule.WithIntersect(mule.IntersectSorted)}, core.Config{Intersect: mule.IntersectSorted}},
 		}
 		for ci, tc := range cfgs {
 			q, err := mule.NewQuery(g, 0.2, tc.opts...)
@@ -568,7 +544,7 @@ func TestQueryOptionEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			var want [][]int
-			_, err = mule.EnumerateWith(g, 0.2, func(c []int, _ float64) bool {
+			_, err = core.EnumerateWith(g, 0.2, func(c []int, _ float64) bool {
 				want = append(want, append([]int(nil), c...))
 				return true
 			}, tc.cfg)
@@ -673,7 +649,7 @@ func TestQueryMaximumHonorsBudget(t *testing.T) {
 // TestExtensionSentinels: the biclique and maintainer surfaces classify
 // invalid input with the same typed sentinels as the query surface.
 func TestExtensionSentinels(t *testing.T) {
-	if _, err := mule.EnumerateBicliques(nil, 0.5, nil); !errors.Is(err, mule.ErrNilGraph) {
+	if _, err := mule.NewBicliqueQuery(nil, 0.5); !errors.Is(err, mule.ErrNilGraph) {
 		t.Fatalf("nil bipartite: %v", err)
 	}
 	bb := mule.NewBipartiteBuilder(2, 2)
@@ -684,7 +660,7 @@ func TestExtensionSentinels(t *testing.T) {
 		t.Fatalf("bipartite prob range: %v", err)
 	}
 	g := bb.Build()
-	if _, err := mule.EnumerateBicliques(g, 0, nil); !errors.Is(err, mule.ErrAlphaRange) {
+	if _, err := mule.NewBicliqueQuery(g, 0); !errors.Is(err, mule.ErrAlphaRange) {
 		t.Fatalf("bipartite alpha: %v", err)
 	}
 	if _, err := mule.NewMaintainer(nil, 0.5); !errors.Is(err, mule.ErrNilGraph) {
@@ -701,13 +677,14 @@ func TestExtensionSentinels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.SetEdge(0, 0, 0.5); !errors.Is(err, mule.ErrSelfLoop) {
+	ctx := context.Background()
+	if _, _, err := m.SetEdgeContext(ctx, 0, 0, 0.5); !errors.Is(err, mule.ErrSelfLoop) {
 		t.Fatalf("maintainer self-loop: %v", err)
 	}
-	if _, err := m.SetEdge(0, 5, 0.5); !errors.Is(err, mule.ErrVertexRange) {
+	if _, _, err := m.SetEdgeContext(ctx, 0, 5, 0.5); !errors.Is(err, mule.ErrVertexRange) {
 		t.Fatalf("maintainer vertex range: %v", err)
 	}
-	if _, err := m.SetEdge(0, 1, 2); !errors.Is(err, mule.ErrProbRange) {
+	if _, _, err := m.SetEdgeContext(ctx, 0, 1, 2); !errors.Is(err, mule.ErrProbRange) {
 		t.Fatalf("maintainer prob range: %v", err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 
 	mule "github.com/uncertain-graphs/mule"
@@ -152,6 +153,31 @@ func TestFacadeTruss(t *testing.T) {
 	}
 	if p != 1 {
 		t.Fatalf("support probability of a certain triangle edge = %v, want 1", p)
+	}
+}
+
+// TestTrussSupportProbThresholdAboveDegree asks for more triangles than the
+// edge's endpoints have common neighbours: the answer is 0 without a DP row
+// of t entries (1<<24 of them would be 128 MiB), so the call's memory stays
+// bounded by the smaller degree.
+func TestTrussSupportProbThresholdAboveDegree(t *testing.T) {
+	g, err := mule.FromEdges(3, []mule.Edge{{U: 0, V: 1, P: 0.5}, {U: 0, V: 2, P: 0.5}, {U: 1, V: 2, P: 0.5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	least := uint64(math.MaxUint64)
+	for range 3 { // the least of three, so a stray background allocation cannot fail it
+		runtime.ReadMemStats(&before)
+		p, err := mule.TrussSupportProb(g, 0, 1, 1<<24)
+		runtime.ReadMemStats(&after)
+		if err != nil || p != 0 {
+			t.Fatalf("TrussSupportProb(t = 1<<24) = %v, %v; want 0, nil", p, err)
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least >= 64<<10 {
+		t.Fatalf("TrussSupportProb(t = 1<<24) allocated %d bytes on a triangle, want < 64 KiB", least)
 	}
 }
 

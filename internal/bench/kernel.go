@@ -261,7 +261,7 @@ func measureKernel(g *uncertain.Graph, alpha float64, coreCfg core.Config, once 
 }
 
 // extensionKernelCells returns the extension-path cells of the sweep: a
-// small biclique enumeration, an η-truss decomposition, a component-sharded
+// small biclique enumeration, two η-truss decompositions, a component-sharded
 // clique run, a densest-subgraph run, a k-center clustering, an η-core
 // decomposition and a quasi-clique enumeration, all measured through the
 // public prepared-query API so the trajectory catches regressions on the §6
@@ -289,6 +289,9 @@ func extensionKernelCells(cfg Config, once bool) ([]KernelEntry, error) {
 		{serial("biclique-aff200x150", 0.2), "bicliques",
 			miners.Input{Bipartite: AffinityBipartite(200, 150, 6, cfg.Seed)}, miners.Params{Alpha: 0.2, MinL: 2, MinR: 2}, nil},
 		{serial("truss-community150", 0.5), "truss", community, miners.Params{Eta: 0.5}, nil},
+		// BA hubs give rows long enough for the cost of finding wedges to
+		// show; the shape of oneshot-mine's truss job.
+		{serial("truss-ba800", 0.3), "truss", ba, miners.Params{Eta: 0.3}, nil},
 		// The quick sweep's first cell driven through WithShards(2), so the
 		// trajectory catches regressions in the shard driver itself (lazy
 		// component extraction, reorder buffer, stats folding) rather than

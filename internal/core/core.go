@@ -242,12 +242,6 @@ func Enumerate(g *uncertain.Graph, alpha float64, visit Visitor) (Stats, error) 
 	return EnumerateContext(context.Background(), g, alpha, visit, Config{})
 }
 
-// EnumerateLarge runs LARGE-MULE (Algorithm 5): it enumerates every
-// α-maximal clique with at least minSize vertices.
-func EnumerateLarge(g *uncertain.Graph, alpha float64, minSize int, visit Visitor) (Stats, error) {
-	return EnumerateContext(context.Background(), g, alpha, visit, Config{MinSize: minSize})
-}
-
 // EnumerateWith runs MULE with explicit configuration and no cancellation.
 func EnumerateWith(g *uncertain.Graph, alpha float64, visit Visitor, cfg Config) (Stats, error) {
 	return EnumerateContext(context.Background(), g, alpha, visit, cfg)

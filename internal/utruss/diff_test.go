@@ -2,10 +2,14 @@ package utruss
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
+	"time"
 
 	"github.com/uncertain-graphs/mule/internal/core"
 	"github.com/uncertain-graphs/mule/internal/gen"
@@ -214,5 +218,85 @@ func TestTrussAllocationsIndependentOfChecks(t *testing.T) {
 	if lowAllocs != highAllocs || highAllocs > 24 {
 		t.Fatalf("allocations %.0f at %d checks and %.0f at %d checks, want equal and ≤ 24",
 			lowAllocs, lowChecks, highAllocs, highChecks)
+	}
+}
+
+// TestWedgeIndexMatchesRowMerge pins the wedge index to the row merge that
+// stands in for it on dense graphs: on every corpus graph sparse enough to
+// be indexed, each edge's alive wedges come out of both the same and in the
+// same order, with every edge alive and with every third edge dead. The
+// corpus must hold graphs of both kinds, so TestTrussMatchesReference
+// covers both.
+func TestWedgeIndexMatchesRowMerge(t *testing.T) {
+	corpus := diffCorpus()
+	indexed := 0
+	for _, ng := range corpus {
+		s := newGraphState(ng.g, &Stats{}, core.NewRunControl(context.Background(), 0))
+		if s.wedgeStart == nil {
+			continue
+		}
+		indexed++
+		for _, dead := range []int{0, 3} {
+			for id := range s.alive {
+				s.alive[id] = dead == 0 || id%dead != 0
+			}
+			for id := range int32(len(s.ends)) {
+				fromIndex := slices.Clone(s.aliveWedges(id))
+				index := s.wedgeStart
+				s.wedgeStart = nil
+				fromMerge := s.aliveWedges(id)
+				s.wedgeStart = index
+				if !slices.Equal(fromIndex, fromMerge) {
+					t.Fatalf("%s edge %v, every %d-th edge dead: index lists %v, row merge %v",
+						ng.name, s.ends[id], dead, fromIndex, fromMerge)
+				}
+			}
+		}
+	}
+	if indexed == 0 || indexed == len(corpus) {
+		t.Fatalf("%d of %d corpus graphs indexed, want some of each kind", indexed, len(corpus))
+	}
+}
+
+// TestTrussDenseCliqueStaysBounded runs a certain K_300, whose 13.4 million
+// (edge, wedge) incidences would take 107 MB as a wedge index, under a
+// budget of 100 support checks and under a 10 ms deadline. Both runs must
+// stop at a poll and allocate little beyond the O(n + m) peel state.
+func TestTrussDenseCliqueStaysBounded(t *testing.T) {
+	const n = 300
+	b := uncertain.NewBuilder(n)
+	for u := range n {
+		for v := u + 1; v < n; v++ {
+			if err := b.AddEdge(u, v, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	g := b.Build()
+	for _, leg := range []struct {
+		name    string
+		timeout time.Duration
+		cfg     Config
+		want    error
+	}{
+		{"budget 100", 0, Config{Budget: 100}, core.ErrBudget},
+		{"deadline 10ms", 10 * time.Millisecond, Config{}, context.DeadlineExceeded},
+	} {
+		ctx := context.Background()
+		if leg.timeout > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, leg.timeout)
+			defer cancel()
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := RunContext(ctx, g, 0.5, leg.cfg, nil)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, leg.want) {
+			t.Fatalf("%s: err %v, want %v", leg.name, err, leg.want)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 8<<20 {
+			t.Fatalf("%s: the run allocated %d bytes on K_%d, want ≤ 8 MiB", leg.name, alloc, n)
+		}
 	}
 }

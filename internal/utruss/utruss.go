@@ -33,6 +33,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -78,36 +79,57 @@ type Visitor func(EdgeTruss) bool
 // the clique kernel's 1024-node interval.
 const abortCheckInterval = 64
 
+// maxWedgesPerEdge bounds the wedge index. An edge {u,v} has at most
+// min(deg u, deg v) − 1 wedges, and the build finds them by scanning
+// min(deg u, deg v) row slots, so a graph whose edges average at most this
+// many potential wedges builds its index in O(n + m) time and memory, at
+// most 256 bytes per edge. A denser graph, whose wedges grow with its
+// triangles rather than its edges, runs without an index.
+const maxWedgesPerEdge = 32
+
+// buildPollInterval is how many scanned row slots pass between run-control
+// polls while the wedge index is built.
+const buildPollInterval = 1 << 16
+
 // graphState is the mutable peeling state over one uncertain graph, kept in
 // flat per-run arrays instead of maps keyed by edge.
 //
 // Every edge {u,v}, u < v, has an ID: its rank in (u, v) order, which is
-// also its index in g.Edges(). The CSR rows stay the adjacency; slotEdge
-// gives, for every slot of every row, the ID of the edge stored there, so
-// the same edge resolves to the same ID from either endpoint's row. The map
-// is built once in O(n + m) (rowStart is the rows' prefix sum). wedgeProbs
-// and queueTriangleEdges merge two rows and read the flags of both wedge
-// edges at the merge positions they already hold: no hashing, no lookups.
-// The work queue is a FIFO ring over edge IDs (an edge is queued at most
-// once at a time, so m slots suffice), and qs/dp are the support DP's
-// scratch, sized for the largest degree.
+// also its index in g.Edges(). slotEdge gives, for every slot of every CSR
+// row, the ID of the edge stored there, so the same edge resolves to the
+// same ID from either endpoint's row; it is built once in O(n + m) (rowStart
+// is the rows' prefix sum).
+//
+// The wedge index lists, for every edge {u,v}, its common neighbours w in
+// ascending order, each as the pair (ID of {u,w}, ID of {v,w}): 8 bytes per
+// (edge, wedge) incidence. buildWedges builds it once per run when the
+// graph is sparse enough (maxWedgesPerEdge). aliveWedges hands wedgeProbs
+// and queueTriangleEdges an edge's wedges whose two edges are alive, from
+// its list or, without an index, by merging the two endpoint rows. The
+// work queue is a FIFO ring over edge IDs (an edge is queued at most once
+// at a time, so m slots suffice), and pairs/qs/dp are one check's scratch,
+// sized for the largest degree.
 type graphState struct {
-	g        *uncertain.Graph
-	rowStart []int32    // rowStart[u]: index of u's first slot in slotEdge
-	slotEdge []int32    // slotEdge[rowStart[u]+i]: ID of the edge in slot i of u's row
-	ends     [][2]int32 // ends[id]: the edge's endpoints, U < V
-	alive    []bool     // by edge ID
-	inQueue  []bool     // by edge ID
-	queue    []int32    // FIFO ring of edge IDs
-	head     int        // queue[head] is the next edge to check
-	queued   int        // entries in the ring
-	removed  []int32    // edge IDs peeled by the current peel call, in order
-	qs       []float64  // wedge probabilities of the edge being checked
-	dp       []float64  // support-tail DP row
-	stats    *Stats
-	ctl      *core.RunControl
-	tick     int
-	stopped  bool
+	g          *uncertain.Graph
+	rowStart   []int32    // rowStart[u]: index of u's first slot in slotEdge
+	slotEdge   []int32    // slotEdge[rowStart[u]+i]: ID of the edge in slot i of u's row
+	ends       [][2]int32 // ends[id]: the edge's endpoints, U < V
+	prob       []float64  // prob[id]: the edge's probability
+	wedgeStart []int32    // wedges[wedgeStart[id]:wedgeStart[id+1]] is edge id's list; nil without an index
+	wedges     [][2]int32 // (ID of {u,w}, ID of {v,w}) per common neighbour w, ascending w
+	alive      []bool     // by edge ID
+	inQueue    []bool     // by edge ID
+	queue      []int32    // FIFO ring of edge IDs
+	head       int        // queue[head] is the next edge to check
+	queued     int        // entries in the ring
+	removed    []int32    // edge IDs peeled by the current peel call, in order
+	pairs      [][2]int32 // alive wedges of the edge being checked
+	qs         []float64  // wedge probabilities of the edge being checked
+	dp         []float64  // support-tail DP row
+	stats      *Stats
+	ctl        *core.RunControl
+	tick       int
+	stopped    bool
 }
 
 // countCheck accounts one support-probability evaluation and polls the run
@@ -133,6 +155,7 @@ func newGraphState(g *uncertain.Graph, stats *Stats, ctl *core.RunControl) *grap
 		rowStart: make([]int32, n+1),
 		slotEdge: make([]int32, 2*m),
 		ends:     make([][2]int32, m),
+		prob:     make([]float64, m),
 		alive:    make([]bool, m),
 		inQueue:  make([]bool, m),
 		queue:    make([]int32, m),
@@ -147,6 +170,7 @@ func newGraphState(g *uncertain.Graph, stats *Stats, ctl *core.RunControl) *grap
 		maxDeg = max(maxDeg, d)
 		s.rowStart[u+1] = s.rowStart[u] + int32(d)
 	}
+	s.pairs = make([][2]int32, 0, maxDeg)
 	s.qs = make([]float64, 0, maxDeg)
 	s.dp = make([]float64, maxDeg)
 	// Walking u ascending numbers the edges in (u, v) order. v's lower
@@ -156,7 +180,7 @@ func newGraphState(g *uncertain.Graph, stats *Stats, ctl *core.RunControl) *grap
 	copy(cursor, s.rowStart)
 	id := int32(0)
 	for u := 0; u < n; u++ {
-		row, _ := g.Adjacency(u)
+		row, pr := g.Adjacency(u)
 		base := s.rowStart[u]
 		for i, v := range row {
 			if v < int32(u) {
@@ -166,21 +190,115 @@ func newGraphState(g *uncertain.Graph, stats *Stats, ctl *core.RunControl) *grap
 			s.slotEdge[cursor[v]] = id
 			cursor[v]++
 			s.ends[id] = [2]int32{int32(u), v}
+			s.prob[id] = pr[i]
 			s.alive[id] = true
 			id++
 		}
 	}
+	clear(cursor) // spent; buildWedges reuses it as its mark array
+	s.buildWedges(cursor)
 	return s
 }
 
-// wedgeProbs lists q_w = p(u,w)·p(v,w) for every common neighbor w of u and
-// v whose wedge edges are both alive, into the run's qs scratch.
-func (s *graphState) wedgeProbs(u, v int) []float64 {
-	rowU, prU := s.g.Adjacency(u)
-	rowV, prV := s.g.Adjacency(v)
+// degree returns the length of vertex x's row.
+func (s *graphState) degree(x int32) int32 { return s.rowStart[x+1] - s.rowStart[x] }
+
+// buildWedges builds the wedge index unless the graph is too dense for it
+// (maxWedgesPerEdge), in two passes over the same scan: the first counts each
+// edge's wedges into wedgeStart, the second fills the lists, so the index
+// is two exact allocations. The scan marks each vertex x's row with the IDs
+// of x's edges, then, for every edge {x,y} whose endpoint x ranks higher by
+// (degree, ID), walks y's ascending row for marks: each edge is scanned
+// once, from its lower-ranked endpoint, and one scan finds its whole list.
+// mark (n entries, all zero) is scratch: mark[w] is 1 + the ID of {x,w}
+// while x's row is marked. The build polls the run control as it goes and
+// leaves the run stopped if the control fires.
+func (s *graphState) buildWedges(mark []int32) {
+	bound := 0 // Σ (min(deg u, deg v) − 1): the most wedges the index can hold
+	for _, e := range s.ends {
+		bound += int(min(s.degree(e[0]), s.degree(e[1]))) - 1
+	}
+	if bound > maxWedgesPerEdge*len(s.ends) || bound > math.MaxInt32 {
+		return
+	}
+	g, rowStart, slotEdge := s.g, s.rowStart, s.slotEdge
+	s.wedgeStart = make([]int32, len(s.ends)+1)
+	for pass := range 2 {
+		work := 0
+		for x := range g.NumVertices() {
+			rowX, _ := g.Adjacency(x)
+			edgeX := slotEdge[rowStart[x]:rowStart[x+1]]
+			for i, w := range rowX {
+				mark[w] = edgeX[i] + 1
+			}
+			for i, y := range rowX {
+				if s.degree(y) > int32(len(rowX)) || s.degree(y) == int32(len(rowX)) && int(y) > x {
+					continue // y ranks higher: {x,y} is found while y's row is marked
+				}
+				id := edgeX[i]
+				rowY, _ := g.Adjacency(int(y))
+				edgeY := slotEdge[rowStart[y]:rowStart[y+1]]
+				next := s.wedgeStart[id] // the list's first slot once counted
+				if pass == 0 {
+					next = 0
+				}
+				for j, w := range rowY {
+					if xw := mark[w]; xw != 0 {
+						if pass == 1 {
+							// The pair is ({u,w}, {v,w}) for the edge's endpoints u < v.
+							pair := [2]int32{xw - 1, edgeY[j]}
+							if int(y) < x {
+								pair[0], pair[1] = pair[1], pair[0]
+							}
+							s.wedges[next] = pair
+						}
+						next++
+					}
+				}
+				if pass == 0 {
+					s.wedgeStart[id+1] = next
+				}
+				work += len(rowY)
+			}
+			for _, w := range rowX {
+				mark[w] = 0
+			}
+			if work >= buildPollInterval {
+				work = 0
+				if s.ctl.Poll(0) {
+					s.stopped = true
+					return
+				}
+			}
+		}
+		if pass == 0 {
+			for id := range len(s.ends) {
+				s.wedgeStart[id+1] += s.wedgeStart[id]
+			}
+			s.wedges = make([][2]int32, s.wedgeStart[len(s.ends)])
+		}
+	}
+}
+
+// aliveWedges lists into the run's pair scratch the wedges of edge id =
+// {u,v} whose two edges are both alive, as (ID of {u,w}, ID of {v,w}) in
+// ascending w: from the edge's list, or, without an index, by merging the
+// two endpoint rows.
+func (s *graphState) aliveWedges(id int32) [][2]int32 {
+	pairs := s.pairs[:0]
+	if s.wedgeStart != nil {
+		for _, w := range s.wedges[s.wedgeStart[id]:s.wedgeStart[id+1]] {
+			if s.alive[w[0]] && s.alive[w[1]] {
+				pairs = append(pairs, w)
+			}
+		}
+		return pairs
+	}
+	u, v := s.ends[id][0], s.ends[id][1]
+	rowU, _ := s.g.Adjacency(int(u))
+	rowV, _ := s.g.Adjacency(int(v))
 	edgeU := s.slotEdge[s.rowStart[u]:s.rowStart[u+1]]
 	edgeV := s.slotEdge[s.rowStart[v]:s.rowStart[v+1]]
-	qs := s.qs[:0]
 	i, j := 0, 0
 	for i < len(rowU) && j < len(rowV) {
 		switch {
@@ -190,18 +308,30 @@ func (s *graphState) wedgeProbs(u, v int) []float64 {
 			j++
 		default:
 			if s.alive[edgeU[i]] && s.alive[edgeV[j]] {
-				qs = append(qs, prU[i]*prV[j])
+				pairs = append(pairs, [2]int32{edgeU[i], edgeV[j]})
 			}
 			i++
 			j++
 		}
+	}
+	return pairs
+}
+
+// wedgeProbs lists q_w = p(u,w)·p(v,w) for every alive wedge of edge id =
+// {u,v}, in ascending w, into the run's qs scratch.
+func (s *graphState) wedgeProbs(id int32) []float64 {
+	qs := s.qs[:0]
+	for _, w := range s.aliveWedges(id) {
+		qs = append(qs, s.prob[w[0]]*s.prob[w[1]])
 	}
 	return qs
 }
 
 // tailProb returns P[X ≥ t] for X a sum of independent Bernoulli(qs[i]).
 func tailProb(qs []float64, t int) float64 {
-	return tailProbInto(make([]float64, max(t, 0)), qs, t)
+	// The row is only read when t ≤ len(qs): a threshold above the number
+	// of Bernoulli terms costs nothing, however large.
+	return tailProbInto(make([]float64, max(min(t, len(qs)), 0)), qs, t)
 }
 
 // tailProbInto is tailProb with the DP row in caller-owned scratch of at
@@ -233,7 +363,8 @@ func tailProbInto(dp, qs []float64, t int) float64 {
 
 // SupportProb returns P[supp_G(e) ≥ t] for the edge {u,v} of g, with the
 // whole graph as the ambient subgraph. It errors if {u,v} is not a possible
-// edge or t is negative.
+// edge or t is negative. One edge needs no peel state: the call merges the
+// two endpoints' rows, and its memory is bounded by the smaller degree.
 func SupportProb(g *uncertain.Graph, u, v int, t int) (float64, error) {
 	if g == nil {
 		return 0, fmt.Errorf("utruss: %w", core.ErrNilGraph)
@@ -247,9 +378,23 @@ func SupportProb(g *uncertain.Graph, u, v int, t int) (float64, error) {
 	if !g.HasEdge(u, v) {
 		return 0, fmt.Errorf("utruss: {%d,%d} is not a possible edge", u, v)
 	}
-	var stats Stats
-	s := newGraphState(g, &stats, core.NewRunControl(context.Background(), 0))
-	return tailProb(s.wedgeProbs(u, v), t), nil
+	rowU, prU := g.Adjacency(u)
+	rowV, prV := g.Adjacency(v)
+	qs := make([]float64, 0, min(len(rowU), len(rowV)))
+	i, j := 0, 0
+	for i < len(rowU) && j < len(rowV) {
+		switch {
+		case rowU[i] < rowV[j]:
+			i++
+		case rowU[i] > rowV[j]:
+			j++
+		default:
+			qs = append(qs, prU[i]*prV[j])
+			i++
+			j++
+		}
+	}
+	return tailProb(qs, t), nil
 }
 
 // push appends edge id to the work queue.
@@ -291,11 +436,10 @@ func (s *graphState) peel(t int, eta float64) {
 		if !s.alive[id] {
 			continue
 		}
-		u, v := int(s.ends[id][0]), int(s.ends[id][1])
 		if s.countCheck() {
 			return
 		}
-		if tailProbInto(s.dp, s.wedgeProbs(u, v), t) >= eta {
+		if tailProbInto(s.dp, s.wedgeProbs(id), t) >= eta {
 			continue
 		}
 		// e fails: remove it and re-check the edges of every triangle it
@@ -303,38 +447,21 @@ func (s *graphState) peel(t int, eta float64) {
 		s.alive[id] = false
 		s.stats.Removed++
 		s.removed = append(s.removed, id)
-		s.queueTriangleEdges(u, v)
+		s.queueTriangleEdges(id)
 	}
 }
 
-// queueTriangleEdges queues the alive edges {u,w} and {v,w} over common
-// alive neighbors w, in ascending w, {u,w} first — exactly the edges whose
-// support distribution changes when {u,v} is removed — skipping those
+// queueTriangleEdges queues the alive edges {u,w} and {v,w} over the alive
+// wedges of edge id = {u,v}, in ascending w, {u,w} first — exactly the edges
+// whose support distribution changes when {u,v} is removed — skipping those
 // already queued.
-func (s *graphState) queueTriangleEdges(u, v int) {
-	rowU, _ := s.g.Adjacency(u)
-	rowV, _ := s.g.Adjacency(v)
-	edgeU := s.slotEdge[s.rowStart[u]:s.rowStart[u+1]]
-	edgeV := s.slotEdge[s.rowStart[v]:s.rowStart[v+1]]
-	i, j := 0, 0
-	for i < len(rowU) && j < len(rowV) {
-		switch {
-		case rowU[i] < rowV[j]:
-			i++
-		case rowU[i] > rowV[j]:
-			j++
-		default:
-			uw, vw := edgeU[i], edgeV[j]
-			if s.alive[uw] && s.alive[vw] {
-				if !s.inQueue[uw] {
-					s.push(uw)
-				}
-				if !s.inQueue[vw] {
-					s.push(vw)
-				}
-			}
-			i++
-			j++
+func (s *graphState) queueTriangleEdges(id int32) {
+	for _, w := range s.aliveWedges(id) {
+		if !s.inQueue[w[0]] {
+			s.push(w[0])
+		}
+		if !s.inQueue[w[1]] {
+			s.push(w[1])
 		}
 	}
 }
@@ -408,17 +535,28 @@ func TrussContext(ctx context.Context, g *uncertain.Graph, k int, eta float64, c
 	return tr, stats, err
 }
 
-// export materializes the alive edges as an uncertain graph.
+// export materializes the alive edges as an uncertain graph, assembling
+// its CSR directly from the alive slots of g's rows (which stay ascending).
 func (s *graphState) export() (*uncertain.Graph, error) {
-	b := uncertain.NewBuilder(s.g.NumVertices())
-	for id, e := range s.g.Edges() { // Edges() lists the edges in ID order
-		if s.alive[id] {
-			if err := b.AddEdge(e.U, e.V, e.P); err != nil {
-				return nil, fmt.Errorf("utruss: rebuilding truss: %w", err)
+	n, slots := s.g.NumVertices(), 2*(s.g.NumEdges()-int(s.stats.Removed)) // two per alive edge
+	offsets := make([]int32, n+1)
+	nbrs := make([]int32, 0, slots)
+	probs := make([]float64, 0, slots)
+	for u := 0; u < n; u++ {
+		row, pr := s.g.Adjacency(u)
+		for i, id := range s.slotEdge[s.rowStart[u]:s.rowStart[u+1]] {
+			if s.alive[id] {
+				nbrs = append(nbrs, row[i])
+				probs = append(probs, pr[i])
 			}
 		}
+		offsets[u+1] = int32(len(nbrs))
 	}
-	return b.Build(), nil
+	tr, err := uncertain.FromSortedAdjacency(n, offsets, nbrs, probs)
+	if err != nil {
+		return nil, fmt.Errorf("utruss: rebuilding truss: %w", err)
+	}
+	return tr, nil
 }
 
 // RunContext performs the η-truss decomposition under ctx, streaming every

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"runtime"
 	"strings"
@@ -262,20 +263,27 @@ func measureKernel(g *uncertain.Graph, alpha float64, coreCfg core.Config, once 
 
 // extensionKernelCells returns the extension-path cells of the sweep: a
 // small biclique enumeration, two η-truss decompositions, a component-sharded
-// clique run, a densest-subgraph run, a k-center clustering, an η-core
-// decomposition and a quasi-clique enumeration, all measured through the
-// public prepared-query API so the trajectory catches regressions on the §6
-// query surface (run-control polling included). The cells are sized to stay
-// 1-CPU-friendly per the trajectory-comparability convention (the sharded
-// cell's two shard slots idle-wait rather than saturate). KernelEntry
-// reuse: Alpha carries the miner's threshold (α / η / γ; 0 for densest and
-// cluster), Cliques the emitted results (bicliques / edges / vertices /
-// sets / candidates / clusters), Calls the kind's charged work units
-// (search nodes / support checks / η-degree recomputes / peel steps /
-// center sweeps).
+// clique run, a densest-subgraph run, a k-center clustering, two η-core
+// decompositions (sparse and dense) and a quasi-clique enumeration, all
+// measured through the public prepared-query API so the trajectory catches
+// regressions on the §6 query surface (run-control polling included). The
+// cells are sized to stay 1-CPU-friendly per the trajectory-comparability
+// convention (the sharded cell's two shard slots idle-wait rather than
+// saturate). KernelEntry reuse: Alpha carries the miner's threshold (α / η
+// / γ; 0 for densest and cluster), Cliques the emitted results (bicliques /
+// edges / vertices / sets / candidates / clusters), Calls the kind's
+// charged work units (search nodes / support checks / η-degree recomputes /
+// peel steps / center sweeps).
 func extensionKernelCells(cfg Config, once bool) ([]KernelEntry, error) {
 	ba := miners.Input{Graph: gen.BA(800, cfg.Seed)}
 	community := miners.Input{Graph: CommunityGraph(150, 8, 7, cfg.Seed)}
+	// The root package's cancellation matrix runs core on this graph: G(300,
+	// 0.5) with every probability 0.9, from seed 17 whatever cfg.Seed is.
+	rng := rand.New(rand.NewSource(17))
+	gnp, err := gen.BuildUncertain(300, gen.GNP(300, 0.5, rng), gen.ConstProb(0.9), rng)
+	if err != nil {
+		return nil, err
+	}
 	serial := func(workload string, alpha float64) KernelEntry {
 		return KernelEntry{Workload: workload, Alpha: alpha, Engine: "serial", Workers: 1}
 	}
@@ -307,6 +315,9 @@ func extensionKernelCells(cfg Config, once bool) ([]KernelEntry, error) {
 		// Thousands of Poisson-binomial η-degree recomputes as the min-peel
 		// walks every vertex.
 		{serial("core-ba800", 0.3), "core", ba, miners.Params{Eta: 0.3}, nil},
+		// The dense case: its degeneracy (111) comes close to its degrees
+		// (~150), so η-degrees near the peel level need the whole DP row.
+		{serial("core-gnp300", 0.9), "core", miners.Input{Graph: gnp}, miners.Params{Eta: 0.9}, nil},
 		{serial("quasi-community150", 0.7), "quasi", community, miners.Params{Gamma: 0.7, MinSize: 4}, nil},
 	}
 	out := make([]KernelEntry, 0, len(cells))

@@ -2,8 +2,11 @@ package ucore
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime/debug"
 	"testing"
 
 	"github.com/uncertain-graphs/mule/internal/core"
@@ -138,6 +141,77 @@ func TestPeelMatchesReference(t *testing.T) {
 	}
 }
 
+// TestPeelCorpusTakesTheUnchargedPaths requires the differential corpus to
+// drive the peel through both of its uncharged paths, refinements of popped
+// lower bounds and guard-band fallbacks, so TestPeelMatchesReference
+// compares them with the reference too.
+func TestPeelCorpusTakesTheUnchargedPaths(t *testing.T) {
+	var total peelWork
+	for _, ng := range diffCorpus() {
+		for _, eta := range []float64{0.1, 0.3, 0.5, 0.9} {
+			_, work, err := run(context.Background(), ng.g, eta, Config{}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			total.refines += work.refines
+			total.fallbacks += work.fallbacks
+		}
+	}
+	if total.refines == 0 || total.fallbacks == 0 {
+		t.Fatalf("corpus took %d refinements and %d band fallbacks, want some of each", total.refines, total.fallbacks)
+	}
+}
+
+// cancelAtPoll reads as canceled from its at-th Err call on. RunControl.Poll
+// calls Err once per poll, so this cancels a run at a chosen poll.
+type cancelAtPoll struct {
+	context.Context
+	calls, at int
+}
+
+func (c *cancelAtPoll) Err() error {
+	c.calls++
+	if c.calls >= c.at {
+		return context.Canceled
+	}
+	return c.Context.Err()
+}
+
+// TestRefinementsPoll cancels a run on the cancellation matrix's dense core
+// input at its first poll after the initial pass. Every vertex leaves that
+// pass under a lower bound, so the first popMin refines hundreds of them,
+// one DP each, before an exact key surfaces. The run must see the cancel
+// among those refinements and return before its first emission, and at most
+// abortCheckInterval DPs, charged or not, may separate two polls.
+func TestRefinementsPoll(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	g, err := gen.BuildUncertain(300, gen.GNP(300, 0.5, rng), gen.ConstProb(0.9), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, first, _ := run(context.Background(), g, 0.9, Config{}, func(VertexCore) bool { return false })
+	if first.refines <= 2*abortCheckInterval {
+		t.Fatalf("only %d refinements before the first emission; the input no longer tests the polls between them", first.refines)
+	}
+	base, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	// The run polls once before it starts, then every abortCheckInterval
+	// charged recomputes of the initial pass, one per vertex.
+	n := g.NumVertices()
+	ctx := &cancelAtPoll{Context: base, at: 2 + n/abortCheckInterval}
+	stats, work, err := run(ctx, g, 0.9, Config{}, nil)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err %v, want context.Canceled", err)
+	}
+	if stats.Recomputes != int64(n) || stats.Emitted != 0 {
+		t.Fatalf("canceled after %d recomputes and %d emissions, want %d and none", stats.Recomputes, stats.Emitted, n)
+	}
+	// The last charged poll came at the last multiple of the interval.
+	if since := stats.Recomputes%abortCheckInterval + work.refines; since > abortCheckInterval {
+		t.Fatalf("%d DPs ran between the last poll and the cancel, want ≤ %d", since, abortCheckInterval)
+	}
+}
+
 // TestEtaDegreeMatchesReference checks the exported wrappers against the
 // reference DP bit for bit, including the scratch path with a dirty buffer.
 func TestEtaDegreeMatchesReference(t *testing.T) {
@@ -162,11 +236,97 @@ func TestEtaDegreeMatchesReference(t *testing.T) {
 	}
 }
 
+// FuzzCoreMatchesReference decodes a small uncertain graph, η and a
+// budget from the fuzz input and compares the capped peel with the
+// reference: emissions, Stats and error text. The first byte picks n ≤ 40,
+// the second η, the third the budget (0 for none, else 8 recomputes a
+// unit); each following byte triple is an edge (u, v, p), later duplicates
+// replacing earlier ones. Even bytes give η a multiple of 1/64 and p a
+// quarter, so Poisson-binomial tails can land exactly on η; odd bytes give
+// multiples of 1/100.
+func FuzzCoreMatchesReference(f *testing.F) {
+	f.Add([]byte{4, 62, 0, 0, 1, 2, 0, 2, 2, 0, 3, 2, 1, 2, 2, 1, 3, 2, 2, 3, 2})
+	f.Add([]byte{6, 30, 0, 0, 1, 6, 0, 2, 4, 0, 3, 2, 1, 2, 6, 1, 3, 99, 2, 3, 4, 3, 4, 0, 4, 5, 6, 0, 5, 2})
+	f.Add([]byte{40, 127, 9, 0, 1, 181, 0, 2, 6, 1, 2, 33, 2, 3, 6, 3, 4, 200, 4, 0, 6, 5, 6, 2, 6, 7, 4})
+	fraction := func(b byte, den int) float64 {
+		if b%2 == 0 {
+			return float64(1+int(b/2)%den) / float64(den)
+		}
+		return float64(1+int(b/2)%100) / 100
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		n := 2 + int(data[0])%39
+		eta := fraction(data[1], 64)
+		cfg := Config{Budget: 8 * int64(data[2])}
+		b := uncertain.NewBuilder(n)
+		for i := 3; i+2 < len(data); i += 3 {
+			u, v := int(data[i])%n, int(data[i+1])%n
+			if u != v {
+				_ = b.UpsertEdge(u, v, fraction(data[i+2], 4))
+			}
+		}
+		g := b.Build()
+		label := fmt.Sprintf("n=%d η=%v budget %d", n, eta, cfg.Budget)
+		diffCoreRuns(t, label, recordCore(RunContext, g, eta, cfg, 0), recordCore(refRunContext, g, eta, cfg, 0))
+	})
+}
+
+// TestEtaDegreeUpToGuardBand sets η to the reference's own top-down tail
+// T_k, and to one ulp above it, so the reference decides exactly on the
+// boundary and the capped path's bottom-up tail may round to either side.
+// The capped path must hand that decision to the full DP (the fallback
+// counter moves) and return the reference's η-degree, or a bound below it.
+func TestEtaDegreeUpToGuardBand(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	dist := make([]float64, 81)
+	checked := 0
+	for trial := 0; trial < 3000; trial++ {
+		probs := make([]float64, 4+rng.Intn(77))
+		for i := range probs {
+			if trial%2 == 0 {
+				probs[i] = float64(1+rng.Intn(4)) / 4
+			} else {
+				probs[i] = 1 - rng.Float64()
+			}
+		}
+		d := len(probs)
+		// The capped path runs when 2·limit < d, and decides T_k when
+		// k ≤ limit + 1.
+		k := 1 + rng.Intn((d-1)/2)
+		limit := max(k-1, 1) + rng.Intn((d-1)/2-max(k-1, 1)+1)
+		tk := refTails(probs)[k]
+		for _, eta := range []float64{tk, math.Nextafter(tk, 2)} {
+			if !(eta > 0 && eta <= 1) {
+				continue
+			}
+			checked++
+			var work peelWork
+			got, exact := etaDegreeUpTo(dist, probs, eta, limit, &work)
+			want := refEtaDegree(probs, eta)
+			if exact && got != want || !exact && (got != limit+1 || want <= limit) {
+				t.Fatalf("d=%d k=%d limit %d η=%v: got %d (exact %v), reference %d", d, k, limit, eta, got, exact, want)
+			}
+			if work.fallbacks != 1 {
+				t.Fatalf("d=%d k=%d limit %d η=%v: %d fallbacks to the full DP, want 1", d, k, limit, eta, work.fallbacks)
+			}
+		}
+	}
+	if checked < 4000 {
+		t.Fatalf("only %d boundary values of η checked", checked)
+	}
+}
+
 // TestRunAllocationsIndependentOfRecomputes pins the peel's allocations to
 // a constant; the map-based reference allocates a map per vertex and a
-// sorted copy per recompute (~47k objects on BA800 at η 0.3).
+// sorted copy per recompute (~47k objects on BA800 at η 0.3). The
+// collector stays off while counting, because AllocsPerRun also counts the
+// runtime's own allocations during a GC cycle.
 func TestRunAllocationsIndependentOfRecomputes(t *testing.T) {
 	g := gen.BA(800, 41)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var stats Stats
 	allocs := testing.AllocsPerRun(3, func() {
 		stats, _ = RunContext(context.Background(), g, 0.3, Config{}, nil)

@@ -38,10 +38,20 @@ func (p *refPeeler) countRecompute() bool {
 }
 
 func refEtaDegree(probs []float64, eta float64) int {
-	d := len(probs)
-	if d == 0 {
-		return 0
+	tails := refTails(probs)
+	for k := len(probs); k >= 1; k-- {
+		if tails[k] >= eta {
+			return k
+		}
 	}
+	return 0
+}
+
+// refTails returns T[k] = Pr[deg ≥ k] for k = 1..len(probs), each the sum
+// dist[d] + … + dist[k] accumulated from the top, as the η-degree scan
+// accumulates it.
+func refTails(probs []float64) []float64 {
+	d := len(probs)
 	dist := make([]float64, d+1)
 	dist[0] = 1
 	for i, p := range probs {
@@ -50,14 +60,13 @@ func refEtaDegree(probs []float64, eta float64) int {
 		}
 		dist[0] *= 1 - p
 	}
+	tails := make([]float64, d+1)
 	tail := 0.0
 	for k := d; k >= 1; k-- {
 		tail += dist[k]
-		if tail >= eta {
-			return k
-		}
+		tails[k] = tail
 	}
-	return 0
+	return tails
 }
 
 func refEtaDegreeOf(nbrs map[int32]float64, eta float64) int {

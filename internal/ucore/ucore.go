@@ -24,9 +24,10 @@ import (
 
 // Config tunes a core decomposition run.
 type Config struct {
-	// Budget, when > 0, bounds the number of η-degree recomputations (the
-	// O(d²) Poisson-binomial DPs that dominate the cost) the run may
-	// perform before aborting with core.ErrBudget.
+	// Budget, when > 0, bounds the number of η-degree recomputations the
+	// run may perform before aborting with core.ErrBudget. One is charged
+	// per vertex at the start and one per surviving neighbour of each peeled
+	// vertex, whatever the DP behind it costs (see RunContext).
 	Budget int64
 	// Stall, when > 0, arms the stall watchdog: a run whose progress beacon
 	// (stamped by every run-control poll) does not advance for this long is
@@ -52,10 +53,12 @@ type VertexCore struct {
 // (non-decreasing core number). Returning false stops the peeling early.
 type Visitor func(VertexCore) bool
 
-// abortCheckInterval is how many η-degree recomputations pass between
-// run-control polls. Each recompute is an O(d²) DP — far heavier than a
-// clique search node — so the cadence is finer than the clique kernel's
-// 1024-node interval.
+// abortCheckInterval is how many η-degree DPs, charged recomputes and
+// uncharged refinements alike, pass at most between run-control polls;
+// every abortCheckInterval-th charged recompute also charges the budget.
+// Each DP runs over the vertex's surviving edges, O(d·c) at peel level c
+// and O(d²) at worst — far heavier than a clique search node — so the
+// cadence is finer than the clique kernel's 1024-node interval.
 const abortCheckInterval = 64
 
 // DegreeTail returns Pr[deg ≥ k] where deg is the sum of independent
@@ -70,7 +73,7 @@ func DegreeTail(probs []float64, k int) float64 {
 		return 0
 	}
 	dist := make([]float64, d+1)
-	distribution(dist, probs)
+	distribution(dist, probs, d)
 	tail := 0.0
 	for j := k; j <= d; j++ {
 		tail += dist[j]
@@ -89,17 +92,19 @@ func EtaDegree(probs []float64, eta float64) int {
 	return etaDegree(make([]float64, len(probs)+1), probs, eta)
 }
 
-// distribution fills dist[0..len(probs)] with the Poisson-binomial
-// distribution of probs: dist[j] = Pr[deg = j]. dist must hold
-// len(probs)+1 entries; its previous contents are overwritten. This is the
-// package's one copy of the DP, so the peel and the exported helpers
-// multiply the same floats in the same order.
-func distribution(dist, probs []float64) {
+// distribution fills dist[0..limit] with the Poisson-binomial distribution
+// of probs, dist[j] = Pr[deg = j], in O(len(probs)·limit) for limit ≤
+// len(probs). dist must hold limit+1 entries; its previous contents are
+// overwritten. Entry j of a DP step reads only entries j and j−1 of the
+// step before, so the capped entries are bit-identical to the full DP's
+// (limit = len(probs)). This is the package's one copy of the DP, so the
+// peel and the exported helpers multiply the same floats in the same order.
+func distribution(dist, probs []float64, limit int) {
 	dist[0] = 1
-	clear(dist[1 : len(probs)+1])
+	clear(dist[1 : limit+1])
 	for i, p := range probs {
 		// Walk downward so each probability is applied once.
-		for j := i + 1; j >= 1; j-- {
+		for j := min(i+1, limit); j >= 1; j-- {
 			dist[j] = dist[j]*(1-p) + dist[j-1]*p
 		}
 		dist[0] *= 1 - p
@@ -113,9 +118,10 @@ func etaDegree(dist, probs []float64, eta float64) int {
 	if d == 0 {
 		return 0
 	}
-	distribution(dist, probs)
+	distribution(dist, probs, d)
 	// Accumulate the tail from the top; the largest k whose tail reaches eta
-	// is the η-degree.
+	// is the η-degree. The sums only grow as k falls, so the k whose tail
+	// reaches eta form a prefix 1..η-degree.
 	tail := 0.0
 	for k := d; k >= 1; k-- {
 		tail += dist[k]
@@ -124,6 +130,48 @@ func etaDegree(dist, probs []float64, eta float64) int {
 		}
 	}
 	return 0
+}
+
+// etaDegreeUpTo returns etaDegree(dist, probs, eta) when that is at most
+// limit, with exact set, and the lower bound limit+1 otherwise. It fills
+// only dist[0..limit] and decides "the top-down tail T_k reaches eta" for
+// k = 1, …, limit+1 from L_k = 1 − (dist[0] + … + dist[k−1]) instead.
+//
+// L_k and T_k read the same DP entries D_j but round differently. With
+// u = 2⁻⁵³ and M = Σ D_j:
+//   - a DP step weighs the row by fl(1−p) + p = 1 ± u, then rounds each
+//     entry's products and their sum, so it scales the mass by (1 ± u)³
+//     and |M − 1| ≤ 3du to first order;
+//   - T_k adds d−k non-negative terms: |T_k − Σ_{j≥k} D_j| ≤ (d−k)u·M;
+//   - L_k adds k−1 terms and subtracts once:
+//     |L_k − (1 − Σ_{j<k} D_j)| ≤ (k−1)u·M + u;
+//   - 1 − Σ_{j<k} D_j = Σ_{j≥k} D_j + (1 − M).
+//
+// So |L_k − T_k| ≤ 4du to first order, and forming eta ± band rounds
+// by at most 2u more. band = (8d + 8)u covers both twice over; products
+// that underflow add at most 3d²·2⁻¹⁰⁷⁵, far below u. Outside the band L_k
+// decides as T_k would; inside it the full DP and its top-down scan decide,
+// counted in work.fallbacks.
+func etaDegreeUpTo(dist, probs []float64, eta float64, limit int, work *peelWork) (deg int, exact bool) {
+	d := len(probs)
+	if 2*limit >= d {
+		// A capped row would cost at least three quarters of the full one.
+		return etaDegree(dist, probs, eta), true
+	}
+	distribution(dist, probs, limit)
+	band := float64(8*d+8) * 0x1p-53
+	below := 0.0 // dist[0] + … + dist[k−1]
+	for k := 1; k <= limit+1; k++ {
+		below += dist[k-1]
+		switch tail := 1 - below; {
+		case tail < eta-band:
+			return k - 1, true
+		case tail <= eta+band:
+			work.fallbacks++
+			return etaDegree(dist, probs, eta), true
+		}
+	}
+	return limit + 1, false
 }
 
 // Decomposition holds the result of an η-core decomposition.
@@ -146,37 +194,194 @@ type peeler struct {
 	removed []bool
 	probs   []float64 // u's surviving incident probabilities, ascending neighbour order
 	dist    []float64 // Poisson-binomial distribution over probs
+	queue   peelQueue
+	work    peelWork
 	stats   *Stats
 	ctl     *core.RunControl
-	tick    int
+	tick    int // charged recomputes left until the next charged poll
+	dpTick  int // DPs, charged or not, left until the next poll
 	stopped bool
 }
 
-// etaDegreeOf recomputes u's η-degree over its surviving incident edges.
-// CSR rows ascend, so the DP sees the probabilities in neighbour-ID order:
-// the distribution is order-independent in exact arithmetic but not in
-// floats, and a fixed order keeps near-boundary η-degrees deterministic.
-func (p *peeler) etaDegreeOf(u int) int {
-	row, pr := p.g.Adjacency(u)
-	probs := p.probs[:0]
-	for i, v := range row {
-		if !p.removed[v] {
-			probs = append(probs, pr[i])
-		}
-	}
-	return etaDegree(p.dist, probs, p.eta)
+// peelWork counts a run's uncharged DPs: refinements of popped lower
+// bounds, and guard-band fallbacks to the full DP. Neither is one of the
+// events Stats.Recomputes and the budget count.
+type peelWork struct {
+	refines   int64
+	fallbacks int64
 }
 
-// countRecompute accounts one η-degree recomputation and polls the run
-// control on the interval; it returns true when the run must unwind.
+// etaDegreeOf recomputes u's η-degree over its surviving incident edges,
+// exactly when it is at most limit and as the lower bound limit+1 otherwise
+// (see etaDegreeUpTo). CSR rows ascend, so the DP sees the probabilities in
+// neighbour-ID order: the distribution is order-independent in exact
+// arithmetic but not in floats, and a fixed order keeps near-boundary
+// η-degrees deterministic.
+func (p *peeler) etaDegreeOf(u, limit int) (int, bool) {
+	row, pr := p.g.Adjacency(u)
+	removed, probs := p.removed, p.probs[:len(row)]
+	n := 0
+	for i, v := range row {
+		// Copy unconditionally and keep the copy only if v survives: mid-run,
+		// whether a neighbour is peeled is close to a coin flip, which a
+		// branch would mispredict.
+		probs[n] = pr[i]
+		if !removed[v] {
+			n++
+		}
+	}
+	return etaDegreeUpTo(p.dist, probs[:n], p.eta, limit, &p.work)
+}
+
+// popMin removes and returns the unpeeled vertex of minimum η-degree,
+// breaking ties toward the smallest ID, with its η-degree. A lower bound at
+// the top of the queue is refined until an exact value surfaces. Every key
+// is at most its vertex's η-degree, so no other vertex has a smaller
+// (η-degree, ID) than that exact one.
+//
+// A bound at the top usually only has to sink below the next key, so its
+// refinement doubles the cap (or takes the level's, if larger). A bound that
+// a refinement raised and that surfaces again at the same level shows that
+// every other key climbed past it too, as when a dense region's initial
+// bounds climb together: the full DP settles it in one step instead of a
+// chain of doublings.
+//
+// It returns ok false, having popped nothing, when a poll between
+// refinements says the run must unwind.
+func (p *peeler) popMin(current int) (v, deg int, ok bool) {
+	for {
+		top := p.queue.heap[0]
+		if top.exact {
+			p.queue.pop()
+			return int(top.v), int(top.deg), true
+		}
+		if p.countRefine() {
+			return 0, 0, false
+		}
+		limit := max(2*int(top.deg), current+1)
+		if int(top.refinedAt) == current+1 {
+			limit = p.g.Degree(int(top.v))
+		}
+		deg, exact := p.etaDegreeOf(int(top.v), limit)
+		p.queue.set(queued{deg: int32(deg), v: top.v, exact: exact, refinedAt: int32(current + 1)})
+	}
+}
+
+// peelQueue is an indexed binary min-heap of the unpeeled vertices, ordered
+// by (deg, vertex ID). Its arrays are sized once per run, so no operation
+// allocates.
+type peelQueue struct {
+	heap []queued // heap order
+	pos  []int32  // pos[v]: v's index in heap
+}
+
+// queued is one vertex's key: its η-degree when exact, else a lower bound
+// on it. refinedAt is the peel level plus one when a refinement set the key,
+// and 0 when a charged recompute did.
+type queued struct {
+	deg       int32
+	v         int32
+	refinedAt int32
+	exact     bool
+}
+
+func (a queued) before(b queued) bool {
+	return a.deg < b.deg || a.deg == b.deg && a.v < b.v
+}
+
+func (q *peelQueue) swap(i, j int) {
+	q.heap[i], q.heap[j] = q.heap[j], q.heap[i]
+	q.pos[q.heap[i].v] = int32(i)
+	q.pos[q.heap[j].v] = int32(j)
+}
+
+func (q *peelQueue) up(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !q.heap[i].before(q.heap[parent]) {
+			return
+		}
+		q.swap(i, parent)
+		i = parent
+	}
+}
+
+func (q *peelQueue) down(i int) {
+	for {
+		m := 2*i + 1
+		if m >= len(q.heap) {
+			return
+		}
+		if r := m + 1; r < len(q.heap) && q.heap[r].before(q.heap[m]) {
+			m = r
+		}
+		if !q.heap[m].before(q.heap[i]) {
+			return
+		}
+		q.swap(i, m)
+		i = m
+	}
+}
+
+// set replaces the key of queued vertex k.v with k.
+func (q *peelQueue) set(k queued) {
+	i := int(q.pos[k.v])
+	old := q.heap[i].deg
+	q.heap[i] = k
+	if k.deg < old {
+		q.up(i)
+	} else {
+		q.down(i)
+	}
+}
+
+// pop removes the minimum.
+func (q *peelQueue) pop() {
+	last := len(q.heap) - 1
+	q.swap(0, last)
+	q.heap = q.heap[:last]
+	q.down(0)
+}
+
+// countRecompute accounts one charged η-degree recomputation and polls
+// the run control; it returns true when the run must unwind. Every
+// abortCheckInterval-th recompute charges the interval against the budget,
+// so budget cut points fall where they always have.
 func (p *peeler) countRecompute() bool {
 	p.stats.Recomputes++
 	p.tick--
 	if p.tick > 0 {
-		return false
+		return p.countDP()
 	}
 	p.tick = abortCheckInterval
-	if p.ctl.Poll(abortCheckInterval) {
+	return p.poll(abortCheckInterval)
+}
+
+// countRefine accounts one uncharged refinement; it returns true when the
+// run must unwind.
+func (p *peeler) countRefine() bool {
+	p.work.refines++
+	return p.countDP()
+}
+
+// countDP polls without charging once abortCheckInterval DPs of either
+// kind have run since the last poll. One popMin can refine every unpeeled
+// vertex, so refinements must count towards the poll cadence too, or a
+// cancel, a deadline or the stall watchdog would wait out a stretch that
+// grows with the graph. Without refinements the charged polls come first
+// and this one never fires.
+func (p *peeler) countDP() bool {
+	p.dpTick--
+	if p.dpTick > 0 {
+		return false
+	}
+	return p.poll(0)
+}
+
+// poll polls the run control, charging charge recomputes.
+func (p *peeler) poll(charge int64) bool {
+	p.dpTick = abortCheckInterval
+	if p.ctl.Poll(charge) {
 		p.stopped = true
 		return true
 	}
@@ -225,14 +430,33 @@ func finish(ctl *core.RunControl, stats *Stats, visitorStopped bool) error {
 // to only count. A visitor returning false stops the peeling early
 // (StatusStopped, nil error); a context or budget abort returns an error
 // wrapping the cause.
+//
+// Only η-degrees up to the peel level plus one decide the order, so each
+// recompute's DP is capped there: a vertex whose η-degree lies above the cap
+// is queued under a lower bound, and the bound is refined only if it reaches
+// the top of the queue. Outside a guard band around η the capped DP decides
+// exactly as the full one would; inside it the full DP runs. Each recompute
+// costs O(d·c) at level c instead of O(d²), and the queue replaces a scan of
+// every vertex per peel with O(log n) work per key change. Stats.Recomputes
+// and the budget count the recomputes the peel needs whatever their cost —
+// one per vertex at the start, one per surviving neighbour of a peeled
+// vertex — and not the refinements. Both kinds of DP count towards the
+// run-control poll interval, so a cancel, a deadline or a stall is seen
+// within 64 DPs of either kind.
 func RunContext(ctx context.Context, g *uncertain.Graph, eta float64, cfg Config, visit Visitor) (Stats, error) {
+	stats, _, err := run(ctx, g, eta, cfg, visit)
+	return stats, err
+}
+
+// run is RunContext that also returns the run's uncharged work.
+func run(ctx context.Context, g *uncertain.Graph, eta float64, cfg Config, visit Visitor) (Stats, peelWork, error) {
 	var stats Stats
 	if err := validateCoreArgs(g, eta, cfg); err != nil {
-		return stats, err
+		return stats, peelWork{}, err
 	}
 	ctl := core.NewRunControl(ctx, cfg.Budget)
 	if ctl.Poll(0) { // fail fast on an already-dead context
-		return stats, finish(ctl, &stats, false)
+		return stats, peelWork{}, finish(ctl, &stats, false)
 	}
 	defer ctl.ArmStall(cfg.Stall)()
 	n := g.NumVertices()
@@ -246,37 +470,32 @@ func RunContext(ctx context.Context, g *uncertain.Graph, eta float64, cfg Config
 		removed: make([]bool, n),
 		probs:   make([]float64, 0, maxDeg),
 		dist:    make([]float64, maxDeg+1),
+		queue:   peelQueue{heap: make([]queued, n), pos: make([]int32, n)},
 		stats:   &stats,
 		ctl:     ctl,
 		tick:    abortCheckInterval,
+		dpTick:  abortCheckInterval,
 	}
-	etaDeg := make([]int, n)
 	for u := 0; u < n && !p.stopped; u++ {
 		if p.countRecompute() {
 			break
 		}
-		etaDeg[u] = p.etaDegreeOf(u)
+		deg, exact := p.etaDegreeOf(u, 1) // the peel level is 0 until the first peel
+		p.queue.heap[u] = queued{deg: int32(deg), v: int32(u), exact: exact}
+		p.queue.pos[u] = int32(u)
+	}
+	for i := n/2 - 1; i >= 0; i-- {
+		p.queue.down(i)
 	}
 	current := 0
 	visitorStopped := false
 	for peeled := 0; peeled < n && !p.stopped && !visitorStopped; peeled++ {
-		// Find the unremoved vertex of minimum η-degree. A bucket queue
-		// would be asymptotically better; linear selection keeps the
-		// recompute-heavy loop simple and is dwarfed by the O(d²) DPs. The
-		// strict < breaks ties toward the smallest ID, which fixes the peel
-		// order.
-		best, bestDeg := -1, int(^uint(0)>>1)
-		for v := 0; v < n; v++ {
-			if !p.removed[v] && etaDeg[v] < bestDeg {
-				best, bestDeg = v, etaDeg[v]
-			}
+		best, bestDeg, ok := p.popMin(current)
+		if !ok {
+			break
 		}
-		if bestDeg > current {
-			current = bestDeg
-		}
-		if current > stats.Degeneracy {
-			stats.Degeneracy = current
-		}
+		current = max(current, bestDeg)
+		stats.Degeneracy = max(stats.Degeneracy, current)
 		p.removed[best] = true
 		stats.Emitted++
 		if visit != nil && !visit(VertexCore{V: best, Core: current}) {
@@ -291,17 +510,18 @@ func RunContext(ctx context.Context, g *uncertain.Graph, eta float64, cfg Config
 			if p.countRecompute() {
 				break
 			}
-			etaDeg[w] = p.etaDegreeOf(int(w))
+			deg, exact := p.etaDegreeOf(int(w), current+1)
+			p.queue.set(queued{deg: int32(deg), v: w, exact: exact})
 		}
 	}
-	return stats, finish(ctl, &stats, visitorStopped)
+	return stats, p.work, finish(ctl, &stats, visitorStopped)
 }
 
 // Decompose computes the η-core decomposition of g by min-peeling:
 // repeatedly remove a vertex of minimum η-degree, recording max-so-far as
 // its core number. Each removal recomputes the η-degree of the affected
-// neighbors from their surviving incident probabilities (O(d²) per
-// recompute).
+// neighbours from their surviving incident probabilities, exactly up to the
+// peel level plus one (see RunContext).
 func Decompose(g *uncertain.Graph, eta float64) (Decomposition, error) {
 	dec, _, err := DecomposeContext(context.Background(), g, eta, Config{})
 	return dec, err

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"testing"
 	"time"
@@ -200,9 +201,12 @@ func FuzzTrussMatchesReference(f *testing.F) {
 // TestTrussAllocationsIndependentOfChecks pins the peel's allocations to a
 // constant: the same graph peeled at two η with very different numbers of
 // support checks allocates the same objects, and few of them. The map-based
-// reference allocates a wedge list and a DP row per check.
+// reference allocates a wedge list and a DP row per check. The collector
+// stays off while counting, because AllocsPerRun also counts the runtime's
+// own allocations during a GC cycle.
 func TestTrussAllocationsIndependentOfChecks(t *testing.T) {
 	g := gen.BA(800, 41)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	measure := func(eta float64) (float64, int64) {
 		var stats Stats
 		allocs := testing.AllocsPerRun(3, func() {

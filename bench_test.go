@@ -62,7 +62,7 @@ func runMULE(b *testing.B, g *uncertain.Graph, alpha float64, cfg core.Config) {
 // BenchmarkEnumerate measures the enumeration kernel itself — the
 // allocation-free arena kernel is held to its numbers here (ns/op and,
 // via -benchmem, allocs/op and B/op) on the standard random (BA) and
-// skewed-hub workloads, serial and both parallel engines. cmd/experiments
+// skewed-hub workloads, serial and work-stealing. cmd/experiments
 // -exp kernel records the same cells into the BENCH_kernel.json trajectory.
 func BenchmarkEnumerate(b *testing.B) {
 	random := named(b, "random", func() []bench.NamedGraph { return bench.RandomGraphs(benchCfg) })
@@ -79,7 +79,6 @@ func BenchmarkEnumerate(b *testing.B) {
 	}{
 		{"serial", core.Config{}},
 		{"worksteal-4", core.Config{Workers: 4}},
-		{"toplevel-4", core.Config{Workers: 4, Parallel: core.ParallelTopLevel}},
 	}
 	for _, ld := range loads {
 		for _, eng := range engines {

@@ -8,7 +8,7 @@
 //	experiments -exp figure2              # paper-scale inputs
 //	experiments -exp all -quick           # everything, scaled down
 //	experiments -exp figure5 -dblp-scale 0.1 -budget 10m
-//	experiments -exp parallel -workers 8  # work-stealing vs top-level speedups
+//	experiments -exp parallel -workers 8  # work-stealing speedups over serial
 //
 // Paper-scale DFS-NOIP cells at small α can take hours (the paper reports
 // 11+ hours for wiki-vote at α=0.0001); -budget caps each run and reports
@@ -46,7 +46,7 @@ func run(args []string) error {
 		kernelOut     = fs.String("kernel-out", "", "kernel experiment: trajectory file to merge the run into (e.g. BENCH_kernel.json)")
 		kernelLabel   = fs.String("kernel-label", "", "kernel experiment: label for this run in the trajectory")
 		kernelOnce    = fs.Bool("kernel-once", false, "kernel experiment: single timed iteration per cell (CI smoke mode)")
-		kernelDiff    = fs.String("kernel-diff", "", "kernel experiment: fail on ns/op regressions vs the latest comparable row of this trajectory file")
+		kernelDiff    = fs.String("kernel-diff", "", "kernel experiment: fail on cells whose cliques or search calls differ from the newest row of this trajectory file with the same quick flag, or whose ns/op regressed vs its latest comparable row")
 		kernelDiffPct = fs.Float64("kernel-diff-pct", 25, "kernel experiment: regression tolerance for -kernel-diff, in percent")
 	)
 	if err := fs.Parse(args); err != nil {

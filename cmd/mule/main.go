@@ -7,7 +7,6 @@
 //	mule -in graph.ug -alpha 0.5 -count          # count only
 //	mule -in graph.ug -alpha 0.5 -top 10         # 10 highest-probability cliques
 //	mule -in graph.ugb -alpha 0.5 -workers 8     # parallel work-stealing search
-//	mule -in g.ug -alpha 0.5 -workers 8 -engine toplevel  # legacy fan-out
 //	mule -in g.ug -alpha 0.5 -timeout 30s        # deadline-bounded run
 //	mule -in g.ug -alpha 0.5 -limit 1000         # stop after 1000 cliques
 //	mule -in g.ug -alpha 0.5 -cpuprofile cpu.pb.gz -memprofile mem.pb.gz
@@ -35,8 +34,7 @@
 // mode: 130 (interrupt), 124 (deadline), 75 (admission rejection — retryable;
 // see -retry), 70 (contained panic or -stall-timeout watchdog abort).
 //
-// With -workers > 1 the clique search runs on the work-stealing engine by
-// default; -engine toplevel selects the legacy top-level fan-out and
+// With -workers > 1 the clique search runs on the work-stealing engine;
 // -granularity tunes how small a subtree may be published for stealing.
 // Clique output lines are "p<TAB>v1 v2 v3 …"; biclique lines are
 // "p<TAB>l1 l2 … | r1 r2 …" (sides in their own ID spaces); quasi lines are
@@ -129,7 +127,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		minR        = fs.Int("minr", 0, "bicliques: minimum right-side size")
 		minSize     = fs.Int("minsize", 0, "enumerate only cliques (LARGE-MULE) or quasi-cliques with at least this many vertices")
 		workers     = fs.Int("workers", 0, "parallel workers (0 = serial)")
-		engine      = fs.String("engine", "worksteal", "parallel engine: worksteal|toplevel")
 		granularity = fs.Int("granularity", 0, "work-stealing steal granularity (0 = default)")
 		ordering    = fs.String("order", "natural", "vertex ordering: natural|degree|degeneracy|random")
 		intersect   = fs.String("intersect", "adaptive", "intersection kernel: adaptive|sorted|bitset (forced modes are ablation-only; output is identical)")
@@ -232,7 +229,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	var opts []mule.Option
 	var runErr error
 	if name == "cliques" {
-		opts, runErr = cliqueOptions(*ordering, *engine, *intersect, *granularity)
+		opts, runErr = cliqueOptions(*ordering, *intersect, *granularity)
 	}
 	switch {
 	case runErr != nil:
@@ -302,12 +299,8 @@ func (m modeFlags) options(limit, budget int64) []mule.Option {
 }
 
 // cliqueOptions parses the clique-only engine flags.
-func cliqueOptions(ordering, engine, intersect string, granularity int) ([]mule.Option, error) {
+func cliqueOptions(ordering, intersect string, granularity int) ([]mule.Option, error) {
 	ord, err := parseOrdering(ordering)
-	if err != nil {
-		return nil, err
-	}
-	mode, err := parseEngine(engine)
 	if err != nil {
 		return nil, err
 	}
@@ -315,7 +308,7 @@ func cliqueOptions(ordering, engine, intersect string, granularity int) ([]mule.
 	if err != nil {
 		return nil, err
 	}
-	return []mule.Option{mule.WithParallelMode(mode), mule.WithStealGranularity(granularity),
+	return []mule.Option{mule.WithStealGranularity(granularity),
 		mule.WithOrdering(ord), mule.WithIntersect(imode)}, nil
 }
 
@@ -538,17 +531,6 @@ func writeMemProfile(path string) error {
 	defer f.Close()
 	runtime.GC() // materialize the steady-state picture, not transient garbage
 	return pprof.WriteHeapProfile(f)
-}
-
-func parseEngine(s string) (mule.ParallelMode, error) {
-	switch strings.ToLower(s) {
-	case "worksteal", "workstealing":
-		return mule.ParallelWorkStealing, nil
-	case "toplevel", "top-level":
-		return mule.ParallelTopLevel, nil
-	default:
-		return 0, fmt.Errorf("unknown parallel engine %q", s)
-	}
 }
 
 func parseIntersect(s string) (mule.IntersectMode, error) {

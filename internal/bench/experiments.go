@@ -81,7 +81,7 @@ func Registry() []Experiment {
 		},
 		{
 			ID:    "parallel",
-			Title: "Parallel scaling: work stealing vs top-level fan-out",
+			Title: "Parallel scaling: work stealing vs serial",
 			Paper: "beyond the paper: speedup on a skewed workload where one top-level branch owns >99% of the search",
 			Run:   runParallelScaling,
 		},
@@ -368,10 +368,6 @@ func runAblation(cfg Config, w io.Writer) error {
 			if err := run(fmt.Sprintf("MULE (work-steal x%d)", workers), alpha, core.Config{Workers: workers}); err != nil {
 				return err
 			}
-			if err := run(fmt.Sprintf("MULE (top-level x%d)", workers), alpha,
-				core.Config{Workers: workers, Parallel: core.ParallelTopLevel}); err != nil {
-				return err
-			}
 		}
 		hash := timedHashMULE(g, alpha, cfg)
 		t.Add("MULE (hash adjacency)", fmt.Sprintf("%g", alpha), formatRun(hash),
@@ -410,11 +406,11 @@ func parallelWorkerGrid(cfg Config) []int {
 	return grid
 }
 
-// runParallelScaling measures serial MULE against both parallel engines on
-// the skewed hub workload (where the top-level fan-out starves) and on a
+// runParallelScaling measures serial MULE against the work-stealing engine
+// on the skewed hub workload (one top-level branch owns nearly every
+// clique, so only splitting it inside can spread the work) and on a
 // Barabási–Albert graph (a conventional power-law input). One row per
-// engine × worker count, with speedup relative to the serial run of the
-// same graph.
+// worker count, with speedup relative to the serial run of the same graph.
 func runParallelScaling(cfg Config, w io.Writer) error {
 	cfg = cfg.withDefaults()
 	type workload struct {
@@ -429,7 +425,7 @@ func runParallelScaling(cfg Config, w io.Writer) error {
 		{SkewedCliqueGraph(cfg), SkewedAlpha},
 		{NamedGraph{baName(baN), gen.BA(baN, cfg.Seed)}, 0.001},
 	}
-	t := NewTable(fmt.Sprintf("Parallel scaling (GOMAXPROCS=%d): work stealing vs top-level fan-out", runtime.GOMAXPROCS(0)),
+	t := NewTable(fmt.Sprintf("Parallel scaling (GOMAXPROCS=%d): work stealing vs serial", runtime.GOMAXPROCS(0)),
 		"graph", "engine", "workers", "runtime", "speedup", "cliques", "steals", "splits")
 	for _, ld := range loads {
 		serial, err := TimedMULE(ld.ng.G, ld.alpha, cfg, core.Config{})
@@ -439,19 +435,17 @@ func runParallelScaling(cfg Config, w io.Writer) error {
 		t.Add(ld.ng.Name, "serial", "1", formatRun(serial), "1.00x",
 			fmt.Sprintf("%d", serial.Cliques), "-", "-")
 		for _, workers := range parallelWorkerGrid(cfg) {
-			for _, engine := range []core.ParallelMode{core.ParallelTopLevel, core.ParallelWorkStealing} {
-				r, err := TimedMULE(ld.ng.G, ld.alpha, cfg, core.Config{Workers: workers, Parallel: engine})
-				if err != nil {
-					return err
-				}
-				speedup := "-"
-				if r.Finished && serial.Finished && r.Elapsed > 0 {
-					speedup = fmt.Sprintf("%.2fx", float64(serial.Elapsed)/float64(r.Elapsed))
-				}
-				t.Add(ld.ng.Name, engine.String(), fmt.Sprintf("%d", workers), formatRun(r), speedup,
-					fmt.Sprintf("%d", r.Cliques),
-					fmt.Sprintf("%d", r.Stats.Steals), fmt.Sprintf("%d", r.Stats.Splits))
+			r, err := TimedMULE(ld.ng.G, ld.alpha, cfg, core.Config{Workers: workers})
+			if err != nil {
+				return err
 			}
+			speedup := "-"
+			if r.Finished && serial.Finished && r.Elapsed > 0 {
+				speedup = fmt.Sprintf("%.2fx", float64(serial.Elapsed)/float64(r.Elapsed))
+			}
+			t.Add(ld.ng.Name, "worksteal", fmt.Sprintf("%d", workers), formatRun(r), speedup,
+				fmt.Sprintf("%d", r.Cliques),
+				fmt.Sprintf("%d", r.Stats.Steals), fmt.Sprintf("%d", r.Stats.Splits))
 		}
 	}
 	return t.Render(w)

@@ -23,8 +23,8 @@ func AffinityBipartite(nUsers, nProducts, blocks int, seed int64) *ubiclique.Bip
 	b := ubiclique.NewBuilder(nUsers, nProducts)
 	blockUsers, blockProducts := 6, 4
 	for blk := 0; blk < blocks; blk++ {
-		u0 := rng.Intn(maxInt(1, nUsers-blockUsers))
-		p0 := rng.Intn(maxInt(1, nProducts-blockProducts))
+		u0 := rng.Intn(max(1, nUsers-blockUsers))
+		p0 := rng.Intn(max(1, nProducts-blockProducts))
 		for u := u0; u < u0+blockUsers && u < nUsers; u++ {
 			for p := p0; p < p0+blockProducts && p < nProducts; p++ {
 				_ = b.UpsertEdge(u, p, 0.8+rng.Float64()*0.19)
@@ -37,13 +37,6 @@ func AffinityBipartite(nUsers, nProducts, blocks int, seed int64) *ubiclique.Bip
 		_ = b.UpsertEdge(rng.Intn(nUsers), rng.Intn(nProducts), 0.1+rng.Float64()*0.7)
 	}
 	return b.Build()
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // CommunityGraph builds the planted-communities uncertain graph used by the

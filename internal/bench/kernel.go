@@ -21,8 +21,8 @@ import (
 )
 
 // The kernel experiment measures the enumeration kernel itself — ns/op,
-// allocs/op and B/op for the serial driver and both parallel engines across
-// the standard workloads — and appends the results to a machine-readable
+// allocs/op and B/op for the serial driver and the work-stealing engine
+// across the standard workloads — and appends the results to a machine-readable
 // trajectory file (BENCH_kernel.json at the repo root). Every performance PR
 // records a labeled run, so regressions and wins are visible across the
 // repo's history rather than only in prose.
@@ -32,7 +32,7 @@ type KernelEntry struct {
 	Workload    string  `json:"workload"`
 	Alpha       float64 `json:"alpha"`
 	MinSize     int     `json:"min_size,omitempty"`
-	Engine      string  `json:"engine"` // serial | worksteal | toplevel
+	Engine      string  `json:"engine"` // serial | worksteal | sharded; older trajectory rows also have toplevel
 	Workers     int     `json:"workers"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
@@ -56,7 +56,7 @@ type KernelRun struct {
 }
 
 // KernelSpeedup is the trajectory form of the TestWorkStealingSpeedup
-// acceptance measurement: serial vs both parallel engines on the skewed hub
+// acceptance measurement: serial vs work-stealing on the skewed hub
 // workload. Recorded only on machines with ≥4 usable CPUs — on smaller
 // boxes no engine can demonstrate a speedup, so the block is omitted and
 // rows stay comparable via the `num_cpu` key.
@@ -64,7 +64,6 @@ type KernelSpeedup struct {
 	Workload    string  `json:"workload"`
 	Workers     int     `json:"workers"`
 	SerialNs    float64 `json:"serial_ns"`
-	TopLevelNs  float64 `json:"toplevel_ns"`
 	WorkStealNs float64 `json:"worksteal_ns"`
 	Speedup     float64 `json:"worksteal_speedup"` // serial / worksteal
 	Cliques     int64   `json:"cliques"`
@@ -83,8 +82,8 @@ func SpeedupCPUs() int {
 	return cpus
 }
 
-// MeasureSpeedup times serial, top-level and work-stealing once each on the
-// skewed hub workload (after a warm-up pass) — the exact measurement
+// MeasureSpeedup times serial and work-stealing once each on the skewed hub
+// workload (after a warm-up pass) — the exact measurement
 // TestWorkStealingSpeedup gates on, shared here so the acceptance numbers
 // land in the trajectory file instead of only in transient test logs.
 func MeasureSpeedup(cfg Config) (*KernelSpeedup, error) {
@@ -112,23 +111,18 @@ func MeasureSpeedup(cfg Config) (*KernelSpeedup, error) {
 	if err != nil {
 		return nil, err
 	}
-	topLevel, topCliques, err := run(core.Config{Workers: cpus, Parallel: core.ParallelTopLevel})
-	if err != nil {
-		return nil, err
-	}
 	workSteal, wsCliques, err := run(core.Config{Workers: cpus})
 	if err != nil {
 		return nil, err
 	}
-	if wsCliques != cliques || topCliques != cliques {
-		return nil, fmt.Errorf("bench: speedup cell clique counts diverge: serial=%d toplevel=%d worksteal=%d",
-			cliques, topCliques, wsCliques)
+	if wsCliques != cliques {
+		return nil, fmt.Errorf("bench: speedup cell clique counts diverge: serial=%d worksteal=%d",
+			cliques, wsCliques)
 	}
 	sp := &KernelSpeedup{
 		Workload:    ng.Name,
 		Workers:     cpus,
 		SerialNs:    float64(serial.Nanoseconds()),
-		TopLevelNs:  float64(topLevel.Nanoseconds()),
 		WorkStealNs: float64(workSteal.Nanoseconds()),
 		Cliques:     cliques,
 	}
@@ -182,8 +176,8 @@ func kernelWorkloads(cfg Config) []kernelWorkload {
 	}
 }
 
-// kernelEngines returns the engine grid: serial plus both parallel engines
-// at the configured worker count (cfg.Workers when ≥ 2, else min(NumCPU, 4)
+// kernelEngines returns the engine grid: serial plus work-stealing at the
+// configured worker count (cfg.Workers when ≥ 2, else min(NumCPU, 4)
 // to keep the numbers comparable across differently sized CI machines).
 func kernelEngines(cfg Config) []core.Config {
 	w := cfg.Workers
@@ -195,9 +189,7 @@ func kernelEngines(cfg Config) []core.Config {
 	}
 	engines := []core.Config{{}}
 	if w >= 2 {
-		engines = append(engines,
-			core.Config{Workers: w, Parallel: core.ParallelWorkStealing},
-			core.Config{Workers: w, Parallel: core.ParallelTopLevel})
+		engines = append(engines, core.Config{Workers: w})
 	}
 	return engines
 }
@@ -206,7 +198,7 @@ func engineLabel(c core.Config) string {
 	if c.Workers <= 1 {
 		return "serial"
 	}
-	return c.Parallel.String()
+	return "worksteal"
 }
 
 // measureTimed times runOnce into e. With once set it performs a single
@@ -245,7 +237,7 @@ func measureKernel(g *uncertain.Graph, alpha float64, coreCfg core.Config, once 
 		Alpha:   alpha,
 		MinSize: coreCfg.MinSize,
 		Engine:  engineLabel(coreCfg),
-		Workers: maxInt(coreCfg.Workers, 1),
+		Workers: max(coreCfg.Workers, 1),
 	}
 	measureTimed(&e, func() {
 		// Measured through the public query API (runEnumeration), so the
@@ -390,8 +382,8 @@ func runKernel(cfg Config, w io.Writer) error {
 			return err
 		}
 		run.Speedup = sp
-		fmt.Fprintf(w, "speedup cell (%s, %d workers): serial %.0fms toplevel %.0fms worksteal %.0fms (%.2fx)\n",
-			sp.Workload, sp.Workers, sp.SerialNs/1e6, sp.TopLevelNs/1e6, sp.WorkStealNs/1e6, sp.Speedup)
+		fmt.Fprintf(w, "speedup cell (%s, %d workers): serial %.0fms worksteal %.0fms (%.2fx)\n",
+			sp.Workload, sp.Workers, sp.SerialNs/1e6, sp.WorkStealNs/1e6, sp.Speedup)
 	} else {
 		fmt.Fprintf(w, "speedup cell skipped: need ≥4 usable CPUs, have NumCPU=%d GOMAXPROCS=%d\n",
 			runtime.NumCPU(), runtime.GOMAXPROCS(0))
@@ -500,20 +492,77 @@ func LatestComparableRun(rep KernelReport, cur KernelRun) (KernelRun, bool) {
 	return KernelRun{}, false
 }
 
-// diffAgainstTrajectory flags >tolerance ns/op regressions of run against
-// the latest comparable row of the trajectory at cfg.KernelDiff — the CI
-// smoke job's guard rail. A missing or incomparable trajectory only notes
-// the fact; a regression is an error.
+// countCell keys a cell for the count comparison. The worker count is left
+// out: cliques and search_calls do not depend on it, nor on the machine.
+type countCell struct {
+	workload string
+	alpha    float64
+	minSize  int
+	engine   string
+}
+
+// countDiff is one cell whose cliques or search_calls differ between the
+// baseline run and the current one.
+type countDiff struct {
+	base, cur KernelEntry
+}
+
+// latestCountBaseline returns the newest run in rep with cur's Quick flag,
+// whatever its machine class or once-mode, skipping a re-measure of cur's
+// own label.
+func latestCountBaseline(rep KernelReport, cur KernelRun) (KernelRun, bool) {
+	for i := len(rep.Runs) - 1; i >= 0; i-- {
+		if r := rep.Runs[i]; r.Label != cur.Label && r.Quick == cur.Quick {
+			return r, true
+		}
+	}
+	return KernelRun{}, false
+}
+
+// diffKernelCounts returns the cells of cur whose cliques or search_calls
+// differ from base's. Cells missing from either run are skipped.
+func diffKernelCounts(base, cur KernelRun) []countDiff {
+	baseline := make(map[countCell]KernelEntry, len(base.Entries))
+	for _, e := range base.Entries {
+		baseline[countCell{e.Workload, e.Alpha, e.MinSize, e.Engine}] = e
+	}
+	var diffs []countDiff
+	for _, e := range cur.Entries {
+		b, ok := baseline[countCell{e.Workload, e.Alpha, e.MinSize, e.Engine}]
+		if ok && (b.Cliques != e.Cliques || b.Calls != e.Calls) {
+			diffs = append(diffs, countDiff{b, e})
+		}
+	}
+	return diffs
+}
+
+// diffAgainstTrajectory is the CI smoke job's guard rail against the
+// trajectory at cfg.KernelDiff. Every cell's cliques and search_calls must
+// equal those of the newest row with the same quick flag. A cell whose
+// ns/op regressed by more than the tolerance against the latest comparable
+// row fails too; a missing or incomparable row only notes the fact.
 func diffAgainstTrajectory(cfg Config, run KernelRun, w io.Writer) error {
 	rep, err := LoadKernelReport(cfg.KernelDiff)
 	if err != nil {
 		return err
 	}
+	var errs []error
+	if base, ok := latestCountBaseline(rep, run); !ok {
+		fmt.Fprintf(w, "kernel diff: no prior run in %s (quick=%v) to compare counts with\n", cfg.KernelDiff, run.Quick)
+	} else if diffs := diffKernelCounts(base, run); len(diffs) == 0 {
+		fmt.Fprintf(w, "kernel diff: every cell's cliques and search_calls match %q\n", base.Label)
+	} else {
+		for _, d := range diffs {
+			fmt.Fprintf(w, "kernel diff: COUNT MISMATCH %s/%s α=%g minsize=%d: cliques %d → %d, search_calls %d → %d\n",
+				d.cur.Workload, d.cur.Engine, d.cur.Alpha, d.cur.MinSize, d.base.Cliques, d.cur.Cliques, d.base.Calls, d.cur.Calls)
+		}
+		errs = append(errs, fmt.Errorf("bench: %d kernel cell(s) changed cliques or search_calls vs %q", len(diffs), base.Label))
+	}
 	base, ok := LatestComparableRun(rep, run)
 	if !ok {
-		_, err := fmt.Fprintf(w, "kernel diff: no comparable prior run in %s (quick=%v once=%v), skipping\n",
+		fmt.Fprintf(w, "kernel diff: no comparable prior run in %s (quick=%v once=%v), skipping ns/op\n",
 			cfg.KernelDiff, run.Quick, run.Once)
-		return err
+		return errors.Join(errs...)
 	}
 	tol := cfg.KernelDiffPct
 	if tol <= 0 {
@@ -521,14 +570,15 @@ func diffAgainstTrajectory(cfg Config, run KernelRun, w io.Writer) error {
 	}
 	regs := DiffKernelRuns(base, run, tol)
 	if len(regs) == 0 {
-		_, err := fmt.Fprintf(w, "kernel diff: no cell slower than %q by >%g%% ns/op\n", base.Label, tol)
-		return err
+		fmt.Fprintf(w, "kernel diff: no cell slower than %q by >%g%% ns/op\n", base.Label, tol)
+		return errors.Join(errs...)
 	}
 	for _, r := range regs {
 		fmt.Fprintf(w, "kernel diff: REGRESSION %s/%s minsize=%d: %.0f → %.0f ns/op (+%.1f%%)\n",
 			r.Workload, r.Engine, r.MinSize, r.OldNs, r.NewNs, r.Pct)
 	}
-	return fmt.Errorf("bench: %d kernel cell(s) regressed >%g%% ns/op vs %q", len(regs), tol, base.Label)
+	errs = append(errs, fmt.Errorf("bench: %d kernel cell(s) regressed >%g%% ns/op vs %q", len(regs), tol, base.Label))
+	return errors.Join(errs...)
 }
 
 // LoadKernelReport reads a trajectory file; a missing file yields an empty

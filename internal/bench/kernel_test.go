@@ -2,6 +2,7 @@ package bench
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -77,11 +78,11 @@ func TestKernelWorkloadsAndEngines(t *testing.T) {
 		t.Fatalf("dense workload has only %d rows of ≥64 neighbors", long)
 	}
 	engines := kernelEngines(Config{Workers: 4})
-	if len(engines) != 3 {
+	if len(engines) != 2 {
 		t.Fatalf("engine grid: %+v", engines)
 	}
-	if engineLabel(engines[0]) != "serial" {
-		t.Fatalf("first engine %q", engineLabel(engines[0]))
+	if engineLabel(engines[0]) != "serial" || engineLabel(engines[1]) != "worksteal" {
+		t.Fatalf("engines %q, %q", engineLabel(engines[0]), engineLabel(engines[1]))
 	}
 }
 
@@ -183,5 +184,66 @@ func TestLatestComparableRunMachineClass(t *testing.T) {
 	cur.NumCPU = 1
 	if base, ok := LatestComparableRun(rep, cur); !ok || base.Label != "dev-box" {
 		t.Fatalf("same-class row not found: (%q, %v)", base.Label, ok)
+	}
+}
+
+// TestKernelCountGate pins the machine-independent half of the CI gate:
+// cliques and search_calls must equal the newest row with the same quick
+// flag, whatever its CPU count, once-mode or worker count.
+func TestKernelCountGate(t *testing.T) {
+	cell := func(workload, engine string, workers int, cliques, calls int64) KernelEntry {
+		return KernelEntry{Workload: workload, Alpha: 0.001, Engine: engine, Workers: workers,
+			NsPerOp: 1000, Cliques: cliques, Calls: calls}
+	}
+	rep := KernelReport{Runs: []KernelRun{
+		{Label: "old-quick", Quick: true, NumCPU: 4, Entries: []KernelEntry{cell("ba", "serial", 1, 1, 1)}},
+		{Label: "newest-full", Quick: false, NumCPU: 2, Entries: []KernelEntry{cell("ba", "serial", 1, 1, 1)}},
+		{Label: "newest-quick", Quick: true, NumCPU: 2, Entries: []KernelEntry{
+			cell("ba", "serial", 1, 7121, 15705),
+			cell("ba", "worksteal", 2, 7121, 15705),
+			cell("ba", "toplevel", 2, 7121, 15705), // no longer measured: skipped
+		}},
+	}}
+	cur := KernelRun{Label: "ci-smoke", Quick: true, Once: true, NumCPU: 4, Entries: []KernelEntry{
+		cell("ba", "serial", 1, 7121, 15705),
+		cell("ba", "worksteal", 4, 7121, 15705), // another worker count: still compared
+		cell("new", "serial", 1, 5, 5),          // no baseline cell: skipped
+	}}
+	base, ok := latestCountBaseline(rep, cur)
+	if !ok || base.Label != "newest-quick" {
+		t.Fatalf("latestCountBaseline = (%q, %v), want newest-quick", base.Label, ok)
+	}
+	if _, ok := latestCountBaseline(rep, KernelRun{Label: "newest-full"}); ok {
+		t.Fatal("a re-measure of the only full row must find no count baseline")
+	}
+	if diffs := diffKernelCounts(base, cur); len(diffs) != 0 {
+		t.Fatalf("equal counts reported as %+v", diffs)
+	}
+	cur.Entries[1].Calls = 15704
+	cur.Entries[0].Cliques = 7122
+	diffs := diffKernelCounts(base, cur)
+	if len(diffs) != 2 || diffs[0].cur.Engine != "serial" || diffs[1].base.Calls != 15705 {
+		t.Fatalf("diffKernelCounts = %+v, want the serial and worksteal cells", diffs)
+	}
+
+	// End to end: the trajectory's only ci-baseline row is on another
+	// machine class, so the ns/op half skips, and the count half still fails.
+	path := filepath.Join(t.TempDir(), "BENCH_kernel.json")
+	pinned := KernelRun{Label: "one-cpu ci-baseline (quick+once)", Quick: true, Once: true, NumCPU: 1}
+	for _, r := range []KernelRun{pinned, rep.Runs[2]} {
+		if err := MergeKernelRun(path, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var out strings.Builder
+	err := diffAgainstTrajectory(Config{KernelDiff: path}, cur, &out)
+	if err == nil || !strings.Contains(out.String(), "COUNT MISMATCH ba/worksteal") ||
+		!strings.Contains(out.String(), "skipping ns/op") {
+		t.Fatalf("count mismatch passed the gate: err %v, output:\n%s", err, out.String())
+	}
+	cur.Entries[0].Cliques, cur.Entries[1].Calls = 7121, 15705
+	out.Reset()
+	if err := diffAgainstTrajectory(Config{KernelDiff: path}, cur, &out); err != nil {
+		t.Fatalf("equal counts failed the gate: %v\n%s", err, out.String())
 	}
 }

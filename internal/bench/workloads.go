@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"strconv"
 	"time"
 
 	mule "github.com/uncertain-graphs/mule"
@@ -39,8 +40,10 @@ type Config struct {
 	// kernel (PR 2)"); a run with the same label is replaced.
 	KernelLabel string
 	// KernelDiff, when non-empty, makes the kernel experiment compare its
-	// run against the latest comparable row of this trajectory file and
-	// fail on any cell slower by more than KernelDiffPct percent ns/op.
+	// run against this trajectory file. It fails on any cell whose cliques
+	// or search calls differ from the newest row with the same Quick flag,
+	// and on any cell slower by more than KernelDiffPct percent ns/op than
+	// in the latest comparable row.
 	KernelDiff string
 	// KernelDiffPct is the regression tolerance for KernelDiff in percent;
 	// 0 selects the default (25).
@@ -106,14 +109,7 @@ func RandomGraphs(cfg Config) []NamedGraph {
 	return out
 }
 
-func baName(n int) string {
-	switch {
-	case n >= 1000:
-		return "BA" + itoa(n)
-	default:
-		return "BA" + itoa(n)
-	}
-}
+func baName(n int) string { return "BA" + strconv.Itoa(n) }
 
 // SemiSyntheticGraphs returns the real/semi-synthetic family of Figures
 // 2b/3b: PPI, ca-GrQc, three Gnutella snapshots and wiki-vote.
@@ -158,11 +154,13 @@ func LargeCliqueGraphs(cfg Config) []NamedGraph {
 }
 
 // SkewedCliqueGraph builds the parallel-scaling workload: a graph whose
-// search tree is dominated by a single top-level branch, the shape that
-// starves the legacy top-level fan-out. Hub vertices 0..h-1 attach to every
-// core vertex with near-certain probability, so almost every α-maximal
-// clique contains hub 0 and the entire heavy subtree hangs off one top-level
-// branch (measured: >99% of cliques at SkewedAlpha in full mode). The core
+// search tree is dominated by a single top-level branch, so a parallel run
+// that only spread the top-level branches across workers would run nearly
+// serially; work stealing must split that branch. Hub vertices 0..h-1
+// attach to every core vertex with near-certain probability, so almost
+// every α-maximal clique contains hub 0 and the entire heavy subtree hangs
+// off one top-level branch (measured: >99% of cliques at SkewedAlpha in
+// full mode). The core
 // is an Erdős–Rényi block with probabilities in [0.82, 0.98]; a ring of
 // tail vertices supplies many trivial top-level branches, mimicking the
 // hub-plus-periphery shape of PPI and collaboration networks.
@@ -221,7 +219,7 @@ func DenseGNPGraph(cfg Config) NamedGraph {
 	for _, e := range gen.GNP(n, 0.3, rng) {
 		_ = b.AddEdge(e[0], e[1], 0.85+0.14*rng.Float64())
 	}
-	return NamedGraph{"dense-gnp" + itoa(n), b.Build()}
+	return NamedGraph{"dense-gnp" + strconv.Itoa(n), b.Build()}
 }
 
 // DenseAlpha is the probability threshold used with DenseGNPGraph: high
@@ -290,7 +288,6 @@ func runEnumeration(ctx context.Context, g *uncertain.Graph, alpha float64, c co
 		mule.WithOrdering(c.Ordering),
 		mule.WithSeed(c.Seed),
 		mule.WithWorkers(c.Workers),
-		mule.WithParallelMode(c.Parallel),
 		mule.WithStealGranularity(c.StealGranularity),
 		mule.WithBudget(c.Budget),
 	)
@@ -344,18 +341,4 @@ func TimedNOIP(g *uncertain.Graph, alpha float64, cfg Config) RunResult {
 	res.Cliques = int64(stats.Emitted)
 	res.Finished = !aborted
 	return res
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [12]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }

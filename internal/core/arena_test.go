@@ -191,7 +191,7 @@ func checkIntersectModes(t *testing.T, c intersectCase) {
 			rowBits = view
 		}
 		e := &enumerator{stats: &Stats{}, arena: &entryArena{}, bits: &bitAdjacency{words: words}}
-		got := e.arena.alloc(minInt(c.src.length(), len(c.row)))
+		got := e.arena.alloc(min(c.src.length(), len(c.row)))
 		e.intersectSets(&got, &c.src, c.row, c.probs, rowBits, c.thr)
 		probed := rowBits != nil && c.src.length() > 0
 		if probed != (e.stats.BitsetOps == 1) {
@@ -216,7 +216,7 @@ func sameLanes(a, b entrySet) bool {
 
 // firstOf returns the set's first element alone, or the empty set.
 func firstOf(s entrySet) entrySet {
-	n := minInt(1, s.length())
+	n := min(1, s.length())
 	return entrySet{s.v[:n], s.r[:n]}
 }
 

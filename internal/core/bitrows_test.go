@@ -37,7 +37,6 @@ func TestIntersectModesEquivalentRandom(t *testing.T) {
 			for _, cfg := range []Config{
 				{Intersect: mode},
 				{Intersect: mode, Workers: 4},
-				{Intersect: mode, Workers: 3, Parallel: ParallelTopLevel},
 				{Intersect: mode, MinSize: 3},
 			} {
 				got := mustCollect(t, g, alpha, cfg)
@@ -98,7 +97,7 @@ func TestAdaptiveBitsetTriggersOnDense(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("adaptive bitset run diverged from the sorted kernels")
 	}
-	// The parallel engines share the read-only index.
+	// The work-stealing slots share the read-only index.
 	gotPar, pstats, err := CollectWith(g, alpha, Config{Workers: 4})
 	if err != nil {
 		t.Fatal(err)

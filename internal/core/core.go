@@ -16,27 +16,27 @@
 // only α-maximal cliques with at least MinSize vertices, with the
 // Modani–Dey shared-neighborhood prefilter.
 //
-// Two parallel engines are available when Config.Workers > 1, both running
-// on the shared process-wide work-stealing executor (internal/exec) — no
-// run ever spawns its own goroutines. The default work-stealing engine
-// (worksteal.go) turns the recursion into explicit, splittable search
-// frames: pool workers run subtrees depth-first from shared deques and
-// steal half of the oldest frames from a victim when they drain, so a
-// single heavy subtree — the norm on skewed power-law inputs — is
-// subdivided on demand instead of pinning one worker, and frames of many
-// concurrent queries interleave on one pool without mixing their stats.
-// Workers is the run's parallelism cap on that pool, not a goroutine
-// count. The legacy top-level fan-out (parallel.go) that only distributes
-// the provably independent root branches is kept as ParallelTopLevel for
-// comparison benchmarks. Per-run scratch memory (entry arenas and the
-// rank-indexed bit-row mirrors) comes from size-classed pools (pools.go)
-// checked out per query-slot pair and returned on every terminal path.
+// When Config.Workers > 1 the search runs on the work-stealing engine
+// (worksteal.go), on the shared process-wide executor (internal/exec) — no
+// run ever spawns its own goroutines. Its seats build the independent
+// top-level branches exactly as the serial root does, and every branch
+// with enough candidates becomes an explicit, splittable search frame:
+// pool workers run subtrees depth-first from shared deques and steal half
+// of the oldest frames from a victim when they drain, so a single heavy
+// subtree — the norm on skewed power-law inputs — is subdivided on demand
+// instead of pinning one worker, and frames of many concurrent queries
+// interleave on one pool without mixing their stats. Workers is the run's
+// parallelism cap on that pool, not a goroutine count. Per-run scratch
+// memory (entry arenas and the rank-indexed bit-row mirrors) comes from
+// size-classed pools (pools.go) checked out per query-slot pair and
+// returned on every terminal path.
 package core
 
 import (
 	"context"
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"time"
 
 	"github.com/uncertain-graphs/mule/internal/exec"
@@ -115,32 +115,6 @@ func (m IntersectMode) String() string {
 	}
 }
 
-// ParallelMode selects the engine used when Config.Workers > 1.
-type ParallelMode int
-
-const (
-	// ParallelWorkStealing (the default) executes the search over
-	// per-worker deques of splittable frames with work stealing. It keeps
-	// all workers busy even when one subtree dominates the search tree.
-	ParallelWorkStealing ParallelMode = iota
-	// ParallelTopLevel is the legacy driver that only fans out the
-	// independent top-level branches; on skewed inputs most workers idle
-	// while one owns the heavy subtree. Kept for comparison benchmarks.
-	ParallelTopLevel
-)
-
-// String names the parallel engine for logs and benchmark labels.
-func (m ParallelMode) String() string {
-	switch m {
-	case ParallelWorkStealing:
-		return "worksteal"
-	case ParallelTopLevel:
-		return "toplevel"
-	default:
-		return fmt.Sprintf("ParallelMode(%d)", int(m))
-	}
-}
-
 // Config tunes an enumeration run. The zero value reproduces the paper's
 // plain MULE: all α-maximal cliques, natural ordering, single-threaded.
 type Config struct {
@@ -153,8 +127,8 @@ type Config struct {
 	Ordering Ordering
 	// Seed feeds OrderRandom.
 	Seed int64
-	// Workers > 1 enables a parallel engine: the run is submitted to the
-	// shared executor with Workers as its parallelism cap — up to that many
+	// Workers > 1 enables the work-stealing engine: the run is submitted to
+	// the shared executor with Workers as its parallelism cap — up to that many
 	// pool slots execute the run's frames at once. It is not a goroutine
 	// count; the pool is sized once per process (or per Exec).
 	Workers int
@@ -162,15 +136,12 @@ type Config struct {
 	// the process-wide shared pool (exec.Default()). Serial runs (Workers
 	// ≤ 1) never touch an executor.
 	Exec *exec.Executor
-	// Parallel selects the engine used when Workers > 1: work stealing
-	// (the default) or the legacy top-level fan-out.
-	Parallel ParallelMode
 	// StealGranularity is the minimum number of candidate vertices a
 	// subtree must have before the work-stealing engine publishes it as a
 	// stealable frame; smaller subtrees run inline with the serial
 	// recursion. Lower values balance load at finer grain but pay more
-	// synchronization; 0 selects the default (8). Ignored unless the
-	// work-stealing engine runs.
+	// synchronization; 0 selects the default (16). Ignored unless Workers >
+	// 1.
 	StealGranularity int
 	// Budget, when > 0, bounds the number of search-tree nodes the run may
 	// expand before aborting with ErrBudget. The budget is charged in
@@ -196,7 +167,12 @@ type Config struct {
 	CheckInvariants bool
 }
 
-// Stats reports the work performed by an enumeration run.
+// Stats reports the work performed by an enumeration run. A complete
+// parallel run reports the serial run's Stats apart from Steals and
+// Splits, except under MinSize: its frames keep size-pruned candidates in X
+// to preserve their split invariant, so at MinSize ≥ 3 it may count more
+// BitsetOps (probes of an X that serial leaves empty), and at MinSize ≥ 4
+// more WitnessOps.
 type Stats struct {
 	Status        RunStatus // how the run ended (complete, stopped, canceled, …)
 	Calls         int64     // Enum-Uncertain-MC invocations (search-tree nodes)
@@ -216,8 +192,8 @@ type Stats struct {
 // MergeStats folds s into agg: counters add, MaxDepth and MaxCliqueSize
 // take the larger value. Every field is a sum or a max, so folding parts in
 // a fixed order yields a deterministic aggregate. Status is not merged: the
-// caller decides a run's terminal state once. The parallel engines fold
-// their per-slot stats with it and the query layer its per-component runs,
+// caller decides a run's terminal state once. The work-stealing engine
+// folds its per-slot stats with it and the query layer its per-component runs,
 // so a counter is folded the same way on every path.
 func MergeStats(agg *Stats, s Stats) {
 	agg.Calls += s.Calls
@@ -271,9 +247,6 @@ func Validate(g *uncertain.Graph, alpha float64, cfg Config) error {
 	}
 	if cfg.StallTimeout < 0 {
 		return fmt.Errorf("core: negative StallTimeout %v: %w", cfg.StallTimeout, ErrConfig)
-	}
-	if cfg.Parallel != ParallelWorkStealing && cfg.Parallel != ParallelTopLevel {
-		return fmt.Errorf("core: unknown parallel mode %d: %w", int(cfg.Parallel), ErrConfig)
 	}
 	if cfg.Intersect != IntersectAdaptive && cfg.Intersect != IntersectSorted &&
 		cfg.Intersect != IntersectBitset {
@@ -367,7 +340,7 @@ func EnumerateContext(ctx context.Context, g *uncertain.Graph, alpha float64, vi
 	defer e.releasePooled()
 	defer ctl.ArmStall(cfg.StallTimeout)()
 	// Containment boundary for the serial engine and the submitting
-	// goroutine of the parallel ones (pool workers have their own boundary
+	// goroutine of the parallel one (pool workers have their own boundary
 	// in the executor): a panic anywhere below terminates this run with
 	// StatusPanicked instead of unwinding the caller — the deferred pool
 	// releases above still run, so conservation holds.
@@ -377,12 +350,9 @@ func EnumerateContext(ctx context.Context, g *uncertain.Graph, alpha float64, vi
 				ctl.Abort(NewPanicError(v, debug.Stack()))
 			}
 		}()
-		switch {
-		case cfg.Workers > 1 && cfg.Parallel == ParallelTopLevel:
-			e.runTopLevel(executorFor(cfg), cfg.Workers)
-		case cfg.Workers > 1:
+		if cfg.Workers > 1 {
 			e.runWorkStealing(executorFor(cfg), cfg.Workers, cfg.StealGranularity)
-		default:
+		} else {
 			e.runSerial()
 		}
 	}()
@@ -436,7 +406,7 @@ func Count(g *uncertain.Graph, alpha float64) (int64, error) {
 
 func canonicalize(cliques [][]int) {
 	for _, c := range cliques {
-		sortInts(c)
+		slices.Sort(c)
 	}
-	sortSliceOfSlices(cliques)
+	slices.SortFunc(cliques, slices.Compare)
 }

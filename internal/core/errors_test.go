@@ -41,7 +41,6 @@ func TestValidateSentinels(t *testing.T) {
 		{"workers", Validate(g, 0.5, Config{Workers: -1}), ErrConfig},
 		{"granularity", Validate(g, 0.5, Config{StealGranularity: -1}), ErrConfig},
 		{"budget", Validate(g, 0.5, Config{Budget: -1}), ErrConfig},
-		{"mode", Validate(g, 0.5, Config{Parallel: ParallelMode(7)}), ErrConfig},
 		{"ordering", Validate(g, 0.5, Config{Ordering: Ordering(7)}), ErrConfig},
 	}
 	for _, tc := range cases {
@@ -104,7 +103,6 @@ func TestEnumerateContextEngines(t *testing.T) {
 	for _, cfg := range []Config{
 		{},
 		{Workers: 4},
-		{Workers: 4, Parallel: ParallelTopLevel},
 	} {
 		ctx, cancel := context.WithCancel(context.Background())
 		calls := 0

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -11,13 +12,12 @@ import (
 	"github.com/uncertain-graphs/mule/internal/faultinject"
 )
 
-// faultCfgs is the engine grid every containment test sweeps: serial,
-// work-stealing, and the legacy top-level fan-out.
+// faultCfgs is the engine grid every containment test sweeps: serial and
+// work-stealing.
 func faultCfgs() []Config {
 	return []Config{
 		{},
 		{Workers: 4},
-		{Workers: 4, Parallel: ParallelTopLevel},
 	}
 }
 
@@ -42,7 +42,7 @@ func TestVisitorPanicContained(t *testing.T) {
 	g := randomDyadic(40, 0.55, rng)
 	want := mustCollect(t, g, 1e-9, Config{})
 	for _, cfg := range faultCfgs() {
-		conserved(t, cfg.Parallel.String(), func() {
+		conserved(t, fmt.Sprintf("workers=%d", cfg.Workers), func() {
 			stats, err := EnumerateContext(context.Background(), g, 1e-9, func([]int, float64) bool {
 				panic("visitor bomb")
 			}, cfg)

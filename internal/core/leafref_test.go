@@ -67,7 +67,7 @@ func sortEmissions(es []emission) {
 // with CheckInvariants on under every engine × {plain, LARGE} × intersect
 // mode, against the serial reference recursion that materializes every
 // leaf's X'. The serial engine must reproduce the reference's emission
-// stream, the parallel engines its emission set (probabilities included),
+// stream, the parallel engine its emission set (probabilities included),
 // and every engine its Stats — except WitnessOps, which early-exit leaves
 // no longer produce, BitsetOps, which counts their probes, and the
 // scheduling counters Steals and Splits.
@@ -80,7 +80,6 @@ func TestEarlyExitLeavesMatchMaterializedLeaves(t *testing.T) {
 	}{
 		{"serial", Config{}},
 		{"worksteal", Config{Workers: 4, StealGranularity: 1}},
-		{"toplevel", Config{Workers: 3, Parallel: ParallelTopLevel}},
 	}
 	for trial := 0; trial < 50; trial++ {
 		n := 1 + rng.Intn(40)

@@ -129,7 +129,7 @@ func (m *maxSearch) generateI(tail *entrySet, u int32, q2 float64) entrySet {
 	for j < len(row) && row[j] <= u {
 		j++
 	}
-	maxOut := minInt(tail.length(), len(row)-j)
+	maxOut := min(tail.length(), len(row)-j)
 	out := m.arena.alloc(maxOut)
 	i := 0
 	for i < tail.length() && j < len(row) {

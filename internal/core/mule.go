@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"github.com/uncertain-graphs/mule/internal/faultinject"
 	"github.com/uncertain-graphs/mule/internal/uncertain"
 )
@@ -59,7 +61,7 @@ func (e *enumerator) countNode() bool {
 // workerClone returns an enumerator that shares e's graph, configuration,
 // and bit-row index but owns its stats, arena, and scratch buffers, with
 // emissions routed through the run's shared serialization/early-stop state.
-// Both parallel engines build their per-slot enumerators with it;
+// The work-stealing engine builds its per-slot enumerators with it;
 // everything mutable is slot-local (stats are merged deterministically
 // after the run, arenas never cross slots). The arena comes from the
 // size-classed pools; the caller owns the clone's terminal path and must
@@ -89,8 +91,8 @@ func (e *enumerator) workerClone(stats *Stats, s *wsShared) *enumerator {
 
 // releasePooled returns the enumerator's pooled arena. It is called exactly
 // once, on the enumerator's terminal path — the deferred release in
-// EnumerateContext for the root, the post-Wait merge loop of the parallel
-// engines for slot clones — so every outcome (complete, early stop,
+// EnumerateContext for the root, the work-stealing engine's post-Wait
+// merge loop for slot clones — so every outcome (complete, early stop,
 // cancel, budget, limit) funnels through the same return point.
 func (e *enumerator) releasePooled() {
 	if e.arena != nil {
@@ -99,12 +101,9 @@ func (e *enumerator) releasePooled() {
 	}
 }
 
-// runSerial performs Algorithm 1. The root node has C = ∅, every vertex in
-// Î with multiplier 1, and an X that gains each vertex as the loop passes
-// it, so the child for u receives exactly the I and X that branch(u) builds
-// from u's adjacency row (parallel.go spells out why). The root therefore
-// runs as a loop over branch instead of materializing n-entry root sets in
-// the pooled arena; it counts as one search node, as before.
+// runSerial performs Algorithm 1 as a loop over branch instead of
+// materializing n-entry root sets in the pooled arena; the root counts as
+// one search node.
 func (e *enumerator) runSerial() {
 	if e.countNode() {
 		return
@@ -112,6 +111,83 @@ func (e *enumerator) runSerial() {
 	for u, n := 0, e.g.NumVertices(); u < n && !e.stopped; u++ {
 		e.branch(int32(u))
 	}
+}
+
+// branch runs the top-level child of vertex u with the serial recursion.
+func (e *enumerator) branch(u int32) {
+	m := e.arena.mark()
+	if I, X, ok := e.rootSets(u); ok {
+		e.recurse(append(e.cbuf[:0], u), 1, I, X)
+	}
+	e.arena.release(m)
+}
+
+// rootSets builds in the arena the candidate and witness sets that the root
+// of Algorithm 1 hands the child for vertex u, and accounts for them the
+// way recurse accounts a child: candidates, then the size cut, then
+// witnesses. ok is false when the size cut drops the branch. The caller
+// owns the arena mark.
+//
+// The root has C = ∅, every vertex in I with multiplier 1, and an X that
+// gains each vertex as the loop passes it, so the child for u receives
+// I_u = {(w, p(u,w)) : w ∈ Γ(u), w > u, p(u,w) ≥ α} and
+// X_u = {(x, p(u,x)) : x ∈ Γ(u), x < u, p(u,x) ≥ α}, less the vertices the
+// root's size cut drops (rootCut). Both depend only on u, not on how much
+// of the loop has run, so the top-level children are mutually independent:
+// the serial loop runs them in order, the work-stealing seats in any
+// order; every deeper level keeps the left-to-right dependency through X.
+// The row is sorted, so the witnesses row[:k] form its prefix and the
+// candidates its suffix.
+func (e *enumerator) rootSets(u int32) (I, X entrySet, ok bool) {
+	row, probs := e.g.Adjacency(int(u))
+	irow, iprobs := e.g.AdjacencySuffix(int(u), u)
+	k := len(row) - len(irow)
+
+	I = e.arena.alloc(len(irow))
+	for i, w := range irow {
+		if p := iprobs[i]; p >= e.alpha {
+			I = I.push(w, p)
+		}
+	}
+	e.arena.shrink(len(irow), I.length())
+	// The p < α skips here and below are only reachable with SkipPrune.
+	e.stats.CandidateOps += int64(I.length())
+	if e.minSize >= 2 && 1+I.length() < e.minSize {
+		e.stats.SizePruned++
+		return I, X, false
+	}
+	// X holds ≤ k filtered witnesses plus one push per candidate from the
+	// recursion's loop.
+	X = e.arena.alloc(k + I.length())
+	for i := 0; i < k; i++ {
+		if p := probs[i]; p >= e.alpha && !e.rootCut(row[i]) {
+			X = X.push(row[i], p)
+		}
+	}
+	e.arena.shrink(k+I.length(), X.length()+I.length())
+	e.stats.WitnessOps += int64(X.length())
+	return I, X, true
+}
+
+// rootCut reports whether LARGE-MULE's size cut (Algorithm 6) drops the
+// top-level branch of vertex x: x and its candidates — the later neighbors
+// whose edge meets α — number fewer than minSize. The root loop never
+// pushes such an x onto the root witness set, so rootSets leaves it out of
+// X as well; every clique it could witness against is below minSize anyway.
+func (e *enumerator) rootCut(x int32) bool {
+	if e.minSize < 2 {
+		return false
+	}
+	_, probs := e.g.AdjacencySuffix(int(x), x)
+	need := e.minSize - 1
+	for _, p := range probs {
+		if p >= e.alpha {
+			if need--; need == 0 {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // recurse is Enum-Uncertain-MC (Algorithm 2), with the |C'|+|I'| < t cut of
@@ -238,7 +314,7 @@ func (e *enumerator) generateI(out, tail *entrySet, u int32, q2 float64) {
 	} else {
 		row, probs = e.g.AdjacencySuffix(int(u), u)
 	}
-	maxOut := minInt(tail.length(), len(row))
+	maxOut := min(tail.length(), len(row))
 	*out = e.arena.alloc(maxOut)
 	e.intersectSets(out, tail, row, probs, rowBits, e.alpha/q2)
 	e.arena.shrink(maxOut, out.length())
@@ -254,7 +330,7 @@ func (e *enumerator) generateI(out, tail *entrySet, u int32, q2 float64) {
 // the arena set.
 func (e *enumerator) generateX(out, X *entrySet, u int32, q2 float64, extra int) {
 	row, probs := e.g.Adjacency(int(u))
-	maxOut := minInt(X.length(), len(row))
+	maxOut := min(X.length(), len(row))
 	*out = e.arena.alloc(maxOut + extra)
 	e.intersectSets(out, X, row, probs, e.bits.row(u), e.alpha/q2)
 	e.arena.shrink(maxOut+extra, out.length()+extra)
@@ -289,7 +365,7 @@ func (e *enumerator) emit(C []int32, q float64) {
 		for _, v := range C {
 			buf = append(buf, e.newToOld[v])
 		}
-		sortInts(buf)
+		slices.Sort(buf)
 	}
 	e.emitBuf = buf
 	// Emissions stamp the stall beacon too: a run crawling through a slow

@@ -12,15 +12,25 @@ import (
 	"github.com/uncertain-graphs/mule/internal/uncertain"
 )
 
-// These tests target the parallel engines specifically. They are meant to
-// run under -race (see .github/workflows/ci.yml): StealGranularity 1 forces
-// every internal node through the deque, maximizing steal traffic and
-// handoff interleavings.
+// These tests target the work-stealing engine specifically. They are meant
+// to run under -race (see .github/workflows/ci.yml): StealGranularity 1
+// forces every internal node through the deque, maximizing steal traffic
+// and handoff interleavings.
+
+// withoutScheduling clears the counters that depend on scheduling (Steals
+// and Splits); every other Stats field of a work-stealing run must equal
+// the serial run's.
+func withoutScheduling(s Stats) Stats {
+	s.Steals, s.Splits = 0, 0
+	return s
+}
 
 // TestWorkStealingMatchesSerialRandom checks, on 50 random graphs, that the
-// work-stealing engine emits the identical clique set as the serial driver,
-// visits the identical search tree (Calls), and does the identical candidate
-// work (CandidateOps) — in both plain-MULE and LARGE-MULE modes.
+// work-stealing engine emits the identical clique set as the serial driver
+// and reports identical Stats apart from Steals and Splits — in plain-MULE
+// and LARGE-MULE (MinSize 3) modes, and with every row probed as a bit row
+// (these graphs are too small for the adaptive policy to mirror any, and
+// at MinSize 3 a frame may probe an X that serial leaves empty).
 func TestWorkStealingMatchesSerialRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(404))
 	densities := []float64{0.15, 0.3, 0.5, 0.8}
@@ -28,24 +38,24 @@ func TestWorkStealingMatchesSerialRandom(t *testing.T) {
 		n := 1 + rng.Intn(40)
 		g := randomDyadic(n, densities[trial%len(densities)], rng)
 		alpha := dyadicAlphas[rng.Intn(len(dyadicAlphas))]
-		for _, minSize := range []int{0, 3} {
-			serial, sstats, err := CollectWith(g, alpha, Config{MinSize: minSize})
+		for _, base := range []Config{{}, {MinSize: 3}, {Intersect: IntersectBitset}} {
+			serial, sstats, err := CollectWith(g, alpha, base)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := Config{MinSize: minSize, Workers: 4, StealGranularity: 1}
+			cfg := base
+			cfg.Workers, cfg.StealGranularity = 4, 1
 			par, pstats, err := CollectWith(g, alpha, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(par, serial) {
-				t.Fatalf("trial %d (n=%d, α=%v, minSize=%d): clique sets diverge\nserial = %v\nws     = %v",
-					trial, n, alpha, minSize, serial, par)
+				t.Fatalf("trial %d (n=%d, α=%v, %+v): clique sets diverge\nserial = %v\nws     = %v",
+					trial, n, alpha, base, serial, par)
 			}
-			if pstats.Calls != sstats.Calls || pstats.Emitted != sstats.Emitted ||
-				pstats.CandidateOps != sstats.CandidateOps || pstats.SizePruned != sstats.SizePruned {
-				t.Fatalf("trial %d (minSize=%d): stats diverge\nserial = %+v\nws     = %+v",
-					trial, minSize, sstats, pstats)
+			if withoutScheduling(pstats) != sstats {
+				t.Fatalf("trial %d (%+v): stats diverge\nserial = %+v\nws     = %+v",
+					trial, base, sstats, pstats)
 			}
 		}
 	}
@@ -257,42 +267,21 @@ func TestStealGranularityVariants(t *testing.T) {
 	}
 }
 
-// TestTopLevelEngineEquivalent keeps the legacy fan-out driver correct: it
-// remains selectable for comparison benchmarks.
-func TestTopLevelEngineEquivalent(t *testing.T) {
-	rng := rand.New(rand.NewSource(408))
-	for trial := 0; trial < 12; trial++ {
-		g := randomDyadic(2+rng.Intn(30), 0.4, rng)
-		alpha := dyadicAlphas[trial%len(dyadicAlphas)]
-		want := mustCollect(t, g, alpha, Config{})
-		got := mustCollect(t, g, alpha, Config{Workers: 4, Parallel: ParallelTopLevel})
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: top-level engine diverged from serial", trial)
-		}
-	}
-}
-
-// TestParallelModeValidation rejects unknown engines and negative knobs.
-func TestParallelModeValidation(t *testing.T) {
+// TestStealGranularityValidation rejects a negative granularity.
+func TestStealGranularityValidation(t *testing.T) {
 	g := uncertain.NewBuilder(2).Build()
-	if _, err := EnumerateWith(g, 0.5, nil, Config{Workers: 2, Parallel: ParallelMode(9)}); err == nil {
-		t.Error("unknown ParallelMode should fail")
-	}
 	if _, err := EnumerateWith(g, 0.5, nil, Config{Workers: 2, StealGranularity: -1}); err == nil {
 		t.Error("negative StealGranularity should fail")
-	}
-	if ParallelWorkStealing.String() != "worksteal" || ParallelTopLevel.String() != "toplevel" {
-		t.Error("ParallelMode.String misnames the engines")
 	}
 }
 
 // TestExecutorDomainsEquivalent pins down that the executor a run is
-// submitted to is pure scheduling policy: on 50 random graphs, both parallel
-// engines produce output (and, for work stealing, search-tree stats)
-// identical to serial whether they run on the process-wide shared pool or on
-// private executors of different widths. This is the shared-vs-private half
-// of the PR-6 equivalence suite; the mule-layer soak covers the same
-// property under cross-query contention.
+// submitted to is pure scheduling policy: on 50 random graphs, the
+// work-stealing engine produces output and Stats (apart from Steals and
+// Splits) identical to serial whether it runs on the process-wide shared
+// pool or on private executors of different widths. This is the
+// shared-vs-private half of the equivalence suite; the mule-layer soak
+// covers the same property under cross-query contention.
 func TestExecutorDomainsEquivalent(t *testing.T) {
 	rng := rand.New(rand.NewSource(606))
 	priv4 := exec.New(4)
@@ -324,18 +313,9 @@ func TestExecutorDomainsEquivalent(t *testing.T) {
 			if !reflect.DeepEqual(got, serial) {
 				t.Fatalf("trial %d (n=%d, α=%v) %s worksteal: clique sets diverge", trial, n, alpha, d.name)
 			}
-			if gstats.Calls != sstats.Calls || gstats.Emitted != sstats.Emitted ||
-				gstats.CandidateOps != sstats.CandidateOps {
+			if withoutScheduling(gstats) != sstats {
 				t.Fatalf("trial %d %s worksteal: stats diverge\nserial = %+v\ngot    = %+v",
 					trial, d.name, sstats, gstats)
-			}
-			tl := Config{Workers: 4, Parallel: ParallelTopLevel, Exec: d.x}
-			got, _, err = CollectWith(g, alpha, tl)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, serial) {
-				t.Fatalf("trial %d (n=%d, α=%v) %s toplevel: clique sets diverge", trial, n, alpha, d.name)
 			}
 		}
 	}

@@ -18,7 +18,7 @@ import (
 // exactly one enumerator (one query-worker pair) until it is returned, and
 // returns happen only on terminal paths — the deferred release in
 // EnumerateContext / MaximumCliqueBudget for serial state, the post-Wait merge
-// loop of the parallel engines for worker state — so cancel, budget, and
+// loop of the work-stealing engine for worker state — so cancel, budget, and
 // limit unwinds all funnel through the same return points.
 //
 // The checkout/return event counters exist for the conservation assertion in

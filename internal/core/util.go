@@ -1,21 +1,5 @@
 package core
 
-import "sort"
-
-func sortInts(a []int) { sort.Ints(a) }
-
-func sortSliceOfSlices(cliques [][]int) {
-	sort.Slice(cliques, func(i, j int) bool {
-		a, b := cliques[i], cliques[j]
-		for k := 0; k < len(a) && k < len(b); k++ {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return len(a) < len(b)
-	})
-}
-
 // isIdentityOrder reports whether the permutation maps every index to
 // itself (a strictly increasing permutation is necessarily the identity).
 func isIdentityOrder(order []int) bool {
@@ -25,11 +9,4 @@ func isIdentityOrder(order []int) bool {
 		}
 	}
 	return true
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

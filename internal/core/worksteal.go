@@ -2,15 +2,22 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"github.com/uncertain-graphs/mule/internal/exec"
 	"github.com/uncertain-graphs/mule/internal/faultinject"
 )
 
-// This file implements the default parallel engine: a work-stealing
-// depth-first search over explicit, splittable frames, executed on the
-// shared process-wide executor (internal/exec) rather than on per-run
-// goroutines.
+// This file implements the parallel engine: a work-stealing depth-first
+// search over explicit, splittable frames, executed on the shared
+// process-wide executor (internal/exec) rather than on per-run goroutines.
+//
+// The root is not a frame. A run submits min(Workers, n) seat tokens; each
+// seat pulls top-level vertices off a shared counter and builds each
+// vertex's child from its adjacency row with the serial root's rootSets
+// (mule.go), since the top-level children are independent. A child with
+// at least StealGranularity candidates becomes a frame, a smaller one runs
+// inline with the serial recursion.
 //
 // A wsFrame is one suspended invocation of Enum-Uncertain-MC (Algorithm 2):
 // the working clique C with clq(C) = q, the node's full candidate set I,
@@ -63,10 +70,12 @@ import (
 
 // defaultStealGranularity is the Config.StealGranularity used when the knob
 // is zero: subtrees with fewer pending candidates than this run inline with
-// the serial recursion instead of becoming stealable frames. A node with k
-// candidates roots a subtree of at most 2^k set-visits, so 8 bounds an
-// unstealable chunk to a few hundred cheap nodes.
-const defaultStealGranularity = 8
+// the serial recursion instead of becoming stealable frames. Candidate sets
+// shrink fast with depth, so such subtrees stay small in practice.
+// Interleaved timings of the kernel sweep's five clique cells at 2 workers
+// on 2 CPUs put 16 ahead of 8 on all five; 32 was no better overall and
+// slower on the skewed hub, whose one heavy branch needs fine splits.
+const defaultStealGranularity = 16
 
 // wsFreeListMax bounds a slot's frame free list. Deques are rarely more
 // than a few dozen frames deep, so 64 recycled frames cover the working set
@@ -83,10 +92,10 @@ type wsFrame struct {
 	shared bool     // C/I aliased by an iteration-level split; never recycle
 }
 
-// wsShared is the state common to all slots of one run (and reused by the
-// top-level driver for its visitor wrapping). The stop flag lives in the
-// run control so that visitor early-stop, context cancellation, and budget
-// exhaustion all unwind every slot through the same latch.
+// wsShared is the state common to all slots of one run. The stop flag
+// lives in the run control so that visitor early-stop, context
+// cancellation, and budget exhaustion all unwind every slot through the
+// same latch.
 type wsShared struct {
 	ctl     *RunControl
 	visitMu sync.Mutex // serializes user-visitor invocations
@@ -156,15 +165,22 @@ func (w *wsWorker) recycle(f *wsFrame) {
 	w.free = append(w.free, f)
 }
 
+// wsSeat is a seat token: an executor frame that carries no search state.
+// The seat that claims it pulls top-level vertices off wsEngine.next.
+type wsSeat int
+
 // wsEngine adapts the frame search to the executor's Engine interface for
-// one run. locals is indexed by slot ID and sized Parallelism()+1 (pool
-// workers plus the run's Wait helper); each element is written exactly once,
-// by the goroutine owning that slot, and read by the submitting goroutine
-// only after Wait returns — the run-completion atomics order those accesses.
+// one run. next hands out top-level vertices to the seats. locals is
+// indexed by slot ID and sized Parallelism()+1 (pool workers plus the run's
+// Wait helper); each element is written exactly once, by the goroutine
+// owning that slot, and read by the submitting goroutine only after Wait
+// returns — the run-completion atomics order those accesses.
 type wsEngine struct {
 	e      *enumerator
 	s      *wsShared
 	gran   int
+	n      int
+	next   atomic.Int64
 	locals []*wsWorker
 }
 
@@ -182,11 +198,15 @@ func (en *wsEngine) local(id int) *wsWorker {
 	return w
 }
 
-// Execute runs one claimed frame to completion on the slot.
+// Execute runs one claimed frame or seat to completion on the slot.
 func (en *wsEngine) Execute(s *exec.Slot, f any) {
 	w := en.local(s.ID())
 	w.slot = s
-	w.executeFrame(f.(*wsFrame))
+	if fr, ok := f.(*wsFrame); ok {
+		w.executeFrame(fr)
+	} else {
+		en.executeSeat(w)
+	}
 	w.slot = nil
 }
 
@@ -195,10 +215,11 @@ func (en *wsEngine) Execute(s *exec.Slot, f any) {
 // reconstructed from the split invariant; both halves then alias the same
 // C/I and are marked unrecyclable. Called with the victim's deque lock held,
 // which serializes it against the owner's executeFrame; the counters are the
-// thief slot's own.
+// thief slot's own. Seats decline: the counter already balances the
+// top-level vertices, so a queued seat moves wholesale.
 func (en *wsEngine) Split(thief int, f any) any {
-	fr := f.(*wsFrame)
-	if fr.end-fr.next < 2 {
+	fr, ok := f.(*wsFrame)
+	if !ok || fr.end-fr.next < 2 {
 		return nil
 	}
 	mid := fr.next + (fr.end-fr.next)/2
@@ -225,14 +246,14 @@ func (en *wsEngine) NoteSteal(thief int) {
 }
 
 // runWorkStealing executes the search with the work-stealing engine on the
-// given executor. The root frame (all n vertices pending) is submitted to
-// the shared pool with the query's Workers knob as the run's parallelism
-// cap; the calling goroutine waits as the run's helper slot. Per-slot stats
-// (including the steal/split counters, which a thief increments only on its
-// own wsWorker) are merged in ascending slot order after the run, so the
-// aggregate is reproducibly summed regardless of scheduling, and each
-// slot's pooled arena is returned at the same point — the single
-// terminal path for every outcome.
+// given executor. min(workers, n) seats are submitted to the shared pool
+// with the query's Workers knob as the run's parallelism cap; the calling
+// goroutine waits as the run's helper slot. Per-slot stats (including the
+// steal/split counters, which a thief increments only on its own wsWorker)
+// are merged in ascending slot order after the run, so the aggregate is
+// reproducibly summed regardless of scheduling, and each slot's pooled
+// arena is returned at the same point — the single terminal path for every
+// outcome.
 func (e *enumerator) runWorkStealing(x *exec.Executor, workers, granularity int) {
 	if granularity <= 0 {
 		granularity = defaultStealGranularity
@@ -240,24 +261,19 @@ func (e *enumerator) runWorkStealing(x *exec.Executor, workers, granularity int)
 	n := e.g.NumVertices()
 	// The root call is accounted once, exactly as in the serial driver.
 	e.stats.Calls++
-	if n == 0 {
-		return
-	}
-	rootI := entrySet{v: make([]int32, n), r: make([]float64, n)}
-	for v := 0; v < n; v++ {
-		rootI.v[v] = int32(v)
-		rootI.r[v] = 1
-	}
 	s := &wsShared{ctl: e.ctl, visit: e.visit}
-	en := &wsEngine{e: e, s: s, gran: granularity, locals: make([]*wsWorker, x.Parallelism()+1)}
-	root := &wsFrame{q: 1, I: rootI, end: n}
+	en := &wsEngine{e: e, s: s, gran: granularity, n: n, locals: make([]*wsWorker, x.Parallelism()+1)}
+	seats := make([]any, min(workers, n))
+	for i := range seats {
+		seats[i] = wsSeat(i)
+	}
 	r := x.Submit(en, exec.RunOpts{
 		MaxParallel: workers,
 		Stopped:     e.ctl.stop.Load,
 		OnPanic: func(v any, stack []byte) {
 			e.ctl.Abort(NewPanicError(v, stack))
 		},
-	}, root)
+	}, seats...)
 	// On a context fire while waiting, Poll(0) latches the abort cause and
 	// the stop flag, so the executor purges the run's queued frames.
 	r.Wait(e.ctl.Done(), func() { e.ctl.Poll(0) })
@@ -271,6 +287,73 @@ func (e *enumerator) runWorkStealing(x *exec.Executor, workers, granularity int)
 		w.e.releasePooled()
 	}
 	e.stopped = e.ctl.stop.Load()
+}
+
+// executeSeat runs one seat: it pulls top-level vertices off the shared
+// counter until they run out or the run's stop latch fires, and descends
+// into each vertex's child.
+func (en *wsEngine) executeSeat(w *wsWorker) {
+	faultinject.Fire(faultinject.PanicFrame)
+	e := w.e
+	for {
+		u := int(en.next.Add(1)) - 1
+		if u >= en.n || e.stopped || en.s.ctl.stop.Load() {
+			return
+		}
+		m := e.arena.mark()
+		I, X, ok := e.rootSets(int32(u))
+		if !ok {
+			e.arena.release(m)
+			continue
+		}
+		if child := w.descend(nil, int32(u), 1, I, X, m); child != nil {
+			w.executeFrame(child)
+		}
+	}
+}
+
+// descend runs the child C ∪ {u}, with clq q and the sets I and X built in
+// the arena since mark m, and releases m. A child with fewer candidates
+// than the granularity runs inline with the serial recursion on
+// slot-private scratch: it accounts for its own nodes and is never exposed
+// for stealing, so the arena-backed sets and the scratch clique stay owned
+// by this slot throughout. A larger child may be handed to a thief, so its
+// sets (and the extended clique) are copied out of the arena into a heap
+// frame — a recycled one's slices when the free list has one, with X
+// given the push capacity its own witness pushes will need — and the
+// frame is accounted as the search node recurse would account. descend
+// returns that frame, or nil when the child ran inline or the run must
+// unwind (e.stopped is then set).
+func (w *wsWorker) descend(C []int32, u int32, q float64, I, X entrySet, m arenaMark) *wsFrame {
+	e := w.e
+	if I.length() < w.granularity {
+		w.scratch = append(append(w.scratch[:0], C...), u)
+		e.recurse(w.scratch, q, I, X)
+		e.arena.release(m)
+		return nil
+	}
+	child := w.takeFrame()
+	child.C = append(append(child.C[:0], C...), u)
+	child.q = q
+	child.I.v = append(child.I.v[:0], I.v...)
+	child.I.r = append(child.I.r[:0], I.r...)
+	if need := X.length() + I.length(); cap(child.X.v) < need {
+		child.X = entrySet{v: make([]int32, 0, need), r: make([]float64, 0, need)}
+	}
+	child.X.v = append(child.X.v[:0], X.v...)
+	child.X.r = append(child.X.r[:0], X.r...)
+	child.next, child.end, child.shared = 0, I.length(), false
+	e.arena.release(m)
+	if e.countNode() {
+		return nil
+	}
+	if d := len(child.C); d > e.stats.MaxDepth {
+		e.stats.MaxDepth = d
+	}
+	if e.checkInv {
+		e.verifyInvariants(child.C, q, child.I, child.X)
+	}
+	return child
 }
 
 // executeFrame runs f's pending candidate range depth-first. Before
@@ -322,41 +405,9 @@ func (w *wsWorker) executeFrame(f *wsFrame) {
 		}
 		e.generateX(&X2, &f.X, u, q2, I2.length())
 		f.X = f.X.push(u, r)
-		if I2.length() < w.granularity {
-			// Small subtree: run it inline with the serial recursion on
-			// slot-private scratch. It accounts for its own nodes and is
-			// never exposed for stealing, so the arena-backed I2/X2 and the
-			// scratch clique stay owned by this slot throughout.
-			w.scratch = append(append(w.scratch[:0], f.C...), u)
-			e.recurse(w.scratch, q2, I2, X2)
-			e.arena.release(m)
-			continue
-		}
-		// Frame-worthy child: its state may be handed to a thief, so copy
-		// the arena-built I2/X2 lanes (and the extended clique) out of the
-		// arena before releasing the mark — into a recycled frame's slices
-		// when the free list has one. X gets the push capacity its own
-		// witness pushes will need.
-		child := w.takeFrame()
-		child.C = append(append(child.C[:0], f.C...), u)
-		child.q = q2
-		child.I.v = append(child.I.v[:0], I2.v...)
-		child.I.r = append(child.I.r[:0], I2.r...)
-		if need := X2.length() + I2.length(); cap(child.X.v) < need {
-			child.X = entrySet{v: make([]int32, 0, need), r: make([]float64, 0, need)}
-		}
-		child.X.v = append(child.X.v[:0], X2.v...)
-		child.X.r = append(child.X.r[:0], X2.r...)
-		child.next, child.end, child.shared = 0, I2.length(), false
-		e.arena.release(m)
-		if e.countNode() {
-			return
-		}
-		if d := len(child.C); d > e.stats.MaxDepth {
-			e.stats.MaxDepth = d
-		}
-		if e.checkInv {
-			e.verifyInvariants(child.C, q2, child.I, child.X)
+		child := w.descend(f.C, u, q2, I2, X2, m)
+		if child == nil {
+			continue // ran inline, or the stop is seen at the loop head
 		}
 		if f.next >= f.end {
 			// Final candidate: nothing left to expose, descend in place.

@@ -105,18 +105,6 @@ const (
 	IntersectBitset   = core.IntersectBitset
 )
 
-// ParallelMode selects the engine used when WithWorkers enables
-// parallelism (see WithParallelMode).
-type ParallelMode = core.ParallelMode
-
-// Parallel engines: work stealing (the default) subdivides heavy subtrees
-// on demand; the legacy top-level fan-out only distributes root branches
-// and is kept for comparison benchmarks.
-const (
-	ParallelWorkStealing = core.ParallelWorkStealing
-	ParallelTopLevel     = core.ParallelTopLevel
-)
-
 // NewBuilder returns a Builder for an uncertain graph on n vertices.
 func NewBuilder(n int) *Builder { return uncertain.NewBuilder(n) }
 

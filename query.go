@@ -151,27 +151,23 @@ func WithSeed(seed int64) Option {
 	return Option{"WithSeed", kindClique, func(o *queryOptions) { o.cfg.Seed = seed }}
 }
 
-// WithWorkers enables the parallel search when w > 1 (the work-stealing
-// engine by default; see WithParallelMode). The default is a serial search.
+// WithWorkers enables the parallel work-stealing search when w > 1. The
+// default is a serial search.
 //
 // Since the shared executor, w is the query's parallelism cap — at most w
 // of the query's frames execute concurrently on the executor's worker pool
 // — not a goroutine count; the pool is sized once per process (or per
-// NewExecutor). Results and stats are identical for every w.
+// NewExecutor). Results are identical for every w. So are the stats of a
+// complete run, Steals and Splits aside, except that a parallel run may
+// count more BitsetOps at WithMinSize ≥ 3 and more WitnessOps at
+// WithMinSize ≥ 4.
 func WithWorkers(w int) Option {
 	return Option{"WithWorkers", kindClique, func(o *queryOptions) { o.cfg.Workers = w }}
 }
 
-// WithParallelMode selects the engine used when WithWorkers enables
-// parallelism: ParallelWorkStealing (the default) or the legacy
-// ParallelTopLevel fan-out.
-func WithParallelMode(m ParallelMode) Option {
-	return Option{"WithParallelMode", kindClique, func(o *queryOptions) { o.cfg.Parallel = m }}
-}
-
 // WithStealGranularity sets the minimum number of candidate vertices a
 // subtree must have before the work-stealing engine publishes it as a
-// stealable frame; 0 selects the default (8).
+// stealable frame; 0 selects the default (16).
 func WithStealGranularity(k int) Option {
 	return Option{"WithStealGranularity", kindClique, func(o *queryOptions) { o.cfg.StealGranularity = k }}
 }

@@ -47,14 +47,13 @@ func randomGraph(rng *rand.Rand) *mule.Graph {
 	return g
 }
 
-// engineOpts names the three engines of the cancellation matrix.
+// engineOpts names the two engines of the cancellation matrix.
 var engineOpts = []struct {
 	name string
 	opts []mule.Option
 }{
 	{"serial", nil},
-	{"worksteal", []mule.Option{mule.WithWorkers(4), mule.WithParallelMode(mule.ParallelWorkStealing)}},
-	{"toplevel", []mule.Option{mule.WithWorkers(4), mule.WithParallelMode(mule.ParallelTopLevel)}},
+	{"worksteal", []mule.Option{mule.WithWorkers(4)}},
 }
 
 func collectStream(t *testing.T, q *mule.Query, ctx context.Context) []mule.Clique {
@@ -149,7 +148,7 @@ func startSharedExecutor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := mule.NewQuery(g, 0.5, mule.WithWorkers(2), mule.WithParallelMode(mule.ParallelWorkStealing))
+	q, err := mule.NewQuery(g, 0.5, mule.WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,7 +501,6 @@ func TestNewQueryValidation(t *testing.T) {
 		{"negative budget", g, 0.5, []mule.Option{mule.WithBudget(-1)}, mule.ErrConfig},
 		{"negative granularity", g, 0.5, []mule.Option{mule.WithStealGranularity(-1)}, mule.ErrConfig},
 		{"bad ordering", g, 0.5, []mule.Option{mule.WithOrdering(mule.Ordering(99))}, mule.ErrConfig},
-		{"bad engine", g, 0.5, []mule.Option{mule.WithParallelMode(mule.ParallelMode(9))}, mule.ErrConfig},
 		{"bad intersect", g, 0.5, []mule.Option{mule.WithIntersect(mule.IntersectMode(9))}, mule.ErrConfig},
 	}
 	for _, tc := range cases {

@@ -406,11 +406,18 @@ func parallelWorkerGrid(cfg Config) []int {
 	return grid
 }
 
+// parallelRounds is how many timed rounds the parallel scaling experiment
+// runs. Each round times serial and then every worker count once, so a
+// drift in machine load lands on all of them alike.
+const parallelRounds = 5
+
 // runParallelScaling measures serial MULE against the work-stealing engine
 // on the skewed hub workload (one top-level branch owns nearly every
 // clique, so only splitting it inside can spread the work) and on a
-// Barabási–Albert graph (a conventional power-law input). One row per
-// worker count, with speedup relative to the serial run of the same graph.
+// Barabási–Albert graph (a conventional power-law input). Every
+// configuration runs once untimed to warm caches and pools, then
+// parallelRounds times; one row per worker count reports the median run,
+// with speedup as the serial median over the work-stealing median.
 func runParallelScaling(cfg Config, w io.Writer) error {
 	cfg = cfg.withDefaults()
 	type workload struct {
@@ -425,25 +432,37 @@ func runParallelScaling(cfg Config, w io.Writer) error {
 		{SkewedCliqueGraph(cfg), SkewedAlpha},
 		{NamedGraph{baName(baN), gen.BA(baN, cfg.Seed)}, 0.001},
 	}
-	t := NewTable(fmt.Sprintf("Parallel scaling (GOMAXPROCS=%d): work stealing vs serial", runtime.GOMAXPROCS(0)),
+	workerGrid := append([]int{1}, parallelWorkerGrid(cfg)...)
+	t := NewTable(fmt.Sprintf("Parallel scaling (GOMAXPROCS=%d, median of %d rounds after a warm-up): work stealing vs serial",
+		runtime.GOMAXPROCS(0), parallelRounds),
 		"graph", "engine", "workers", "runtime", "speedup", "cliques", "steals", "splits")
 	for _, ld := range loads {
-		serial, err := TimedMULE(ld.ng.G, ld.alpha, cfg, core.Config{})
-		if err != nil {
-			return err
+		runs := make([][]RunResult, len(workerGrid))
+		for round := 0; round <= parallelRounds; round++ {
+			for i, workers := range workerGrid {
+				r, err := TimedMULE(ld.ng.G, ld.alpha, cfg, core.Config{Workers: workers})
+				if err != nil {
+					return err
+				}
+				if round > 0 { // round 0 is the warm-up
+					runs[i] = append(runs[i], r)
+				}
+			}
 		}
+		medians := make([]RunResult, len(runs))
+		for i, rs := range runs {
+			sort.Slice(rs, func(a, b int) bool { return rs[a].Elapsed < rs[b].Elapsed })
+			medians[i] = rs[len(rs)/2]
+		}
+		serial := medians[0]
 		t.Add(ld.ng.Name, "serial", "1", formatRun(serial), "1.00x",
 			fmt.Sprintf("%d", serial.Cliques), "-", "-")
-		for _, workers := range parallelWorkerGrid(cfg) {
-			r, err := TimedMULE(ld.ng.G, ld.alpha, cfg, core.Config{Workers: workers})
-			if err != nil {
-				return err
-			}
+		for i, r := range medians[1:] {
 			speedup := "-"
 			if r.Finished && serial.Finished && r.Elapsed > 0 {
 				speedup = fmt.Sprintf("%.2fx", float64(serial.Elapsed)/float64(r.Elapsed))
 			}
-			t.Add(ld.ng.Name, "worksteal", fmt.Sprintf("%d", workers), formatRun(r), speedup,
+			t.Add(ld.ng.Name, "worksteal", fmt.Sprintf("%d", workerGrid[i+1]), formatRun(r), speedup,
 				fmt.Sprintf("%d", r.Cliques),
 				fmt.Sprintf("%d", r.Stats.Steals), fmt.Sprintf("%d", r.Stats.Splits))
 		}

@@ -278,24 +278,36 @@ func (c *RunControl) ArmStall(d time.Duration) (stop func()) {
 
 // Status translates the control's terminal state into a RunStatus: complete
 // when nothing aborted and the visitor ran to the end, stopped on a visitor
-// early-stop, and the matching abort status otherwise.
+// early-stop, and StatusOf the abort cause otherwise.
 func (c *RunControl) Status(visitorStopped bool) RunStatus {
 	err := c.Err()
-	switch {
-	case err == nil && !visitorStopped:
-		return StatusComplete
-	case err == nil:
+	if err == nil && visitorStopped {
 		return StatusStopped
-	case errors.Is(err, context.DeadlineExceeded):
-		return StatusDeadline
-	case errors.Is(err, ErrBudget):
-		return StatusBudget
+	}
+	return StatusOf(err)
+}
+
+// StatusOf maps a run's terminal error to the RunStatus it records: nil is
+// complete, and an error is classified by the first sentinel it wraps of
+// ErrPanic, ErrBudget, ErrStalled, context.DeadlineExceeded and
+// context.Canceled, in that order. Any other error, such as a validation
+// failure, is StatusFailed.
+func StatusOf(err error) RunStatus {
+	switch {
+	case err == nil:
+		return StatusComplete
 	case errors.Is(err, ErrPanic):
 		return StatusPanicked
+	case errors.Is(err, ErrBudget):
+		return StatusBudget
 	case errors.Is(err, ErrStalled):
 		return StatusStalled
-	default:
+	case errors.Is(err, context.DeadlineExceeded):
+		return StatusDeadline
+	case errors.Is(err, context.Canceled):
 		return StatusCanceled
+	default:
+		return StatusFailed
 	}
 }
 

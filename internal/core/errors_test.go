@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -23,6 +24,33 @@ func TestRunStatusString(t *testing.T) {
 	for s, want := range cases {
 		if s.String() != want {
 			t.Errorf("RunStatus(%d).String() = %q, want %q", int(s), s.String(), want)
+		}
+	}
+}
+
+// TestStatusOf maps wrapped sentinels to their statuses, taking the first
+// match of panic, budget, stall, deadline and cancellation; an unknown error
+// is failed.
+func TestStatusOf(t *testing.T) {
+	wrap := func(err error) error { return fmt.Errorf("outer: %w", fmt.Errorf("inner: %w", err)) }
+	cases := []struct {
+		err  error
+		want RunStatus
+	}{
+		{nil, StatusComplete},
+		{wrap(NewPanicError("boom", nil)), StatusPanicked},
+		{wrap(ErrBudget), StatusBudget},
+		{wrap(fmt.Errorf("no progress: %w", ErrStalled)), StatusStalled},
+		{wrap(context.DeadlineExceeded), StatusDeadline},
+		{wrap(context.Canceled), StatusCanceled},
+		{errors.Join(context.Canceled, NewPanicError("boom", nil)), StatusPanicked},
+		{errors.Join(context.DeadlineExceeded, ErrBudget), StatusBudget},
+		{wrap(ErrConfig), StatusFailed},
+		{errors.New("unknown"), StatusFailed},
+	}
+	for _, tc := range cases {
+		if got := StatusOf(tc.err); got != tc.want {
+			t.Errorf("StatusOf(%v) = %v, want %v", tc.err, got, tc.want)
 		}
 	}
 }

@@ -109,15 +109,6 @@ func (s *csrScratch) removeEdge(u, v int32) {
 	s.dropHalf(v, u)
 }
 
-// clearVertex removes every edge incident to u: u is dropped from each
-// neighbor's row, then u's own row is truncated wholesale.
-func (s *csrScratch) clearVertex(u int32) {
-	for _, v := range s.row(u) {
-		s.dropHalf(v, u)
-	}
-	s.end[u] = s.start[u]
-}
-
 // build assembles the live rows into an immutable Graph. Rows stay sorted
 // under compaction and removals are applied to both halves of an edge, so
 // the result satisfies every Graph invariant; FromSortedAdjacency verifies
@@ -138,30 +129,34 @@ func (s *csrScratch) build() (*uncertain.Graph, error) {
 }
 
 // sharedNeighborhoodFilter applies the Modani–Dey preprocessing the paper
-// uses before LARGE-MULE (§4.3): repeatedly
+// uses before LARGE-MULE (§4.3): it drops every edge {u,v} whose endpoints
+// share fewer than t-2 common neighbors (a clique of size ≥ t containing
+// the edge needs t-2 common completions), repeating until a fixpoint. The
+// result is the t-truss of the α-pruned support graph, isolated vertices
+// kept, so no edge or vertex of an α-clique of size ≥ t is removed and
+// LARGE-MULE's output is unaffected.
 //
-//  1. drop every edge {u,v} whose endpoints share fewer than t-2 common
-//     neighbors (a clique of size ≥ t containing the edge needs t-2 common
-//     completions), and
-//  2. drop every vertex (i.e. all its incident edges) that does not have at
-//     least t-1 neighbors u with |Γ(u) ∩ Γ(v)| ≥ t-2,
-//
-// until a fixpoint. The filter runs on the α-pruned support graph, so it
-// never removes an edge or vertex participating in an α-clique of size ≥ t;
-// LARGE-MULE's output is therefore unaffected.
+// The paper's second rule, which drops every vertex v without t-1 neighbors
+// u such that |Γ(u) ∩ Γ(v)| ≥ t-2, is implied and not run. At the edge
+// rule's fixpoint every surviving edge {u,v} has t-2 common neighbors, so
+// u has at least t-1 neighbors, all over surviving (hence qualifying)
+// edges, and the vertex rule cannot fire. Both rules only remove edges and
+// only lose support as edges go, so the two-rule fixpoint is the largest
+// subgraph satisfying both; the edge rule's fixpoint already does, so the
+// two are the same graph.
 func sharedNeighborhoodFilter(g *uncertain.Graph, t int) (*uncertain.Graph, error) {
 	if t < 3 {
-		// t-2 ≤ 0: the common-neighbor constraints are vacuous.
+		// t-2 ≤ 0: the common-neighbor constraint is vacuous.
 		return g, nil
 	}
 	n := int32(g.NumVertices())
 	s := newCSRScratch(g)
 
+	// Rows are scanned back to front: removing the neighbor at index i only
+	// shifts entries after i, so earlier indices stay valid as the row
+	// compacts under the iteration.
 	for changed := true; changed; {
 		changed = false
-		// Edge rule. Rows are scanned back to front: removing the neighbor
-		// at index i only shifts entries after i, so earlier indices stay
-		// valid as the row compacts under the iteration.
 		for u := int32(0); u < n; u++ {
 			for i := int(s.end[u]) - 1; i >= int(s.start[u]); i-- {
 				v := s.nbrs[i]
@@ -169,22 +164,6 @@ func sharedNeighborhoodFilter(g *uncertain.Graph, t int) (*uncertain.Graph, erro
 					s.removeEdge(u, v)
 					changed = true
 				}
-			}
-		}
-		// Vertex rule.
-		for u := int32(0); u < n; u++ {
-			if s.degree(u) == 0 {
-				continue
-			}
-			qualified := 0
-			for _, v := range s.row(u) {
-				if s.commonCount(u, v) >= t-2 {
-					qualified++
-				}
-			}
-			if qualified < t-1 {
-				s.clearVertex(u)
-				changed = true
 			}
 		}
 	}

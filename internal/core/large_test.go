@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -19,6 +20,79 @@ func mustFilter(t *testing.T, g *uncertain.Graph, minSize int) *uncertain.Graph 
 		t.Fatalf("sharedNeighborhoodFilter(t=%d): %v", minSize, err)
 	}
 	return fg
+}
+
+// twoRuleFilter is the prefilter as the paper states it, edge rule and
+// vertex rule alternating to a fixpoint on the mutable CSR. It is the
+// reference for sharedNeighborhoodFilter, which runs the edge rule alone.
+func twoRuleFilter(g *uncertain.Graph, t int) (*uncertain.Graph, error) {
+	if t < 3 {
+		return g, nil
+	}
+	n := int32(g.NumVertices())
+	s := newCSRScratch(g)
+	for changed := true; changed; {
+		changed = false
+		for u := int32(0); u < n; u++ {
+			for i := int(s.end[u]) - 1; i >= int(s.start[u]); i-- {
+				v := s.nbrs[i]
+				if u < v && s.commonCount(u, v) < t-2 {
+					s.removeEdge(u, v)
+					changed = true
+				}
+			}
+		}
+		for u := int32(0); u < n; u++ {
+			if s.degree(u) == 0 {
+				continue
+			}
+			qualified := 0
+			for _, v := range s.row(u) {
+				if s.commonCount(u, v) >= t-2 {
+					qualified++
+				}
+			}
+			if qualified < t-1 {
+				for _, v := range s.row(u) {
+					s.dropHalf(v, u)
+				}
+				s.end[u] = s.start[u]
+				changed = true
+			}
+		}
+	}
+	return s.build()
+}
+
+// TestSharedNeighborhoodFilterMatchesTwoRule requires the edge-rule
+// fixpoint to keep exactly the edges the two-rule filter keeps, on random
+// graphs and on three BA800 graphs pruned at the kernel sweep's α.
+func TestSharedNeighborhoodFilterMatchesTwoRule(t *testing.T) {
+	check := func(name string, g *uncertain.Graph, minSize int) {
+		t.Helper()
+		want, err := twoRuleFilter(g, minSize)
+		if err != nil {
+			t.Fatalf("%s t=%d: two-rule filter: %v", name, minSize, err)
+		}
+		got := mustFilter(t, g, minSize)
+		if !reflect.DeepEqual(got.Edges(), want.Edges()) {
+			t.Fatalf("%s t=%d: filter keeps %d edges, two-rule reference %d",
+				name, minSize, got.NumEdges(), want.NumEdges())
+		}
+	}
+	rng := rand.New(rand.NewSource(888))
+	for trial := 0; trial < 200; trial++ {
+		g := randomDyadic(5+rng.Intn(40), 0.1+0.8*rng.Float64(), rng)
+		for minSize := 3; minSize <= 7; minSize++ {
+			check(fmt.Sprintf("trial %d", trial), g, minSize)
+		}
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		g := gen.BA(800, seed).PruneAlpha(0.001)
+		for minSize := 3; minSize <= 6; minSize++ {
+			check(fmt.Sprintf("BA800 seed %d", seed), g, minSize)
+		}
+	}
 }
 
 // filterBySize keeps cliques with at least t vertices.

@@ -27,7 +27,6 @@ package dynamic
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"iter"
 	"sort"
@@ -183,7 +182,9 @@ func (m *Maintainer) Graph() *uncertain.Graph {
 // operation. The affected-neighborhood re-enumerations poll ctx exactly
 // like a Query run; if it fires mid-update the mutation is rolled back —
 // the maintainer's graph and clique set are unchanged — and the error wraps
-// context.Canceled or context.DeadlineExceeded.
+// context.Canceled or context.DeadlineExceeded. A panic contained during
+// the re-enumeration rolls back the same way, with an error wrapping
+// core.ErrPanic and Status StatusPanicked.
 func (m *Maintainer) SetEdgeContext(ctx context.Context, u, v int, p float64) (Diff, Stats, error) {
 	if err := m.checkPair(u, v); err != nil {
 		return Diff{}, Stats{Status: core.StatusFailed}, err
@@ -347,7 +348,7 @@ func (m *Maintainer) refresh(ctx context.Context, u, v int) (Diff, Stats, error)
 		}
 	}
 	if err != nil {
-		op.Status = statusOf(err)
+		op.Status = core.StatusOf(err)
 		return Diff{}, op, fmt.Errorf("dynamic: update of edge {%d,%d} aborted: %w", u, v, err)
 	}
 
@@ -374,18 +375,6 @@ func (m *Maintainer) refresh(ctx context.Context, u, v int) (Diff, Stats, error)
 	m.stats.CliquesAdded += len(diff.Added)
 	m.stats.CliquesRemoved += len(diff.Removed)
 	return diff, op, nil
-}
-
-// statusOf classifies an enumeration abort cause for the per-op stats.
-func statusOf(err error) core.RunStatus {
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		return core.StatusDeadline
-	case errors.Is(err, core.ErrBudget):
-		return core.StatusBudget
-	default:
-		return core.StatusCanceled
-	}
 }
 
 // maximalCliquesThrough returns the α-maximal cliques of the current graph

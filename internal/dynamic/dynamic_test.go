@@ -2,6 +2,7 @@ package dynamic
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 	"testing/quick"
 
 	"github.com/uncertain-graphs/mule/internal/core"
+	"github.com/uncertain-graphs/mule/internal/faultinject"
 	"github.com/uncertain-graphs/mule/internal/uncertain"
 )
 
@@ -356,4 +358,39 @@ func TestKeyInjective(t *testing.T) {
 		}
 		seen[k] = c
 	}
+}
+
+// TestPanickedUpdateRollsBack arms a panic before every clique emission: an
+// update whose neighborhood enumeration panics reports StatusPanicked,
+// returns an error wrapping core.ErrPanic, and leaves the graph and the
+// clique set as they were. The fault plan is process-global, so this test
+// does not run in parallel.
+func TestPanickedUpdateRollsBack(t *testing.T) {
+	m, err := New(randomDyadic(12, 0.5, rand.New(rand.NewSource(41))), 0.125)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantEdges, wantCliques := m.Graph().Edges(), m.Cliques()
+	restore := faultinject.Activate(faultinject.NewPlan(1).Arm(faultinject.PanicVisitor, 1))
+	defer restore()
+
+	check := func(op string, st Stats, err error) {
+		t.Helper()
+		if !errors.Is(err, core.ErrPanic) {
+			t.Fatalf("%s: err = %v, want wrapped core.ErrPanic", op, err)
+		}
+		if st.Status != core.StatusPanicked {
+			t.Fatalf("%s: Status = %v, want %v", op, st.Status, core.StatusPanicked)
+		}
+		if got := m.Graph().Edges(); !reflect.DeepEqual(got, wantEdges) {
+			t.Fatalf("%s: graph changed to %v, want %v", op, got, wantEdges)
+		}
+		if got := m.Cliques(); !reflect.DeepEqual(got, wantCliques) {
+			t.Fatalf("%s: cliques changed to %v, want %v", op, got, wantCliques)
+		}
+	}
+	_, st, err := m.SetEdgeContext(context.Background(), 0, 1, 0.5)
+	check("SetEdgeContext", st, err)
+	_, st, err = m.Apply(context.Background(), []EdgeUpdate{{U: 2, V: 3, P: 0.25}})
+	check("Apply", st, err)
 }

@@ -29,7 +29,6 @@ package ubiclique
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"github.com/uncertain-graphs/mule/internal/uncertain"
 )
@@ -42,41 +41,37 @@ type Edge struct {
 }
 
 // Bipartite is an immutable uncertain bipartite graph on nL left and nR
-// right vertices. Internally both sides live in one "ground" ID space:
-// left vertex l is ground l, right vertex r is ground nL + r; every
-// adjacency row lists opposite-side ground IDs in ascending order, so the
-// enumeration kernel can treat the graph exactly like the unipartite CSR
-// used by MULE.
+// right vertices, stored as a side split over one uncertain graph on the
+// ground set L∪R: left vertex l is ground l and right vertex r is ground
+// nL + r, so every edge crosses the split. Adjacency rows list
+// opposite-side ground IDs in ascending order, and the enumeration kernel
+// walks them exactly like the unipartite CSR used by MULE.
 type Bipartite struct {
-	nL, nR  int
-	offsets []int32   // len nL+nR+1
-	nbrs    []int32   // ground IDs, sorted within each row
-	probs   []float64 // parallel to nbrs
+	nL int
+	g  *uncertain.Graph
 }
 
 // Builder accumulates probabilistic cross edges for a Bipartite.
 type Builder struct {
 	nL, nR int
-	edges  map[[2]int32]float64
+	g      *uncertain.Builder
 }
 
 // NewBuilder returns a Builder for an uncertain bipartite graph with nLeft
 // left and nRight right vertices.
 func NewBuilder(nLeft, nRight int) *Builder {
-	return &Builder{nL: nLeft, nR: nRight, edges: make(map[[2]int32]float64)}
+	return &Builder{nL: nLeft, nR: nRight, g: uncertain.NewBuilder(nLeft + nRight)}
 }
 
-func (b *Builder) key(l, r int) ([2]int32, error) {
+// check validates a cross edge in side coordinates: left range, then right
+// range, then probability.
+func (b *Builder) check(l, r int, p float64) error {
 	if l < 0 || l >= b.nL {
-		return [2]int32{}, fmt.Errorf("ubiclique: left vertex %d outside [0,%d): %w", l, b.nL, uncertain.ErrVertexRange)
+		return fmt.Errorf("ubiclique: left vertex %d outside [0,%d): %w", l, b.nL, uncertain.ErrVertexRange)
 	}
 	if r < 0 || r >= b.nR {
-		return [2]int32{}, fmt.Errorf("ubiclique: right vertex %d outside [0,%d): %w", r, b.nR, uncertain.ErrVertexRange)
+		return fmt.Errorf("ubiclique: right vertex %d outside [0,%d): %w", r, b.nR, uncertain.ErrVertexRange)
 	}
-	return [2]int32{int32(l), int32(r)}, nil
-}
-
-func validProb(p float64) error {
 	if math.IsNaN(p) || p <= 0 || p > 1 {
 		return fmt.Errorf("ubiclique: probability %v: %w", p, uncertain.ErrProbRange)
 	}
@@ -86,83 +81,31 @@ func validProb(p float64) error {
 // AddEdge records cross edge (l, r) with probability p. It returns an error
 // for out-of-range endpoints, probabilities outside (0,1], or duplicates.
 func (b *Builder) AddEdge(l, r int, p float64) error {
-	k, err := b.key(l, r)
-	if err != nil {
+	if err := b.check(l, r, p); err != nil {
 		return err
 	}
-	if err := validProb(p); err != nil {
-		return err
-	}
-	if _, dup := b.edges[k]; dup {
+	// Past check, the ground builder can fail only on a duplicate.
+	if err := b.g.AddEdge(l, b.nL+r, p); err != nil {
 		return fmt.Errorf("ubiclique: edge (%d,%d): %w", l, r, uncertain.ErrDuplicateEdge)
 	}
-	b.edges[k] = p
 	return nil
 }
 
 // UpsertEdge is AddEdge except that an existing edge has its probability
 // replaced instead of causing an error.
 func (b *Builder) UpsertEdge(l, r int, p float64) error {
-	k, err := b.key(l, r)
-	if err != nil {
+	if err := b.check(l, r, p); err != nil {
 		return err
 	}
-	if err := validProb(p); err != nil {
-		return err
-	}
-	b.edges[k] = p
-	return nil
+	return b.g.UpsertEdge(l, b.nL+r, p)
 }
 
 // NumEdges reports how many distinct edges have been added so far.
-func (b *Builder) NumEdges() int { return len(b.edges) }
+func (b *Builder) NumEdges() int { return b.g.NumEdges() }
 
 // Build finalizes the graph. The Builder may be reused afterwards.
 func (b *Builder) Build() *Bipartite {
-	n := b.nL + b.nR
-	deg := make([]int32, n)
-	for k := range b.edges {
-		deg[k[0]]++
-		deg[int(k[1])+b.nL]++
-	}
-	offsets := make([]int32, n+1)
-	for u := 0; u < n; u++ {
-		offsets[u+1] = offsets[u] + deg[u]
-	}
-	nbrs := make([]int32, offsets[n])
-	probs := make([]float64, offsets[n])
-	fill := make([]int32, n)
-	for k, p := range b.edges {
-		l, r := int(k[0]), int(k[1])+b.nL
-		il := offsets[l] + fill[l]
-		nbrs[il], probs[il] = int32(r), p
-		fill[l]++
-		ir := offsets[r] + fill[r]
-		nbrs[ir], probs[ir] = int32(l), p
-		fill[r]++
-	}
-	g := &Bipartite{nL: b.nL, nR: b.nR, offsets: offsets, nbrs: nbrs, probs: probs}
-	g.sortRows()
-	return g
-}
-
-func (g *Bipartite) sortRows() {
-	for u := 0; u < g.nL+g.nR; u++ {
-		lo, hi := g.offsets[u], g.offsets[u+1]
-		sort.Sort(rowSorter{nbrs: g.nbrs[lo:hi], probs: g.probs[lo:hi]})
-	}
-}
-
-type rowSorter struct {
-	nbrs  []int32
-	probs []float64
-}
-
-func (r rowSorter) Len() int           { return len(r.nbrs) }
-func (r rowSorter) Less(i, j int) bool { return r.nbrs[i] < r.nbrs[j] }
-func (r rowSorter) Swap(i, j int) {
-	r.nbrs[i], r.nbrs[j] = r.nbrs[j], r.nbrs[i]
-	r.probs[i], r.probs[j] = r.probs[j], r.probs[i]
+	return &Bipartite{nL: b.nL, g: b.g.Build()}
 }
 
 // FromEdges builds an uncertain bipartite graph from an edge list, failing
@@ -181,42 +124,24 @@ func FromEdges(nLeft, nRight int, edges []Edge) (*Bipartite, error) {
 func (g *Bipartite) NumLeft() int { return g.nL }
 
 // NumRight returns |R|.
-func (g *Bipartite) NumRight() int { return g.nR }
+func (g *Bipartite) NumRight() int { return g.g.NumVertices() - g.nL }
 
 // NumEdges returns |E|.
-func (g *Bipartite) NumEdges() int { return len(g.nbrs) / 2 }
+func (g *Bipartite) NumEdges() int { return g.g.NumEdges() }
 
 // DegreeLeft returns the number of possible edges at left vertex l.
-func (g *Bipartite) DegreeLeft(l int) int {
-	return int(g.offsets[l+1] - g.offsets[l])
-}
+func (g *Bipartite) DegreeLeft(l int) int { return g.g.Degree(l) }
 
 // DegreeRight returns the number of possible edges at right vertex r.
-func (g *Bipartite) DegreeRight(r int) int {
-	u := r + g.nL
-	return int(g.offsets[u+1] - g.offsets[u])
-}
-
-// adjacency returns the sorted opposite-side ground IDs of ground vertex u
-// and the parallel edge probabilities; both are views into graph storage.
-func (g *Bipartite) adjacency(u int32) ([]int32, []float64) {
-	lo, hi := g.offsets[u], g.offsets[u+1]
-	return g.nbrs[lo:hi], g.probs[lo:hi]
-}
+func (g *Bipartite) DegreeRight(r int) int { return g.g.Degree(g.nL + r) }
 
 // Prob returns the probability of edge (l, r) and whether it is a possible
 // edge. Out-of-range endpoints report a missing edge.
 func (g *Bipartite) Prob(l, r int) (float64, bool) {
-	if l < 0 || l >= g.nL || r < 0 || r >= g.nR {
+	if l < 0 || l >= g.nL || r < 0 || r >= g.NumRight() {
 		return 0, false
 	}
-	row, pr := g.adjacency(int32(l))
-	target := int32(r + g.nL)
-	i := sort.Search(len(row), func(i int) bool { return row[i] >= target })
-	if i < len(row) && row[i] == target {
-		return pr[i], true
-	}
-	return 0, false
+	return g.g.Prob(l, g.nL+r)
 }
 
 // HasEdge reports whether (l, r) ∈ E.
@@ -228,7 +153,7 @@ func (g *Bipartite) HasEdge(l, r int) bool {
 // LeftNeighbors returns a fresh slice of the right vertices adjacent to l,
 // ascending.
 func (g *Bipartite) LeftNeighbors(l int) []int {
-	row, _ := g.adjacency(int32(l))
+	row, _ := g.g.Adjacency(l)
 	out := make([]int, len(row))
 	for i, v := range row {
 		out[i] = int(v) - g.nL
@@ -238,20 +163,13 @@ func (g *Bipartite) LeftNeighbors(l int) []int {
 
 // RightNeighbors returns a fresh slice of the left vertices adjacent to r,
 // ascending.
-func (g *Bipartite) RightNeighbors(r int) []int {
-	row, _ := g.adjacency(int32(r + g.nL))
-	out := make([]int, len(row))
-	for i, v := range row {
-		out[i] = int(v)
-	}
-	return out
-}
+func (g *Bipartite) RightNeighbors(r int) []int { return g.g.Neighbors(g.nL + r) }
 
 // Edges returns all edges sorted by (L, R).
 func (g *Bipartite) Edges() []Edge {
 	out := make([]Edge, 0, g.NumEdges())
 	for l := 0; l < g.nL; l++ {
-		row, pr := g.adjacency(int32(l))
+		row, pr := g.g.Adjacency(l)
 		for i, v := range row {
 			out = append(out, Edge{L: l, R: int(v) - g.nL, P: pr[i]})
 		}
@@ -309,7 +227,7 @@ func (g *Bipartite) IsAlphaMaximalBiclique(A, B []int, alpha float64) bool {
 	for _, b := range B {
 		inB[b] = true
 	}
-	for r := 0; r < g.nR; r++ {
+	for r, nR := 0, g.NumRight(); r < nR; r++ {
 		if inB[r] {
 			continue
 		}
@@ -346,12 +264,5 @@ func crossFactor(g *Bipartite, v int, side []int, vLeft bool) (float64, bool) {
 // ≥ α (all other factors of the product are ≤ 1), so pruning preserves the
 // set of α-bicliques — the Observation 3 analogue.
 func (g *Bipartite) PruneAlpha(alpha float64) *Bipartite {
-	b := NewBuilder(g.nL, g.nR)
-	for _, e := range g.Edges() {
-		if e.P >= alpha {
-			// Cannot fail: edges come from a valid graph.
-			_ = b.AddEdge(e.L, e.R, e.P)
-		}
-	}
-	return b.Build()
+	return &Bipartite{nL: g.nL, g: g.g.PruneAlpha(alpha)}
 }

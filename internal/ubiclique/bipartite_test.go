@@ -35,6 +35,35 @@ func TestBuilderValidation(t *testing.T) {
 	}
 }
 
+// TestBuilderErrorMessages pins the four builder messages and their order:
+// an edge with several faults reports the first of left range, right range,
+// probability and duplicate.
+func TestBuilderErrorMessages(t *testing.T) {
+	b := NewBuilder(3, 2)
+	if err := b.AddEdge(0, 0, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		l, r int
+		p    float64
+		want string
+	}{
+		{-1, 5, 2, "ubiclique: left vertex -1 outside [0,3): vertex out of range"},
+		{0, 2, math.NaN(), "ubiclique: right vertex 2 outside [0,2): vertex out of range"},
+		{0, 0, 1.5, "ubiclique: probability 1.5: probability outside (0,1]"},
+		{0, 0, 0.25, "ubiclique: edge (0,0): duplicate edge"},
+	}
+	for _, tc := range cases {
+		err := b.AddEdge(tc.l, tc.r, tc.p)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("AddEdge(%d,%d,%v) = %v, want %q", tc.l, tc.r, tc.p, err, tc.want)
+		}
+	}
+	if err := b.UpsertEdge(0, 5, 0.5); err == nil || err.Error() != "ubiclique: right vertex 5 outside [0,2): vertex out of range" {
+		t.Errorf("UpsertEdge(0,5,0.5) = %v", err)
+	}
+}
+
 func TestUpsertEdgeReplaces(t *testing.T) {
 	b := NewBuilder(2, 2)
 	if err := b.AddEdge(0, 1, 0.5); err != nil {

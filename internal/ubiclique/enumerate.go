@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/uncertain-graphs/mule/internal/core"
+	"github.com/uncertain-graphs/mule/internal/uncertain"
 )
 
 // Visitor receives each α-maximal biclique: the left side and right side as
@@ -102,13 +103,11 @@ func EnumerateContext(ctx context.Context, g *Bipartite, alpha float64, visit Vi
 	}
 	defer ctl.ArmStall(cfg.Stall)()
 
-	work := g
-	before := work.NumEdges()
-	work = work.PruneAlpha(alpha)
-	stats.PrunedEdges = before - work.NumEdges()
+	work := g.PruneAlpha(alpha)
+	stats.PrunedEdges = g.NumEdges() - work.NumEdges()
 
 	e := &enumerator{
-		g:        work,
+		g:        work.g,
 		nL:       int32(work.nL),
 		alpha:    alpha,
 		minL:     minL,
@@ -203,8 +202,8 @@ func SortBicliques(bs []Biclique) {
 }
 
 type enumerator struct {
-	g           *Bipartite
-	nL          int32 // ground IDs < nL are left, ≥ nL are right
+	g           *uncertain.Graph // the α-pruned ground graph
+	nL          int32            // ground IDs < nL are left, ≥ nL are right
 	alpha       float64
 	minL        int
 	minR        int
@@ -252,7 +251,7 @@ func (e *enumerator) countNode() bool {
 // child's X for the one witness the child appends per branch, so those
 // appends never move X.
 func (e *enumerator) run() {
-	n := e.g.nL + e.g.nR
+	n := e.g.NumVertices()
 	rootI := make([]entry, n)
 	for v := 0; v < n; v++ {
 		rootI[v] = entry{int32(v), 1}
@@ -350,7 +349,7 @@ func countLeft(I []entry, nL int32) int {
 // once because opposite-side candidates appear in ascending order. The
 // survivors are appended to out, which must have room for len(tail).
 func (e *enumerator) generateI(out, tail []entry, u int32, q2 float64) []entry {
-	row, probs := e.g.adjacency(u)
+	row, pr := e.g.Adjacency(int(u))
 	j := 0
 	for i := 0; i < len(tail); i++ {
 		w := tail[i]
@@ -364,7 +363,7 @@ func (e *enumerator) generateI(out, tail []entry, u int32, q2 float64) []entry {
 			j++
 		}
 		if j < len(row) && row[j] == w.v {
-			r2 := w.r * probs[j]
+			r2 := w.r * pr[j]
 			if q2*r2 >= e.alpha {
 				out = append(out, entry{w.v, r2})
 			}
@@ -377,7 +376,7 @@ func (e *enumerator) generateI(out, tail []entry, u int32, q2 float64) []entry {
 // generateX is the Algorithm 4 analogue: the same side-aware filter applied
 // to the witness set, appending the survivors to out.
 func (e *enumerator) generateX(out, X []entry, u int32, q2 float64) []entry {
-	row, probs := e.g.adjacency(u)
+	row, pr := e.g.Adjacency(int(u))
 	j := 0
 	for i := 0; i < len(X); i++ {
 		x := X[i]
@@ -391,7 +390,7 @@ func (e *enumerator) generateX(out, X []entry, u int32, q2 float64) []entry {
 			j++
 		}
 		if j < len(row) && row[j] == x.v {
-			s2 := x.r * probs[j]
+			s2 := x.r * pr[j]
 			if q2*s2 >= e.alpha {
 				out = append(out, entry{x.v, s2})
 			}
@@ -461,7 +460,7 @@ func (e *enumerator) verifyInvariants(C []int32, q float64, I, X []entry) {
 		}
 		inX[en.v] = en.r
 	}
-	n := int32(e.g.nL + e.g.nR)
+	n := int32(e.g.NumVertices())
 	for v := int32(0); v < n; v++ {
 		if inC[v] {
 			continue
@@ -498,10 +497,7 @@ func (e *enumerator) groundProb(set []int32) float64 {
 			if sameSide(a, b, e.nL) {
 				continue
 			}
-			if a > b {
-				a, b = b, a
-			}
-			p, ok := e.g.Prob(int(a), int(b-e.nL))
+			p, ok := e.g.Prob(int(a), int(b))
 			if !ok {
 				return 0
 			}

@@ -7,13 +7,14 @@ import "math/bits"
 // pass IsAlphaMaximalBiclique. Exponential in |L|+|R|; it exists as the
 // ground-truth oracle for tests and requires |L|, |R| ≤ 20.
 func CollectBrute(g *Bipartite, alpha float64) []Biclique {
-	if g.nL > 20 || g.nR > 20 {
+	nL, nR := g.NumLeft(), g.NumRight()
+	if nL > 20 || nR > 20 {
 		panic("ubiclique: CollectBrute limited to 20 vertices per side")
 	}
 	var out []Biclique
-	for maskL := uint32(1); maskL < 1<<uint(g.nL); maskL++ {
+	for maskL := uint32(1); maskL < 1<<uint(nL); maskL++ {
 		A := maskToSet(maskL)
-		for maskR := uint32(1); maskR < 1<<uint(g.nR); maskR++ {
+		for maskR := uint32(1); maskR < 1<<uint(nR); maskR++ {
 			B := maskToSet(maskR)
 			q := g.BicliqueProb(A, B)
 			if q < alpha {

@@ -26,7 +26,7 @@ func refEnumerateContext(ctx context.Context, g *Bipartite, alpha float64, visit
 	work := g.PruneAlpha(alpha)
 	stats.PrunedEdges = g.NumEdges() - work.NumEdges()
 	e := &enumerator{
-		g:        work,
+		g:        work.g,
 		nL:       int32(work.nL),
 		alpha:    alpha,
 		minL:     minL,
@@ -39,7 +39,7 @@ func refEnumerateContext(ctx context.Context, g *Bipartite, alpha float64, visit
 		leftBuf:  make([]int, 0, 16),
 		rightBuf: make([]int, 0, 16),
 	}
-	n := e.g.nL + e.g.nR
+	n := e.g.NumVertices()
 	rootI := make([]entry, n)
 	for v := 0; v < n; v++ {
 		rootI[v] = entry{int32(v), 1}
@@ -85,7 +85,7 @@ func (e *enumerator) refRecurse(C []int32, q float64, I, X []entry, cL, cR int) 
 }
 
 func (e *enumerator) refGenerateI(tail []entry, u int32, q2 float64) []entry {
-	row, probs := e.g.adjacency(u)
+	row, probs := e.g.Adjacency(int(u))
 	out := make([]entry, 0, len(tail))
 	j := 0
 	for i := 0; i < len(tail); i++ {
@@ -111,7 +111,7 @@ func (e *enumerator) refGenerateI(tail []entry, u int32, q2 float64) []entry {
 }
 
 func (e *enumerator) refGenerateX(X []entry, u int32, q2 float64) []entry {
-	row, probs := e.g.adjacency(u)
+	row, probs := e.g.Adjacency(int(u))
 	out := make([]entry, 0, len(X))
 	j := 0
 	for i := 0; i < len(X); i++ {

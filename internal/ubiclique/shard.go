@@ -1,6 +1,9 @@
 package ubiclique
 
-import "iter"
+import (
+	"iter"
+	"slices"
+)
 
 // Shard is one connected component of an uncertain bipartite graph extracted
 // as a self-contained Bipartite. Left vertex i of G corresponds to
@@ -23,45 +26,10 @@ type Shard struct {
 // an isolated vertex on either side is its own component) without
 // materializing membership lists.
 func (g *Bipartite) NumComponents() int {
-	if g == nil || g.nL+g.nR == 0 {
+	if g == nil {
 		return 0
 	}
-	_, count := g.componentLabels()
-	return count
-}
-
-// componentLabels labels every ground vertex with its component ID
-// (components numbered by smallest ground member) and returns the label
-// array and component count.
-func (g *Bipartite) componentLabels() ([]int32, int) {
-	n := g.nL + g.nR
-	comp := make([]int32, n)
-	for i := range comp {
-		comp[i] = -1
-	}
-	count := 0
-	queue := make([]int32, 0, 64)
-	for s := 0; s < n; s++ {
-		if comp[s] != -1 {
-			continue
-		}
-		id := int32(count)
-		count++
-		comp[s] = id
-		queue = append(queue[:0], int32(s))
-		for len(queue) > 0 {
-			v := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
-			for i := g.offsets[v]; i < g.offsets[v+1]; i++ {
-				w := g.nbrs[i]
-				if comp[w] == -1 {
-					comp[w] = id
-					queue = append(queue, w)
-				}
-			}
-		}
-	}
-	return comp, count
+	return g.g.NumComponents()
 }
 
 // ShardByComponent yields one Shard per connected component, in ID order,
@@ -71,71 +39,22 @@ func (g *Bipartite) componentLabels() ([]int32, int) {
 // and mapping results back reproduces the parent graph's biclique set.
 func (g *Bipartite) ShardByComponent() iter.Seq[Shard] {
 	return func(yield func(Shard) bool) {
-		if g == nil || g.nL+g.nR == 0 {
+		if g == nil {
 			return
 		}
-		n := g.nL + g.nR
-		comp, count := g.componentLabels()
-
-		starts := make([]int32, count+1)
-		for _, c := range comp {
-			starts[c+1]++
-		}
-		for i := 0; i < count; i++ {
-			starts[i+1] += starts[i]
-		}
-		order := make([]int32, n)
-		fill := make([]int32, count)
-		for v := 0; v < n; v++ {
-			c := comp[v]
-			order[starts[c]+fill[c]] = int32(v)
-			fill[c]++
-		}
-
-		oldToNew := make([]int32, n)
-		for id := 0; id < count; id++ {
-			members := order[starts[id]:starts[id+1]]
-			// Members are ascending in ground space, so all left members
-			// (ground < nL) precede all right members and the monotone remap
-			// preserves both the side split and sorted rows.
-			newNL := 0
-			for _, ov := range members {
-				if int(ov) < g.nL {
-					newNL++
-				}
+		for sh := range g.g.ShardByComponent() {
+			// A ground shard's members ascend, so its left members form the
+			// prefix and the monotone remap keeps the side split. The left
+			// map is capped so that an append to it cannot overwrite the
+			// right map, which reuses the suffix in place.
+			members := sh.NewToOld
+			k, _ := slices.BinarySearch(members, g.nL)
+			right := members[k:]
+			for i := range right {
+				right[i] -= g.nL
 			}
-			offsets := make([]int32, len(members)+1)
-			for i, ov := range members {
-				oldToNew[ov] = int32(i)
-				offsets[i+1] = offsets[i] + (g.offsets[ov+1] - g.offsets[ov])
-			}
-			nbrs := make([]int32, offsets[len(members)])
-			probs := make([]float64, offsets[len(members)])
-			w := 0
-			for _, ov := range members {
-				for i := g.offsets[ov]; i < g.offsets[ov+1]; i++ {
-					nbrs[w] = oldToNew[g.nbrs[i]]
-					probs[w] = g.probs[i]
-					w++
-				}
-			}
-			left := make([]int, newNL)
-			right := make([]int, len(members)-newNL)
-			for i, ov := range members {
-				if i < newNL {
-					left[i] = int(ov)
-				} else {
-					right[i-newNL] = int(ov) - g.nL
-				}
-			}
-			sub := &Bipartite{
-				nL:      newNL,
-				nR:      len(members) - newNL,
-				offsets: offsets,
-				nbrs:    nbrs,
-				probs:   probs,
-			}
-			if !yield(Shard{ID: id, G: sub, LeftNewToOld: left, RightNewToOld: right}) {
+			sub := &Bipartite{nL: k, g: sh.G}
+			if !yield(Shard{ID: sh.ID, G: sub, LeftNewToOld: members[:k:k], RightNewToOld: right}) {
 				return
 			}
 		}

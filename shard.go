@@ -2,11 +2,12 @@ package mule
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"iter"
 	"runtime"
 	"sync"
+
+	"github.com/uncertain-graphs/mule/internal/core"
 )
 
 // Component-sharded mining. No clique, biclique, quasi-clique, truss edge,
@@ -89,25 +90,6 @@ func resolveShards(n int) int {
 		return runtime.GOMAXPROCS(0)
 	}
 	return n
-}
-
-// statusForError maps a sharded run's terminal error to the RunStatus an
-// unsharded engine would have recorded for the same cause.
-func statusForError(err error) RunStatus {
-	switch {
-	case errors.Is(err, ErrPanic):
-		return StatusPanicked
-	case errors.Is(err, ErrBudget):
-		return StatusBudget
-	case errors.Is(err, ErrStalled):
-		return StatusStalled
-	case errors.Is(err, context.DeadlineExceeded):
-		return StatusDeadline
-	case errors.Is(err, context.Canceled):
-		return StatusCanceled
-	default:
-		return StatusFailed
-	}
 }
 
 // shardTask is one component's unit of work in a sharded run: mine the
@@ -325,7 +307,7 @@ func (p *prepared[T, S]) runSharded(ctx context.Context, visit func(T) bool) (S,
 	}
 	switch {
 	case err != nil:
-		*p.status(&agg) = statusForError(err)
+		*p.status(&agg) = core.StatusOf(err)
 	case stopped:
 		*p.status(&agg) = StatusStopped
 	default:

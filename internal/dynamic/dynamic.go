@@ -29,6 +29,7 @@ import (
 	"context"
 	"fmt"
 	"iter"
+	"slices"
 	"sort"
 
 	"github.com/uncertain-graphs/mule/internal/core"
@@ -37,10 +38,19 @@ import (
 
 // Maintainer holds an uncertain graph and its current set of α-maximal
 // cliques, kept in sync across edge updates.
+//
+// The graph is kept as one sorted row per vertex, the layout of an
+// uncertain.Graph's CSR with each row in its own slice: an update
+// binary-searches the two rows of its edge and shifts within them, and
+// Graph concatenates the rows in O(n + m).
 type Maintainer struct {
 	alpha float64
 	n     int
-	adj   []map[int]float64 // adj[u][v] = p for every support edge
+	// nbrs[u] holds u's neighbours in ascending order and probs[u] the
+	// parallel edge probabilities; every support edge sits in both of its
+	// endpoints' rows with the same probability.
+	nbrs  [][]int32
+	probs [][]float64
 	// cliques maps the canonical key of each current α-maximal clique to
 	// its vertices (sorted ascending).
 	cliques map[string][]int
@@ -100,17 +110,21 @@ func NewContext(ctx context.Context, g *uncertain.Graph, alpha float64) (*Mainta
 	m := &Maintainer{
 		alpha:    alpha,
 		n:        n,
-		adj:      make([]map[int]float64, n),
+		nbrs:     make([][]int32, n),
+		probs:    make([][]float64, n),
 		cliques:  make(map[string][]int),
 		byVertex: make([]map[string]bool, n),
 	}
+	// The rows are copied into two shared arrays, each row capped at its
+	// own length, so an insertion reallocates only the row that grows.
+	nbrs := make([]int32, 0, 2*g.NumEdges())
+	probs := make([]float64, 0, 2*g.NumEdges())
 	for u := 0; u < n; u++ {
-		m.adj[u] = make(map[int]float64)
+		row, pr := g.Adjacency(u)
+		lo := len(nbrs)
+		nbrs, probs = append(nbrs, row...), append(probs, pr...)
+		m.nbrs[u], m.probs[u] = nbrs[lo:len(nbrs):len(nbrs)], probs[lo:len(probs):len(probs)]
 		m.byVertex[u] = make(map[string]bool)
-	}
-	for _, e := range g.Edges() {
-		m.adj[e.U][e.V] = e.P
-		m.adj[e.V][e.U] = e.P
 	}
 	cliques, stats, err := core.CollectContext(ctx, g, alpha, core.Config{})
 	if err != nil {
@@ -132,7 +146,7 @@ func (m *Maintainer) NumVertices() int { return m.n }
 // NumEdges returns the current number of support edges.
 func (m *Maintainer) NumEdges() int {
 	total := 0
-	for _, row := range m.adj {
+	for _, row := range m.nbrs {
 		total += len(row)
 	}
 	return total / 2
@@ -149,8 +163,10 @@ func (m *Maintainer) Prob(u, v int) (float64, bool) {
 	if u < 0 || u >= m.n || v < 0 || v >= m.n || u == v {
 		return 0, false
 	}
-	p, ok := m.adj[u][v]
-	return p, ok
+	if i, ok := slices.BinarySearch(m.nbrs[u], int32(v)); ok {
+		return m.probs[u][i], true
+	}
+	return 0, false
 }
 
 // Cliques returns the current α-maximal cliques in canonical order.
@@ -163,18 +179,57 @@ func (m *Maintainer) Cliques() [][]int {
 	return out
 }
 
-// Graph materializes the current graph as an immutable uncertain.Graph.
+// Graph materializes the current graph as an immutable uncertain.Graph. It
+// concatenates the sorted rows into fresh CSR arrays, in O(n + m) time and
+// a constant number of allocations; the returned graph shares nothing with
+// the maintainer.
 func (m *Maintainer) Graph() *uncertain.Graph {
-	b := uncertain.NewBuilder(m.n)
-	for u, row := range m.adj {
-		for v, p := range row {
-			if u < v {
-				// Cannot fail: the maintainer validates every mutation.
-				_ = b.AddEdge(u, v, p)
-			}
+	offsets := make([]int32, m.n+1)
+	for u, row := range m.nbrs {
+		offsets[u+1] = offsets[u] + int32(len(row))
+	}
+	nbrs := make([]int32, offsets[m.n])
+	probs := make([]float64, offsets[m.n])
+	for u := range m.nbrs {
+		copy(nbrs[offsets[u]:], m.nbrs[u])
+		copy(probs[offsets[u]:], m.probs[u])
+	}
+	return mustGraph(m.n, offsets, nbrs, probs)
+}
+
+// mustGraph adopts CSR arrays the maintainer assembled. Every mutation
+// keeps the rows sorted, symmetric and in range, so a failure here is a
+// bug in this package, not bad input.
+func mustGraph(n int, offsets, nbrs []int32, probs []float64) *uncertain.Graph {
+	g, err := uncertain.FromSortedAdjacency(n, offsets, nbrs, probs)
+	if err != nil {
+		panic(fmt.Sprintf("dynamic: maintainer rows broke a graph invariant: %v", err))
+	}
+	return g
+}
+
+// setEdge writes probability p for edge {u,v} into both rows, inserting the
+// edge where it is absent.
+func (m *Maintainer) setEdge(u, v int, p float64) {
+	for _, e := range [2][2]int{{u, v}, {v, u}} {
+		a, b := e[0], int32(e[1])
+		if i, ok := slices.BinarySearch(m.nbrs[a], b); ok {
+			m.probs[a][i] = p
+		} else {
+			m.nbrs[a] = slices.Insert(m.nbrs[a], i, b)
+			m.probs[a] = slices.Insert(m.probs[a], i, p)
 		}
 	}
-	return b.Build()
+}
+
+// deleteEdge removes edge {u,v}, which must exist, from both rows.
+func (m *Maintainer) deleteEdge(u, v int) {
+	for _, e := range [2][2]int{{u, v}, {v, u}} {
+		a := e[0]
+		i, _ := slices.BinarySearch(m.nbrs[a], int32(e[1]))
+		m.nbrs[a] = slices.Delete(m.nbrs[a], i, i+1)
+		m.probs[a] = slices.Delete(m.probs[a], i, i+1)
+	}
 }
 
 // SetEdgeContext sets the probability of edge {u,v} to p (inserting the
@@ -192,17 +247,14 @@ func (m *Maintainer) SetEdgeContext(ctx context.Context, u, v int, p float64) (D
 	if !(p > 0 && p <= 1) { // also rejects NaN
 		return Diff{}, Stats{Status: core.StatusFailed}, fmt.Errorf("dynamic: probability %v: %w", p, uncertain.ErrProbRange)
 	}
-	oldP, existed := m.adj[u][v]
-	m.adj[u][v] = p
-	m.adj[v][u] = p
+	oldP, existed := m.Prob(u, v)
+	m.setEdge(u, v, p)
 	diff, stats, err := m.refresh(ctx, u, v)
 	if err != nil {
 		if existed {
-			m.adj[u][v] = oldP
-			m.adj[v][u] = oldP
+			m.setEdge(u, v, oldP)
 		} else {
-			delete(m.adj[u], v)
-			delete(m.adj[v], u)
+			m.deleteEdge(u, v)
 		}
 		return Diff{}, stats, err
 	}
@@ -217,16 +269,14 @@ func (m *Maintainer) RemoveEdgeContext(ctx context.Context, u, v int) (Diff, Sta
 	if err := m.checkPair(u, v); err != nil {
 		return Diff{}, Stats{Status: core.StatusFailed}, err
 	}
-	oldP, ok := m.adj[u][v]
+	oldP, ok := m.Prob(u, v)
 	if !ok {
 		return Diff{}, Stats{Status: core.StatusFailed}, fmt.Errorf("dynamic: edge {%d,%d} does not exist: %w", u, v, core.ErrConfig)
 	}
-	delete(m.adj[u], v)
-	delete(m.adj[v], u)
+	m.deleteEdge(u, v)
 	diff, stats, err := m.refresh(ctx, u, v)
 	if err != nil {
-		m.adj[u][v] = oldP
-		m.adj[v][u] = oldP
+		m.setEdge(u, v, oldP)
 		return Diff{}, stats, err
 	}
 	return diff, stats, nil
@@ -382,44 +432,44 @@ func (m *Maintainer) refresh(ctx context.Context, u, v int) (Diff, Stats, error)
 // so enumerating the induced subgraph on N[center] and keeping the cliques
 // through center is exact. The enumeration runs under ctx and charges its
 // work to both op and the cumulative stats.
+//
+// G[N[center]] numbers center 0 and center's i-th neighbour i+1. The map is
+// increasing on the neighbours, so each local row comes out ascending from
+// a merge of two sorted rows: center first, then the common neighbours.
 func (m *Maintainer) maximalCliquesThrough(ctx context.Context, center int, op *Stats) ([][]int, error) {
 	op.Rebuilt++
 	m.stats.Rebuilt++
-	// verts = {center} ∪ N(center), with center first; newID 0 = center.
-	verts := make([]int, 0, len(m.adj[center])+1)
-	verts = append(verts, center)
-	for w := range m.adj[center] {
-		verts = append(verts, w)
+	row, pr := m.nbrs[center], m.probs[center]
+	d := len(row)
+	offsets := make([]int32, d+2)
+	nbrs := make([]int32, d, 2*d)
+	probs := append(make([]float64, 0, 2*d), pr...)
+	for i := range nbrs {
+		nbrs[i] = int32(i + 1)
 	}
-	sort.Ints(verts[1:])
-	oldToNew := make(map[int]int, len(verts))
-	for i, w := range verts {
-		oldToNew[w] = i
-	}
-	b := uncertain.NewBuilder(len(verts))
-	for i, w := range verts {
-		for x, p := range m.adj[w] {
-			j, in := oldToNew[x]
-			if in && i < j {
-				// Cannot fail: pairs are distinct and p was validated.
-				_ = b.AddEdge(i, j, p)
-			}
-		}
+	offsets[1] = int32(d)
+	for i, w := range row {
+		nbrs, probs = append(nbrs, 0), append(probs, pr[i])
+		wRow, wProbs := m.nbrs[w], m.probs[w]
+		forCommon(wRow, row, func(a, b int) {
+			nbrs, probs = append(nbrs, int32(b+1)), append(probs, wProbs[a])
+		})
+		offsets[i+2] = int32(len(nbrs))
 	}
 	var out [][]int
-	stats, err := core.EnumerateContext(ctx, b.Build(), m.alpha, func(c []int, _ float64) bool {
-		through := false
+	stats, err := core.EnumerateContext(ctx, mustGraph(d+1, offsets, nbrs, probs), m.alpha, func(c []int, _ float64) bool {
+		if !slices.Contains(c, 0) {
+			return true // a clique of N(center) that misses center
+		}
 		mapped := make([]int, len(c))
 		for i, nv := range c {
-			mapped[i] = verts[nv]
-			if mapped[i] == center {
-				through = true
+			mapped[i] = center
+			if nv > 0 {
+				mapped[i] = int(row[nv-1])
 			}
 		}
-		if through {
-			sort.Ints(mapped)
-			out = append(out, mapped)
-		}
+		sort.Ints(mapped)
+		out = append(out, mapped)
 		return true
 	}, core.Config{})
 	op.SearchCalls += stats.Calls
@@ -428,6 +478,33 @@ func (m *Maintainer) maximalCliquesThrough(ctx context.Context, center int, op *
 		return nil, err
 	}
 	return out, nil
+}
+
+// forCommon calls visit(i, j) for every a[i] == b[j] of two ascending rows,
+// in ascending order. It walks the shorter row and binary-searches the rest
+// of the longer one, so a hub's row costs O(min·log max) per neighbour, not
+// its full length.
+func forCommon(a, b []int32, visit func(i, j int)) {
+	swapped := len(a) > len(b)
+	if swapped {
+		a, b = b, a
+	}
+	lo := 0
+	for i, x := range a {
+		j, ok := slices.BinarySearch(b[lo:], x)
+		lo += j
+		if lo == len(b) {
+			return
+		}
+		if ok {
+			if swapped {
+				visit(lo, i)
+			} else {
+				visit(i, lo)
+			}
+			lo++
+		}
+	}
 }
 
 // Stream returns the maintainer's current α-maximal cliques as a

@@ -36,6 +36,9 @@ func (v *cachedResult) size(key string) int64 {
 // of the LRU. Epochs come from a server-wide monotonic counter and are never
 // reused — a re-loaded graph can never collide with a stale entry of its
 // former self.
+//
+// The same lock guards the runs in flight, keyed like the entries (see
+// join), so storing an answer and ending its run are one step.
 type resultCache struct {
 	mu        sync.Mutex
 	cap       int        // max entries; 0 disables the cache
@@ -43,9 +46,22 @@ type resultCache struct {
 	bytes     int64      // current total charged bytes
 	ll        *list.List // front = most recently used
 	entries   map[string]*list.Element
+	flights   map[string]*flight
 	hits      int64
 	misses    int64
 	evictions int64
+}
+
+// A flight is one run of a cache key in progress: a warm-pass run, or a
+// request's miss. A request that misses a key the warm pass is running
+// waits on done instead of running the query again; a request's run is
+// registered only so that the warm pass skips its key.
+type flight struct {
+	warm bool // led by the warm pass; only such runs are waited on
+	done chan struct{}
+	// res is the settled answer, set before done is closed; nil when the
+	// run ended without one and its waiters must run the query themselves.
+	res *cachedResult
 }
 
 type cacheEntry struct {
@@ -61,7 +77,8 @@ func newResultCache(capacity int, capBytes int64) *resultCache {
 	if capBytes < 0 {
 		capBytes = 0
 	}
-	return &resultCache{cap: capacity, capBytes: capBytes, ll: list.New(), entries: make(map[string]*list.Element)}
+	return &resultCache{cap: capacity, capBytes: capBytes, ll: list.New(),
+		entries: make(map[string]*list.Element), flights: make(map[string]*flight)}
 }
 
 // get returns the cached result for key and whether it was present,
@@ -78,14 +95,47 @@ func (c *resultCache) get(key string) (cachedResult, bool) {
 	return cachedResult{}, false
 }
 
-// peek reports whether key is cached without promoting it to
-// most-recently-used or touching the hit/miss counters; cache warming uses
-// it so probing never skews the observable hit rate.
-func (c *resultCache) peek(key string) bool {
+// join is a second look at key after a miss, under the lock that also
+// guards the runs in flight. It returns an answer stored since the miss as
+// hit; a warm-pass run of key in flight as f, for a request to wait on;
+// and, when no run of key is in flight, a new run the caller leads (lead
+// true, f its flight) and must end with land. It returns nothing when a
+// warm caller finds any run of key, or a request finds another request's:
+// the warm pass then skips the key, and the request runs unregistered.
+func (c *resultCache) join(key string, warm bool) (hit *cachedResult, f *flight, lead bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, ok := c.entries[key]
-	return ok
+	if el, ok := c.entries[key]; ok {
+		res := el.Value.(*cacheEntry).val
+		return &res, nil, false
+	}
+	if f := c.flights[key]; f != nil {
+		if f.warm && !warm {
+			return nil, f, false
+		}
+		return nil, nil, false
+	}
+	f = &flight{warm: warm, done: make(chan struct{})}
+	c.flights[key] = f
+	return nil, f, true
+}
+
+// land ends the run f of key. A settled answer res is stored under key and
+// handed to the waiters in the same step, so a request that misses key
+// finds either the run or its answer; a nil res releases the waiters to run
+// for themselves. Landing a flight a second time does nothing.
+func (c *resultCache) land(key string, f *flight, res *cachedResult) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.flights[key] != f {
+		return
+	}
+	delete(c.flights, key)
+	if res != nil {
+		c.store(key, *res)
+	}
+	f.res = res
+	close(f.done)
 }
 
 // put inserts (or refreshes) key, evicting from the least-recently-used end
@@ -93,6 +143,13 @@ func (c *resultCache) peek(key string) bool {
 // stores nothing; an entry too large to ever fit the byte cap is not stored
 // at all rather than flushing everything else first.
 func (c *resultCache) put(key string, val cachedResult) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.store(key, val)
+}
+
+// store is put with c.mu held.
+func (c *resultCache) store(key string, val cachedResult) {
 	if c.cap == 0 {
 		return
 	}
@@ -100,8 +157,6 @@ func (c *resultCache) put(key string, val cachedResult) {
 	if c.capBytes > 0 && sz > c.capBytes {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {
 		ent := el.Value.(*cacheEntry)
 		c.bytes += sz - ent.size

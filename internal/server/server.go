@@ -13,6 +13,20 @@
 // invalidates the cache implicitly: new queries form new keys and the stale
 // entries age out of the LRU.
 //
+// Coalescing: after an Apply, the warm pass re-runs recently hit queries
+// against the new epoch (see warmAfterApply). A request that misses a key
+// while the warm pass runs it waits for that run, for at most its own
+// timeout and only while its connection stays open, and then answers as a
+// hit does: "cached": true, the stored bytes and the warm run's stats. If
+// the warm run ends without a settled answer (an error, a contained panic),
+// the waiter runs the query itself. A request's own miss registers its run,
+// so the warm pass skips a key a request is already running, but requests
+// never wait on each other: concurrent identical misses each run, and
+// nocache=true requests never coalesce. The warm run is admitted as the
+// empty tenant under the executor's default limits; only when those limits
+// queue can a waiter, whatever its tenant, wait in the empty tenant's
+// queue, and then for at most its timeout.
+//
 // The CLI's exit-code conventions map onto HTTP statuses:
 //
 //	exit 0 + truncation  → 200 with "truncated": true (limit or budget)
@@ -164,7 +178,7 @@ func (s *Server) Close() {
 }
 
 // InFlight returns the number of query requests currently executing (cache
-// hits excluded).
+// hits and requests waiting on a warm run excluded).
 func (s *Server) InFlight() int64 { return s.inflight.Load() }
 
 // Install publishes snap under name with a fresh epoch, replacing any
@@ -376,14 +390,31 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
 	ctx := r.Context()
 	if p.timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, p.timeout)
 		defer cancel()
 	}
+	hit, lead, err := s.await(ctx, key)
+	if err != nil {
+		code, detail := httpStatusOf(err)
+		writeError(w, code, detail, err)
+		return
+	}
+	if hit != nil {
+		s.warm.record(name, p)
+		writeQuery(w, name, snap.Epoch, p.kind.Name, true, hit)
+		return
+	}
+	if lead != nil {
+		// Every way out of the run, a panic included, ends its flight;
+		// settle lands a settled answer first, which makes this a no-op.
+		defer s.cache.land(key, lead, nil)
+	}
+
+	s.inflight.Add(1)
+	defer s.inflight.Add(-1)
 	out := run(ctx)
 
 	// Budget exhaustion is a truncation, not a failure: the partial prefix
@@ -400,7 +431,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	res, err := s.settle(key, out)
+	res, err := s.settle(key, lead, out)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "", err)
 		return
@@ -408,12 +439,37 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	writeQuery(w, name, snap.Epoch, p.kind.Name, false, &res)
 }
 
+// await is a miss's second look at key. It returns an answer to serve as a
+// hit: one stored since the miss, or the settled answer of the warm pass's
+// run of key, waited for under ctx (the caller's connection and timeout).
+// Otherwise the caller runs the query itself, registered as the leader of
+// key's run when lead is non-nil.
+func (s *Server) await(ctx context.Context, key string) (hit *cachedResult, lead *flight, err error) {
+	if key == "" {
+		return nil, nil, nil
+	}
+	hit, f, leads := s.cache.join(key, false)
+	if leads {
+		return nil, f, nil
+	}
+	if f == nil {
+		return hit, nil, nil
+	}
+	select {
+	case <-f.done:
+		return f.res, nil, nil
+	case <-ctx.Done():
+		return nil, nil, fmt.Errorf("waiting for the warm run in flight: %w", context.Cause(ctx))
+	}
+}
+
 // settle builds the stored form of a finished run, which handleQuery
 // writes and the cache keeps, and caches it under key when the answer is
-// settled: a complete run or a limit-truncated one. A budget abort depends
-// on the budget and is recomputed; key "" caches nothing. The error is the
-// answer's encoding failure.
-func (s *Server) settle(key string, out miners.Answer) (cachedResult, error) {
+// settled: a complete run or a limit-truncated one, landed with the run's
+// flight when the caller leads one. A budget abort depends on the budget
+// and is recomputed; key "" caches nothing. The error is the answer's
+// encoding failure.
+func (s *Server) settle(key string, lead *flight, out miners.Answer) (cachedResult, error) {
 	if out.EncErr != nil {
 		return cachedResult{}, out.EncErr
 	}
@@ -427,7 +483,11 @@ func (s *Server) settle(key string, out miners.Answer) (cachedResult, error) {
 		Stats:     stats,
 	}
 	if key != "" && out.Err == nil {
-		s.cache.put(key, res)
+		if lead != nil {
+			s.cache.land(key, lead, &res)
+		} else {
+			s.cache.put(key, res)
+		}
 	}
 	return res, nil
 }

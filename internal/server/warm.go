@@ -42,11 +42,13 @@ func newWarmTracker(capacity int) *warmTracker {
 
 // record notes a cache hit for (graph, p), promoting the shape to
 // most-recently-hit. p is copied and sanitized; the caller's value is not
-// retained.
+// retained. The budget goes too: it is not part of the cache key, so a
+// hit's budget says nothing about the run a warm pass needs.
 func (t *warmTracker) record(graph string, p *qparams) {
 	cp := *p
 	cp.tenant = ""
 	cp.timeout = 0
+	cp.budget = 0
 	key := cp.cacheKey(graph, 0)
 	if key == "" {
 		return
@@ -154,7 +156,9 @@ func (s *Server) warmAfterApply(name string) {
 }
 
 // warmOne runs one recorded shape against name's current snapshot and
-// caches the settled answer, skipping work the cache already holds.
+// caches the settled answer. It registers the shape's run, so requests that
+// miss the key meanwhile wait for it, and it skips a key the cache already
+// holds or a request is already running.
 func (s *Server) warmOne(name string, p *qparams) {
 	e := s.reg.get(name)
 	if e == nil {
@@ -162,11 +166,14 @@ func (s *Server) warmOne(name string, p *qparams) {
 		return
 	}
 	snap := e.snapshot()
+	// Recorded shapes are never nocache, so the key is never "".
 	key := p.cacheKey(name, snap.Epoch)
-	if key == "" || s.cache.peek(key) {
+	_, lead, leads := s.cache.join(key, true)
+	if !leads {
 		s.warmCount.skipped.Add(1)
 		return
 	}
+	defer s.cache.land(key, lead, nil)
 	run, err := p.newRunner(snap, s.ex, nil)
 	if err != nil {
 		s.warmCount.failed.Add(1)
@@ -177,7 +184,7 @@ func (s *Server) warmOne(name string, p *qparams) {
 		s.warmCount.failed.Add(1)
 		return
 	}
-	if _, err := s.settle(key, out); err != nil {
+	if _, err := s.settle(key, lead, out); err != nil {
 		s.warmCount.failed.Add(1)
 		return
 	}

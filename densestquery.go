@@ -10,11 +10,18 @@ import (
 
 // DenseSubgraph is one scored member of a densest query's candidate family:
 // a vertex set (sorted ascending, caller-owned), its expected density (sum
-// of internal edge probabilities over the vertex count), and the exact
+// of internal edge probabilities over the vertex count), and the
 // probability — under the independent-edge model — that its realized
 // internal edge count reaches ⌈d̂·|S|⌉ edges, where d̂ is the family's best
 // expected density. The head of a Collect (or the first Stream element) is
 // the most probable densest subgraph.
+//
+// The probability comes from a float64 Poisson-binomial DP that flushes
+// entries below 2⁻¹⁰²², the smallest normal float64, to zero at the ends
+// of its band. With m the candidate's internal edge count, it differs from
+// the exact tail by a relative rounding error of order m·2⁻⁵³ plus at most
+// (m+1)·2⁻¹⁰²² of flushed mass: a tail far above (m+1)·2⁻¹⁰²² keeps its
+// relative precision, and one below it may read 0.
 type DenseSubgraph = udensest.Candidate
 
 // DensestVisitor receives one scored candidate at a time, best first;
@@ -28,9 +35,11 @@ type DensestStats = udensest.Stats
 // one uncertain graph, following Saha et al. (arXiv 2212.08820): a greedy
 // min-expected-degree peeling builds the candidate prefix family per
 // support component (the family's best member 2-approximates the maximum
-// expected density), then every candidate gets an exact Poisson-binomial
-// probability score. Build it with NewDensestQuery; it is immutable after
-// construction and safe for concurrent use.
+// expected density), then every candidate gets a Poisson-binomial
+// probability score, within (m+1)·2⁻¹⁰²² of the exact tail up to float
+// rounding, m the candidate's internal edge count (see DenseSubgraph).
+// Build it with NewDensestQuery; it is immutable after construction and
+// safe for concurrent use.
 //
 // Like quasi-clique mining, the answer needs global knowledge (the score
 // threshold is a whole-family property), so the mining runs to completion

@@ -2,6 +2,7 @@ package udensest
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -228,4 +229,53 @@ func TestRunAllocatesPerCandidate(t *testing.T) {
 		t.Fatalf("densest run on BA800 allocated %.0f objects for %d candidates, want ≤ %.0f", allocs, stats.Candidates, limit)
 	}
 	t.Logf("%.0f allocations, %d candidates", allocs, stats.Candidates)
+}
+
+// cancelAtPoll reads as canceled from its at-th Err call on. RunControl.Poll
+// calls Err once per poll, so this cancels a run at a chosen poll.
+type cancelAtPoll struct {
+	context.Context
+	calls, at int
+}
+
+func (c *cancelAtPoll) Err() error {
+	c.calls++
+	if c.calls >= c.at {
+		return context.Canceled
+	}
+	return c.Context.Err()
+}
+
+// TestScoringPolls cancels a BA800 run at its first and at its second
+// run-control poll after the peel. BA800 is one component, so its family is
+// one chain, and only polls inside the chain can see either cancel: the run
+// must return context.Canceled with candidates left unscored. A scorer that
+// never polled, or polled only between chains, would finish the chain; one
+// that polled once before each chain would see the first cancel but not the
+// second.
+func TestScoringPolls(t *testing.T) {
+	g := gen.BA(800, 41)
+	if g.NumComponents() != 1 {
+		t.Fatalf("BA800 has %d components", g.NumComponents())
+	}
+	full, err := RunContext(context.Background(), g, Config{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The run polls once before it starts, then every abortCheckInterval
+	// peel steps.
+	peelPolls := 1 + int(full.PeelSteps)/abortCheckInterval
+	for _, after := range []int{1, 2} {
+		base, cancel := context.WithCancel(context.Background())
+		stats, err := RunContext(&cancelAtPoll{Context: base, at: peelPolls + after}, g, Config{}, nil)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("poll %d after the peel: err %v, want context.Canceled", after, err)
+		}
+		if stats.PeelSteps != full.PeelSteps || stats.Scored >= int64(stats.Candidates) {
+			t.Fatalf("poll %d after the peel: canceled after %d peel steps with %d of %d candidates scored, want %d and fewer",
+				after, stats.PeelSteps, stats.Scored, stats.Candidates, full.PeelSteps)
+		}
+		t.Logf("poll %d after the peel: %d of %d candidates scored", after, stats.Scored, stats.Candidates)
+	}
 }

@@ -13,7 +13,8 @@ import (
 // and the band-limited scorer replaced, as the reference of the
 // differential tests: every vertex owns a mutable neighbour → probability
 // map, candidates are copied out of the peel order and sorted, membership
-// while scoring is a map, every DP entry is updated for every edge, and the
+// while scoring is a map, every DP entry is updated for every edge (the
+// scorer's flush of subnormal band ends is the one rule it shares), and the
 // family is ordered with sort.Slice.
 
 type refPeeler struct {
@@ -147,6 +148,14 @@ func refScoreChain(g *uncertain.Graph, chain []Candidate, dstar float64, stats *
 					dist[j] = dist[j]*(1-p) + dist[j-1]*p
 				}
 				dist[0] *= 1 - p
+				// The miner's flush: entries below flushFloor at either end
+				// of the nonzero part become +0.
+				for j := 0; j < len(dist) && dist[j] < flushFloor; j++ {
+					dist[j] = 0
+				}
+				for j := len(dist) - 1; j >= 0 && dist[j] < flushFloor; j-- {
+					dist[j] = 0
+				}
 			}
 		}
 		k := int(math.Ceil(dstar*float64(len(chain[i].Vertices)) - 1e-9))

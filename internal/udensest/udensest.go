@@ -4,8 +4,9 @@
 // min-expected-degree peeling builds a small family of candidate subgraphs
 // (Charikar's argument gives the family's best member a 2-approximation of
 // the maximum expected density), and each candidate is then scored with the
-// exact probability — under the independent-edge model — that it realizes
-// the family's champion density in a sampled world.
+// probability — under the independent-edge model — that it realizes the
+// family's champion density in a sampled world, computed by a float64 DP
+// that flushes its subnormal band ends (see Candidate for the bound).
 //
 // The peeling runs per support component (a densest subgraph never spans
 // two components: the density of a disjoint union is at most the larger of
@@ -44,7 +45,7 @@ type Config struct {
 type Stats struct {
 	Status      core.RunStatus // how the run ended
 	PeelSteps   int64          // vertices peeled (the charged work unit)
-	Scored      int64          // candidates given an exact probability score
+	Scored      int64          // candidates given a probability score
 	Emitted     int64          // candidates reported to the visitor
 	Candidates  int            // size of the candidate prefix family
 	BestDensity float64        // champion expected density d̂ across the family
@@ -52,10 +53,17 @@ type Stats struct {
 
 // Candidate is one member of the peel family: a vertex set, its expected
 // density (sum of internal edge probabilities over the vertex count), and
-// the exact probability that its realized internal edge count reaches
-// ⌈d̂·|S|⌉ edges, where d̂ is the family's best expected density. The
-// candidate maximizing that probability is the most probable densest
-// subgraph of the family. Vertices is sorted ascending and caller-owned.
+// the probability that its realized internal edge count reaches ⌈d̂·|S|⌉
+// edges, where d̂ is the family's best expected density. The candidate
+// maximizing that probability is the most probable densest subgraph of the
+// family. Vertices is sorted ascending and caller-owned.
+//
+// Probability comes from a float64 Poisson-binomial DP that flushes entries
+// below 2⁻¹⁰²², the smallest normal float64, to zero at the ends of its
+// band. With m the candidate's internal edge count, it differs from the
+// exact tail by a relative rounding error of order m·2⁻⁵³ plus at most
+// (m+1)·2⁻¹⁰²² of flushed mass: a tail far above (m+1)·2⁻¹⁰²² keeps its
+// relative precision, and one below it may read 0.
 type Candidate struct {
 	Vertices        []int
 	ExpectedDensity float64
@@ -72,6 +80,10 @@ type Visitor func(Candidate) bool
 // updates — heavier than a clique search node — so the cadence matches
 // ucore's 64 rather than the kernel's 1024.
 const abortCheckInterval = 64
+
+// flushFloor is the smallest normal float64, 2⁻¹⁰²². The scoring DP sets
+// an entry at either end of its band below it to +0 (see scoreChain).
+const flushFloor = 0x1p-1022
 
 // Validate checks the (graph, config) pair every entry point accepts,
 // wrapping the first violation around the matching sentinel.
@@ -278,11 +290,23 @@ type scorer struct {
 // near-full suffixes on a preferential-attachment graph) the dominant term
 // of the run.
 //
-// Only the DP's nonzero band [lo, hi] is updated. Far from the mean the
-// distribution underflows to exactly +0, and an entry whose own and lower
-// neighbour's values are +0 stays +0 under x·(1−p) + y·p, so skipping it
-// leaves every entry, and every tail sum, bit-identical to the full update.
-// The band grows by one per edge and shrinks past entries that underflow.
+// Only the DP's band [lo, hi] is updated. Every entry outside it is +0,
+// and an entry whose own and lower neighbour's values are +0 stays +0 under
+// x·(1−p) + y·p, so skipping it changes nothing. After each edge's update,
+// an entry at either end of the band below flushFloor is set to +0 and the
+// band shrinks past it. Far from the mean the distribution decays through
+// ~1,000 binary orders before it underflows, and arithmetic on the
+// subnormal entries on the way took about two thirds of the scoring time.
+//
+// The flush bounds its own error. The band starts one entry wide, grows by
+// one per edge and loses one per flush, so after m edges at most m flushes
+// have each removed an entry below flushFloor. Each update is a convex
+// combination, which never amplifies the mass taken out, so a candidate
+// with m internal edges reads within m·flushFloor of the unflushed DP in
+// exact arithmetic. The stated bound, (m+1)·flushFloor, leaves one
+// flushFloor for products that round in the subnormal range (each off by
+// at most 2⁻¹⁰⁷⁵). Both sit beside the DP's relative rounding error, of
+// order m·2⁻⁵³.
 //
 // Run-control polls are woven through the edge loop so a deadline or
 // cancellation aborts mid-score; ok is false on abort. Nothing is charged
@@ -320,18 +344,25 @@ func (s *scorer) scoreChain(chain []Candidate, dstar float64) bool {
 					}
 				}
 				p := probs[r]
+				q := 1 - p
 				dist = append(dist, 0)
 				hi++
-				for j := hi; j >= max(lo, 1); j-- {
-					dist[j] = dist[j]*(1-p) + dist[j-1]*p
+				// Each entry's lower neighbour is loaded once and carried
+				// down as the next entry's own value. Below lo every entry
+				// is +0, so dist[lo] takes x·(1−p) alone.
+				x := dist[hi]
+				for j := hi; j > lo; j-- {
+					y := dist[j-1]
+					dist[j] = x*q + y*p
+					x = y
 				}
-				if lo == 0 {
-					dist[0] *= 1 - p
-				}
-				for lo < hi && dist[lo] == 0 {
+				dist[lo] = x * q
+				for lo < hi && dist[lo] < flushFloor {
+					dist[lo] = 0
 					lo++
 				}
-				for hi > lo && dist[hi] == 0 {
+				for hi > lo && dist[hi] < flushFloor {
+					dist[hi] = 0
 					hi--
 				}
 			}
@@ -357,8 +388,8 @@ func (s *scorer) scoreChain(chain []Candidate, dstar float64) bool {
 	return true
 }
 
-// scoreAll fills every candidate's Probability: the exact chance its
-// realized edge count reaches ⌈dstar·|S|⌉. Candidates arrive as
+// scoreAll fills every candidate's Probability: the chance its realized
+// edge count reaches ⌈dstar·|S|⌉, within Candidate's bound. Candidates arrive as
 // concatenated nested chains — one per peeled component — and the chain
 // boundaries are re-detected here with the subset test rather than carried
 // alongside, so the sharded driver's completion-order concatenation scores

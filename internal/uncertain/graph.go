@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -217,31 +218,99 @@ func FromSortedAdjacency(n int, offsets []int32, nbrs []int32, probs []float64) 
 			offsets[n], len(nbrs), len(probs))
 	}
 	g := &Graph{n: n, offsets: offsets, nbrs: nbrs, probs: probs}
-	for u := 0; u < n; u++ {
-		lo, hi := offsets[u], offsets[u+1]
-		if lo > hi {
-			return nil, fmt.Errorf("uncertain: offsets decrease at vertex %d", u)
-		}
-		for i := lo; i < hi; i++ {
-			v := nbrs[i]
-			if int(v) < 0 || int(v) >= n {
-				return nil, fmt.Errorf("uncertain: row %d neighbor %d outside [0,%d): %w", u, v, n, ErrVertexRange)
-			}
-			if int(v) == u {
-				return nil, fmt.Errorf("uncertain: edge {%d,%d}: %w", u, u, ErrSelfLoop)
-			}
-			if i > lo && nbrs[i-1] >= v {
-				return nil, fmt.Errorf("uncertain: row %d not strictly ascending at %d", u, v)
-			}
-			if err := validProb(probs[i]); err != nil {
-				return nil, fmt.Errorf("uncertain: edge {%d,%d}: %w", u, v, err)
-			}
-			if p, ok := g.Prob(u, int(v)); !ok || p != probs[i] {
-				return nil, fmt.Errorf("uncertain: edge {%d,%d} not symmetric", u, v)
-			}
+	if !g.wellFormed() {
+		if err := g.fault(); err != nil {
+			return nil, err
 		}
 	}
 	return g, nil
+}
+
+// wellFormed reports whether g's CSR arrays hold every Graph invariant, in
+// O(n + m log d) without allocating. Each row is checked slot by slot, and
+// each edge once more from its lower endpoint u: a binary search of the
+// upper endpoint's row must find u with the same probability. That pairs
+// every upper slot with a distinct lower slot, so equal counts of the two
+// leave no lower slot unpaired.
+func (g *Graph) wellFormed() bool {
+	for u := 0; u < g.n; u++ {
+		if g.offsets[u] > g.offsets[u+1] {
+			return false
+		}
+	}
+	upper, lower := 0, 0
+	for u := 0; u < g.n; u++ {
+		lo, hi := g.offsets[u], g.offsets[u+1]
+		for i := lo; i < hi; i++ {
+			v, p := g.nbrs[i], g.probs[i]
+			if v < 0 || int(v) >= g.n || int(v) == u || (i > lo && g.nbrs[i-1] >= v) || !(p > 0 && p <= 1) {
+				return false
+			}
+			if int(v) < u {
+				lower++
+				continue
+			}
+			// Row v is not checked yet; a search that misses in a disordered
+			// row only sends the input to fault.
+			a, b := g.offsets[v], g.offsets[v+1]
+			for a < b {
+				m := int32(uint32(a+b) >> 1)
+				if int(g.nbrs[m]) < u {
+					a = m + 1
+				} else {
+					b = m
+				}
+			}
+			if a == g.offsets[v+1] || int(g.nbrs[a]) != u || g.probs[a] != p {
+				return false
+			}
+			upper++
+		}
+	}
+	return upper == lower
+}
+
+// fault names the first slot, in row order, that breaks a Graph invariant,
+// or returns nil if there is none. The first loop reports what
+// FromSortedAdjacency has always reported. Its symmetry test calls Prob,
+// which searches the shorter row, so for an edge whose two rows are equally
+// long each slot finds itself; the second loop looks up every reciprocal.
+func (g *Graph) fault() error {
+	offsets, nbrs, probs := g.offsets, g.nbrs, g.probs
+	for u := 0; u < g.n; u++ {
+		lo, hi := offsets[u], offsets[u+1]
+		if lo > hi {
+			return fmt.Errorf("uncertain: offsets decrease at vertex %d", u)
+		}
+		for i := lo; i < hi; i++ {
+			v := nbrs[i]
+			if int(v) < 0 || int(v) >= g.n {
+				return fmt.Errorf("uncertain: row %d neighbor %d outside [0,%d): %w", u, v, g.n, ErrVertexRange)
+			}
+			if int(v) == u {
+				return fmt.Errorf("uncertain: edge {%d,%d}: %w", u, u, ErrSelfLoop)
+			}
+			if i > lo && nbrs[i-1] >= v {
+				return fmt.Errorf("uncertain: row %d not strictly ascending at %d", u, v)
+			}
+			if err := validProb(probs[i]); err != nil {
+				return fmt.Errorf("uncertain: edge {%d,%d}: %w", u, v, err)
+			}
+			if p, ok := g.Prob(u, int(v)); !ok || p != probs[i] {
+				return fmt.Errorf("uncertain: edge {%d,%d} not symmetric", u, v)
+			}
+		}
+	}
+	for u := 0; u < g.n; u++ {
+		row, pr := g.Adjacency(u)
+		for i, v := range row {
+			back, bp := g.Adjacency(int(v))
+			if j, ok := slices.BinarySearch(back, int32(u)); !ok || bp[j] != pr[i] {
+				return fmt.Errorf("uncertain: edge {%d,%d} not symmetric", u, v)
+			}
+		}
+	}
+	return nil
 }
 
 // prunedCopy returns the graph with every directed slot rejected by keep

@@ -1,9 +1,11 @@
 package uncertain
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -407,5 +409,126 @@ func TestAdjacencySuffix(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestFromSortedAdjacencyErrors pins every rejection of FromSortedAdjacency:
+// its text, its sentinel, and which fault it names when several are
+// present (the first slot in row order, each slot checked for range,
+// self-loop, order, probability and then its reciprocal). A valid input is
+// adopted as given.
+func TestFromSortedAdjacencyErrors(t *testing.T) {
+	cases := []struct {
+		name    string
+		n       int
+		offsets []int32
+		nbrs    []int32
+		probs   []float64
+		want    string
+		is      error
+	}{
+		{"negative n", -1, nil, nil, nil, "uncertain: malformed offsets (n=-1, len=0)", nil},
+		{"offsets length", 2, []int32{0, 0}, nil, nil, "uncertain: malformed offsets (n=2, len=2)", nil},
+		{"offsets start", 1, []int32{1, 1}, []int32{0}, []float64{1}, "uncertain: malformed offsets (n=1, len=2)", nil},
+		{"offsets end", 2, []int32{0, 1, 2}, []int32{1}, []float64{0.5}, "uncertain: offsets end 2 but 1 neighbors, 1 probs", nil},
+		{"probs length", 2, []int32{0, 1, 2}, []int32{1, 0}, []float64{0.5}, "uncertain: offsets end 2 but 2 neighbors, 1 probs", nil},
+		{"offsets decrease", 2, []int32{0, -1, 0}, nil, nil, "uncertain: offsets decrease at vertex 0", nil},
+		{"offsets decrease later", 3, []int32{0, 1, 0, 2}, []int32{2, 0}, []float64{0.5, 0.5}, "uncertain: offsets decrease at vertex 1", nil},
+		{"range high", 2, []int32{0, 1, 1}, []int32{5}, []float64{0.5}, "uncertain: row 0 neighbor 5 outside [0,2): vertex out of range", ErrVertexRange},
+		{"range negative", 2, []int32{0, 0, 1}, []int32{-1}, []float64{0.5}, "uncertain: row 1 neighbor -1 outside [0,2): vertex out of range", ErrVertexRange},
+		{"self-loop", 2, []int32{0, 1, 1}, []int32{0}, []float64{0.5}, "uncertain: edge {0,0}: self-loop", ErrSelfLoop},
+		{"descending", 3, []int32{0, 2, 3, 4}, []int32{2, 1, 0, 0}, []float64{0.5, 0.5, 0.5, 0.5}, "uncertain: row 0 not strictly ascending at 1", nil},
+		{"duplicate", 2, []int32{0, 2, 4}, []int32{1, 1, 0, 0}, []float64{0.5, 0.5, 0.5, 0.5}, "uncertain: row 0 not strictly ascending at 1", nil},
+		{"probability zero", 2, []int32{0, 1, 2}, []int32{1, 0}, []float64{0, 0}, "uncertain: edge {0,1}: uncertain: probability 0: probability outside (0,1]", ErrProbRange},
+		{"probability above one", 2, []int32{0, 1, 2}, []int32{1, 0}, []float64{1.5, 1.5}, "uncertain: edge {0,1}: uncertain: probability 1.5: probability outside (0,1]", ErrProbRange},
+		{"probability NaN in the reciprocal", 2, []int32{0, 1, 2}, []int32{1, 0}, []float64{0.5, math.NaN()}, "uncertain: edge {1,0}: uncertain: probability NaN: probability outside (0,1]", ErrProbRange},
+		{"missing upper reciprocal", 2, []int32{0, 1, 1}, []int32{1}, []float64{0.5}, "uncertain: edge {0,1} not symmetric", nil},
+		{"missing lower reciprocal", 2, []int32{0, 0, 1}, []int32{0}, []float64{0.5}, "uncertain: edge {1,0} not symmetric", nil},
+		{"unequal reciprocal", 3, []int32{0, 2, 3, 4}, []int32{1, 2, 0, 0}, []float64{0.5, 0.5, 0.25, 0.5}, "uncertain: edge {0,1} not symmetric", nil},
+		{"unequal reciprocal at the lower slot", 3, []int32{0, 1, 3, 4}, []int32{1, 0, 2, 1}, []float64{0.5, 0.5, 0.25, 0.75}, "uncertain: edge {1,2} not symmetric", nil},
+		{"symmetry fault before a range fault", 3, []int32{0, 1, 1, 2}, []int32{1, 7}, []float64{0.5, 0.5}, "uncertain: edge {0,1} not symmetric", nil},
+		{"range fault before a symmetry fault", 3, []int32{0, 1, 1, 2}, []int32{7, 0}, []float64{0.5, 0.5}, "uncertain: row 0 neighbor 7 outside [0,3): vertex out of range", ErrVertexRange},
+	}
+	for _, c := range cases {
+		g, err := FromSortedAdjacency(c.n, c.offsets, c.nbrs, c.probs)
+		if err == nil || g != nil {
+			t.Fatalf("%s: got graph %v and error %v, want error %q", c.name, g != nil, err, c.want)
+		}
+		if err.Error() != c.want {
+			t.Fatalf("%s: error %q, want %q", c.name, err, c.want)
+		}
+		if c.is != nil && !errors.Is(err, c.is) {
+			t.Fatalf("%s: error %v does not wrap %v", c.name, err, c.is)
+		}
+	}
+	offsets, nbrs, probs := []int32{0, 2, 3, 4, 4}, []int32{1, 2, 0, 0}, []float64{0.5, 1, 0.5, 1}
+	g, err := FromSortedAdjacency(4, offsets, nbrs, probs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []Edge{{0, 1, 0.5}, {0, 2, 1}}; !reflect.DeepEqual(g.Edges(), want) || g.NumVertices() != 4 {
+		t.Fatalf("valid input: %d vertices, edges %v, want 4 and %v", g.NumVertices(), g.Edges(), want)
+	}
+}
+
+// TestFromSortedAdjacencyRejectsAsymmetry covers edges whose two rows are
+// equally long. The row-order walk alone accepted them: its symmetry test
+// called Prob, which searches the shorter row, and on a tie each slot found
+// itself.
+func TestFromSortedAdjacencyRejectsAsymmetry(t *testing.T) {
+	cases := []struct {
+		name    string
+		n       int
+		offsets []int32
+		nbrs    []int32
+		probs   []float64
+	}{
+		{"unequal reciprocal", 2, []int32{0, 1, 2}, []int32{1, 0}, []float64{0.5, 0.25}},
+		{"directed triangle", 3, []int32{0, 1, 2, 3}, []int32{1, 2, 0}, []float64{0.5, 0.5, 0.5}},
+	}
+	for _, c := range cases {
+		_, err := FromSortedAdjacency(c.n, c.offsets, c.nbrs, c.probs)
+		if want := "uncertain: edge {0,1} not symmetric"; err == nil || err.Error() != want {
+			t.Fatalf("%s: error %v, want %q", c.name, err, want)
+		}
+	}
+}
+
+// TestWellFormedMatchesFault changes one entry of a random graph's CSR
+// arrays at a time (a probability, a neighbour, or a row boundary moved by
+// one) and requires the fast check to accept exactly the inputs in which
+// fault finds nothing wrong.
+func TestWellFormedMatchesFault(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	accepted, rejected := 0, 0
+	for trial := 0; trial < 2000; trial++ {
+		g := randomUncertain(2+rng.Intn(12), rng.Float64(), rng)
+		h := &Graph{n: g.n, offsets: slices.Clone(g.offsets), nbrs: slices.Clone(g.nbrs), probs: slices.Clone(g.probs)}
+		if m := len(h.nbrs); m > 0 {
+			switch i := rng.Intn(m); rng.Intn(3) {
+			case 0:
+				h.probs[i] = dyadicProbs[rng.Intn(len(dyadicProbs))]
+			case 1:
+				h.nbrs[i] = int32(rng.Intn(h.n))
+			default:
+				if k := 1 + rng.Intn(h.n-1); h.offsets[k] < h.offsets[k+1] {
+					h.offsets[k]++
+				} else if h.offsets[k] > h.offsets[k-1] {
+					h.offsets[k]--
+				}
+			}
+		}
+		err := h.fault()
+		if h.wellFormed() != (err == nil) {
+			t.Fatalf("trial %d: wellFormed %v, fault %v", trial, h.wellFormed(), err)
+		}
+		if err == nil {
+			accepted++
+		} else {
+			rejected++
+		}
+	}
+	if accepted < 100 || rejected < 100 {
+		t.Fatalf("%d accepted and %d rejected inputs; want at least 100 of each", accepted, rejected)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"github.com/uncertain-graphs/mule/internal/core"
-	"github.com/uncertain-graphs/mule/internal/det"
 	"github.com/uncertain-graphs/mule/internal/uncertain"
 )
 
@@ -60,11 +59,51 @@ func TestUncertainBoundExceedsMoonMoser(t *testing.T) {
 	}
 }
 
-func TestMoonMoserBoundMatchesDet(t *testing.T) {
+// The Moon–Moser graph realizes the bound: the complete multipartite graph
+// on parts of 3, with the remainder as one part of 2 or two parts of 2, has
+// one maximal clique per choice of a vertex from every part.
+func TestMoonMoserBoundRealized(t *testing.T) {
 	for n := 1; n <= 20; n++ {
-		want := big.NewInt(int64(det.MoonMoserCount(n)))
-		if got := MoonMoserBound(n); got.Cmp(want) != 0 {
-			t.Errorf("MoonMoserBound(%d) = %v, want %v", n, got, want)
+		var parts []int
+		for rest := n; rest > 0; {
+			switch rest {
+			case 1, 2:
+				parts = append(parts, rest)
+				rest = 0
+			case 4:
+				parts = append(parts, 2, 2)
+				rest = 0
+			default:
+				parts = append(parts, 3)
+				rest -= 3
+			}
+		}
+		part := make([]int, 0, n)
+		for i, size := range parts {
+			for j := 0; j < size; j++ {
+				part = append(part, i)
+			}
+		}
+		b := uncertain.NewBuilder(n)
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				if part[u] != part[v] {
+					if err := b.AddEdge(u, v, 1); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		var count int64
+		if _, err := core.Enumerate(b.Build(), 1, func([]int, float64) bool {
+			count++
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if got := MoonMoserBound(n); got.Cmp(big.NewInt(count)) != 0 {
+			t.Errorf("MoonMoserBound(%d) = %v, but the Moon–Moser graph (parts %v) has %d maximal cliques",
+				n, got, parts, count)
 		}
 	}
 	if MoonMoserBound(0).Sign() != 0 {

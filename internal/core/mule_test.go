@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"github.com/uncertain-graphs/mule/internal/baseline"
-	"github.com/uncertain-graphs/mule/internal/det"
 	"github.com/uncertain-graphs/mule/internal/gen"
 	"github.com/uncertain-graphs/mule/internal/uncertain"
 )
@@ -74,24 +73,25 @@ func TestMULEMatchesDFSNOIP(t *testing.T) {
 }
 
 // At α = 1 only p(e)=1 edges matter and α-maximal cliques are exactly the
-// deterministic maximal cliques of that subgraph.
-func TestMULEAlphaOneMatchesBronKerbosch(t *testing.T) {
+// deterministic maximal cliques of that subgraph. The oracle sees only the
+// certain edges, so every product it compares is a product of 1.0s.
+func TestMULEAlphaOneMatchesCertainSubgraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(303))
 	for trial := 0; trial < 30; trial++ {
 		n := 4 + rng.Intn(12)
 		g := randomDyadic(n, 0.6, rng)
-		db := det.NewBuilder(n)
+		cb := uncertain.NewBuilder(n)
 		for _, e := range g.Edges() {
 			if e.P == 1 {
-				if err := db.AddEdge(e.U, e.V); err != nil {
+				if err := cb.AddEdge(e.U, e.V, 1); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
-		want := det.CollectMaximalCliques(db.Build())
+		want := baseline.BruteForce(cb.Build(), 1)
 		got := mustCollect(t, g, 1.0, Config{})
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("α=1 mismatch: MULE %v vs Bron–Kerbosch %v", got, want)
+			t.Fatalf("α=1 mismatch: MULE %v vs certain subgraph %v", got, want)
 		}
 	}
 }

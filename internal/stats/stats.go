@@ -1,7 +1,6 @@
 // Package stats provides the small numeric utilities the benchmark harness
-// needs: online moments (Welford), Pearson correlation (for the paper's
-// "runtime is proportional to output size" claim, Figure 4), and wall-clock
-// timing helpers.
+// needs: Pearson correlation (for the paper's "runtime is proportional to
+// output size" claim, Figure 4) and wall-clock timing helpers.
 package stats
 
 import (
@@ -9,57 +8,6 @@ import (
 	"math"
 	"time"
 )
-
-// Welford accumulates mean and variance in one pass, numerically stably.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-	min  float64
-	max  float64
-}
-
-// Add folds x into the accumulator.
-func (w *Welford) Add(x float64) {
-	w.n++
-	if w.n == 1 {
-		w.min, w.max = x, x
-	} else {
-		if x < w.min {
-			w.min = x
-		}
-		if x > w.max {
-			w.max = x
-		}
-	}
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the number of samples.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the sample mean (0 with no samples).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the unbiased sample variance (0 with fewer than two
-// samples).
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
-
-// Min returns the smallest sample (0 with no samples).
-func (w *Welford) Min() float64 { return w.min }
-
-// Max returns the largest sample (0 with no samples).
-func (w *Welford) Max() float64 { return w.max }
 
 // Pearson returns the sample correlation coefficient of the paired series,
 // or NaN if it is undefined (fewer than two points or zero variance).

@@ -6,40 +6,6 @@ import (
 	"time"
 )
 
-func TestWelfordKnownSeries(t *testing.T) {
-	var w Welford
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		w.Add(x)
-	}
-	if w.N() != 8 {
-		t.Fatalf("N = %d", w.N())
-	}
-	if math.Abs(w.Mean()-5) > 1e-12 {
-		t.Fatalf("Mean = %v, want 5", w.Mean())
-	}
-	// Population variance of this classic series is 4; unbiased = 32/7.
-	if math.Abs(w.Variance()-32.0/7.0) > 1e-12 {
-		t.Fatalf("Variance = %v, want %v", w.Variance(), 32.0/7.0)
-	}
-	if w.Min() != 2 || w.Max() != 9 {
-		t.Fatalf("Min/Max = %v/%v", w.Min(), w.Max())
-	}
-}
-
-func TestWelfordDegenerate(t *testing.T) {
-	var w Welford
-	if w.Mean() != 0 || w.Variance() != 0 || w.StdDev() != 0 {
-		t.Fatal("empty accumulator should be zero-valued")
-	}
-	w.Add(3)
-	if w.Variance() != 0 {
-		t.Fatal("single sample has zero variance")
-	}
-	if w.Mean() != 3 || w.Min() != 3 || w.Max() != 3 {
-		t.Fatal("single sample stats wrong")
-	}
-}
-
 func TestPearsonPerfectCorrelation(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
 	ys := []float64{10, 20, 30, 40}

@@ -32,15 +32,3 @@ func (g *Graph) Components() [][]int {
 	}
 	return out
 }
-
-// ComponentOf returns the vertices of u's support component, ascending.
-func (g *Graph) ComponentOf(u int) []int {
-	for _, comp := range g.Components() {
-		for _, v := range comp {
-			if v == u {
-				return comp
-			}
-		}
-	}
-	return nil
-}

@@ -27,9 +27,6 @@ func TestComponentsKnown(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Components = %v, want %v", got, want)
 	}
-	if got := g.ComponentOf(5); !reflect.DeepEqual(got, []int{4, 5}) {
-		t.Fatalf("ComponentOf(5) = %v", got)
-	}
 }
 
 func TestComponentsEmptyGraph(t *testing.T) {

@@ -270,18 +270,22 @@ func (g *Graph) wellFormed() bool {
 	return upper == lower
 }
 
-// fault names the first slot, in row order, that breaks a Graph invariant,
-// or returns nil if there is none. The first loop reports what
-// FromSortedAdjacency has always reported. Its symmetry test calls Prob,
-// which searches the shorter row, so for an edge whose two rows are equally
-// long each slot finds itself; the second loop looks up every reciprocal.
+// fault describes the first break of a Graph invariant, or returns nil if
+// there is none. It checks the offsets first, as wellFormed does: once they
+// never decrease and end at len(nbrs), every row lies in range. Its first
+// slot loop then names the first faulty slot in row order. That loop's
+// symmetry test calls Prob, which searches the shorter row, so for an edge
+// whose two rows are equally long each slot finds itself; the second slot
+// loop looks up every reciprocal.
 func (g *Graph) fault() error {
 	offsets, nbrs, probs := g.offsets, g.nbrs, g.probs
 	for u := 0; u < g.n; u++ {
-		lo, hi := offsets[u], offsets[u+1]
-		if lo > hi {
+		if offsets[u] > offsets[u+1] {
 			return fmt.Errorf("uncertain: offsets decrease at vertex %d", u)
 		}
+	}
+	for u := 0; u < g.n; u++ {
+		lo, hi := offsets[u], offsets[u+1]
 		for i := lo; i < hi; i++ {
 			v := nbrs[i]
 			if int(v) < 0 || int(v) >= g.n {

@@ -218,6 +218,62 @@ func TestCliqueProbMonotone(t *testing.T) {
 	}
 }
 
+// Observation 1 checked against exhaustive world enumeration: the product
+// formula equals the probability mass of the worlds in which set is a
+// clique. Edge i of g.Edges() is in the world of mask exactly when bit i is
+// set, so set is a clique in that world when every pair of it is an edge and
+// each such edge's bit is set.
+func TestObservation1ExactWorlds(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 25; trial++ {
+		n := 3 + rng.Intn(3) // ≤ 5 vertices → ≤ 10 edges → ≤ 1024 worlds
+		b := NewBuilder(n)
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				if rng.Float64() < 0.8 {
+					_ = b.AddEdge(u, v, 0.1+0.9*rng.Float64())
+				}
+			}
+		}
+		g := b.Build()
+		var set []int
+		in := make([]bool, n)
+		for v := 0; v < n; v++ {
+			if rng.Intn(2) == 0 {
+				set = append(set, v)
+				in[v] = true
+			}
+		}
+		edges := g.Edges()
+		need, pairs := 0, 0
+		for i, e := range edges {
+			if in[e.U] && in[e.V] {
+				need |= 1 << i
+				pairs++
+			}
+		}
+		exact := 0.0
+		for mask := 0; pairs == len(set)*(len(set)-1)/2 && mask < 1<<len(edges); mask++ {
+			if mask&need != need {
+				continue
+			}
+			pw := 1.0
+			for i, e := range edges {
+				if mask&(1<<i) != 0 {
+					pw *= e.P
+				} else {
+					pw *= 1 - e.P
+				}
+			}
+			exact += pw
+		}
+		if formula := g.CliqueProb(set); math.Abs(exact-formula) > 1e-9 {
+			t.Fatalf("trial %d: worlds %v vs product %v for set %v (edges %v)",
+				trial, exact, formula, set, edges)
+		}
+	}
+}
+
 func TestIsAlphaMaximalClique(t *testing.T) {
 	// Triangle with p=0.5 edges plus pendant edge p=0.25 at vertex 2.
 	g, _ := FromEdges(4, []Edge{
@@ -434,6 +490,8 @@ func TestFromSortedAdjacencyErrors(t *testing.T) {
 		{"probs length", 2, []int32{0, 1, 2}, []int32{1, 0}, []float64{0.5}, "uncertain: offsets end 2 but 2 neighbors, 1 probs", nil},
 		{"offsets decrease", 2, []int32{0, -1, 0}, nil, nil, "uncertain: offsets decrease at vertex 0", nil},
 		{"offsets decrease later", 3, []int32{0, 1, 0, 2}, []int32{2, 0}, []float64{0.5, 0.5}, "uncertain: offsets decrease at vertex 1", nil},
+		{"offsets decrease after a row that reaches past them", 3, []int32{0, 3, 1, 3}, []int32{1, 2, 0}, []float64{0.5, 0.5, 0.5}, "uncertain: offsets decrease at vertex 1", nil},
+		{"offsets decrease after a row that ends past len(nbrs)", 2, []int32{0, 5, 3}, []int32{1, 0, 0}, []float64{0.5, 0.5, 0.5}, "uncertain: offsets decrease at vertex 1", nil},
 		{"range high", 2, []int32{0, 1, 1}, []int32{5}, []float64{0.5}, "uncertain: row 0 neighbor 5 outside [0,2): vertex out of range", ErrVertexRange},
 		{"range negative", 2, []int32{0, 0, 1}, []int32{-1}, []float64{0.5}, "uncertain: row 1 neighbor -1 outside [0,2): vertex out of range", ErrVertexRange},
 		{"self-loop", 2, []int32{0, 1, 1}, []int32{0}, []float64{0.5}, "uncertain: edge {0,0}: self-loop", ErrSelfLoop},

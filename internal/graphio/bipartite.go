@@ -91,11 +91,15 @@ func LoadBipartite(r io.Reader) (*ubiclique.Bipartite, error) {
 
 // ReadBipartiteText parses the bipartite text format. The "bipartite nL nR"
 // directive must precede every edge line. Lines are tokenized in place by
-// the tokenizer the unipartite text format uses (lineFields).
+// the tokenizer the unipartite text format uses (lineFields). The side sizes
+// are checked as the unipartite vertex count is (checkVertices): nL + nR must
+// number int32 IDs, and may not exceed 2m + 2²⁰ for m edges.
 func ReadBipartiteText(r io.Reader) (*ubiclique.Bipartite, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	var b *ubiclique.Builder
+	var nL, nR int
+	edges := int64(0)
 	line := 0
 	var lf lineFields
 	for sc.Scan() {
@@ -111,13 +115,17 @@ func ReadBipartiteText(r io.Reader) (*ubiclique.Bipartite, error) {
 			if lf.n != 3 {
 				return nil, fmt.Errorf("graphio: line %d: want 'bipartite nL nR'", line)
 			}
-			nL, err := strconv.Atoi(string(lf.field(1)))
+			var err error
+			nL, err = strconv.Atoi(string(lf.field(1)))
 			if err != nil || nL < 0 {
 				return nil, fmt.Errorf("graphio: line %d: bad left size %q", line, lf.field(1))
 			}
-			nR, err := strconv.Atoi(string(lf.field(2)))
+			nR, err = strconv.Atoi(string(lf.field(2)))
 			if err != nil || nR < 0 {
 				return nil, fmt.Errorf("graphio: line %d: bad right size %q", line, lf.field(2))
+			}
+			if nL > maxEndpoint+1 || nR > maxEndpoint+1-nL {
+				return nil, fmt.Errorf("graphio: line %d: bipartite sides %d + %d exceed the vertex ID range", line, nL, nR)
 			}
 			b = ubiclique.NewBuilder(nL, nR)
 			continue
@@ -143,12 +151,16 @@ func ReadBipartiteText(r io.Reader) (*ubiclique.Bipartite, error) {
 		if err := b.AddEdge(l, rr, p); err != nil {
 			return nil, fmt.Errorf("graphio: line %d: %w", line, err)
 		}
+		edges++
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("graphio: %w", err)
 	}
 	if b == nil {
 		return nil, fmt.Errorf("graphio: missing bipartite directive")
+	}
+	if int64(nL+nR) > 2*edges+1<<20 {
+		return nil, fmt.Errorf("graphio: implausible bipartite sides: %d + %d vertices for %d edges", nL, nR, edges)
 	}
 	return b.Build(), nil
 }

@@ -9,7 +9,9 @@
 //
 // The "vertices N" directive is optional; without it the vertex count is
 // inferred as max endpoint + 1 (isolated trailing vertices then need the
-// directive). Edge lines are "u v p" with 0-based endpoints.
+// directive). Edge lines are "u v p" with 0-based endpoints. In every format
+// the vertex count may exceed twice the edge count by at most 2²⁰, as a
+// binary header's may.
 //
 // Binary (extension .ugb): "UGRF" magic, format version, then fixed-width
 // little-endian records — compact and fast for the larger Table 1 graphs.
@@ -71,10 +73,10 @@ func appendEdgeLine(line []byte, a, b int, p float64) []byte {
 
 // ReadText parses the text format. It is a wrapper over the streaming
 // scanner: edges flow straight into a two-pass CSR build (seekable inputs
-// are re-read, others replay a compact spool), so no edge list or adjacency
-// map is ever materialized.
+// are re-read, in parallel chunks when big enough, others replay a compact
+// spool), so no edge list or adjacency map is ever materialized.
 func ReadText(r io.Reader) (*uncertain.Graph, error) {
-	g, _, err := buildGraph(replayScan(r, scanText))
+	g, _, err := buildGraph(r, scanTextPass, scanWorkers(), minChunkBytes)
 	return g, err
 }
 
@@ -119,9 +121,9 @@ func WriteBinary(w io.Writer, g *uncertain.Graph) error {
 // seekable, and the vertex count may not wildly exceed what the edge count
 // could touch, so a corrupt header cannot demand an arbitrary make.
 func ReadBinary(r io.Reader) (*uncertain.Graph, error) {
-	g, _, err := buildGraph(replayScan(r, func(rr io.Reader, fn EdgeFunc) (Header, error) {
+	g, _, err := buildGraph(r, func(rr io.Reader, _ bool, fn EdgeFunc) (Header, error) {
 		return scanBinary(rr, remainingBytes(rr), fn)
-	}))
+	}, 1, 0)
 	return g, err
 }
 
@@ -186,9 +188,10 @@ func Load(r io.Reader) (*uncertain.Graph, error) {
 // ReadAny decodes a graph from r, sniffing gzip compression and the three
 // formats as LoadFile does. Load is the preferred name. Like every reader
 // here it is a wrapper over ScanEdges: seekable inputs (files, byte
-// readers) are parsed twice straight into the final CSR, non-seekable ones
-// spool decoded edges compactly for the second pass.
+// readers) are parsed twice straight into the final CSR, a big text file in
+// parallel chunks, and non-seekable ones spool decoded edges compactly for
+// the second pass.
 func ReadAny(r io.Reader) (*uncertain.Graph, error) {
-	g, _, err := buildGraph(replayScan(r, ScanEdges))
+	g, _, err := buildGraph(r, scanAny, scanWorkers(), minChunkBytes)
 	return g, err
 }

@@ -47,6 +47,8 @@ func WriteJSON(w io.Writer, g *uncertain.Graph) error {
 // fields are rejected so that structural typos surface as errors instead of
 // silently empty graphs.
 func ReadJSON(r io.Reader) (*uncertain.Graph, error) {
-	g, _, err := buildGraph(replayScan(r, scanJSON))
+	g, _, err := buildGraph(r, func(rr io.Reader, _ bool, fn EdgeFunc) (Header, error) {
+		return scanJSON(rr, fn)
+	}, 1, 0)
 	return g, err
 }

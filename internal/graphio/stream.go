@@ -2,6 +2,7 @@ package graphio
 
 import (
 	"bufio"
+	"bytes"
 	"compress/gzip"
 	"encoding/binary"
 	"encoding/json"
@@ -9,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"os"
 	"runtime"
 	"strconv"
@@ -51,14 +53,21 @@ const maxEndpoint = 1<<31 - 1
 
 // ScanEdges parses a graph from r edge by edge without materializing an edge
 // list, sniffing gzip compression and the three formats (binary "UGRF"
-// magic, leading '{' JSON, otherwise text) exactly like Load. Edges reach fn
-// in input order; validation here is purely syntactic (self-loops, duplicate
-// edges, and out-of-range probabilities are the graph builder's concern).
-// Binary header counts are validated against the remaining input size when r
-// is seekable, and against the declared edge count otherwise, so a corrupt
-// header cannot demand an arbitrarily large allocation from a consumer that
-// trusts the returned Header.
+// magic, leading '{' JSON, otherwise text) exactly like Load. It reads r once,
+// and edges reach fn in input order, from the calling goroutine. Validation
+// here is purely syntactic (self-loops, duplicate edges, and out-of-range
+// probabilities are the graph builder's concern). Binary header counts are
+// validated against the remaining input size when r is seekable, and against
+// the declared edge count otherwise, so a corrupt header cannot demand an
+// arbitrarily large allocation from a consumer that trusts the returned
+// Header.
 func ScanEdges(r io.Reader, fn EdgeFunc) (Header, error) {
+	return scanAny(r, false, fn)
+}
+
+// scanAny is ScanEdges with a count mode: with count set, a text input's
+// probabilities are not parsed (see scanTextPass).
+func scanAny(r io.Reader, count bool, fn EdgeFunc) (Header, error) {
 	remaining := remainingBytes(r)
 	br := bufio.NewReaderSize(r, 64*1024)
 	if head, err := br.Peek(2); err == nil && [2]byte(head) == gzipMagic {
@@ -78,7 +87,21 @@ func ScanEdges(r io.Reader, fn EdgeFunc) (Header, error) {
 	if head, err := br.Peek(1); err == nil && head[0] == '{' {
 		return scanJSON(br, fn)
 	}
-	return scanText(br, fn)
+	return scanTextPass(br, count, fn)
+}
+
+// sniffText reports whether an input starting with head is read as text:
+// ScanEdges takes it for neither gzip, binary nor JSON.
+func sniffText(head []byte) bool {
+	switch {
+	case len(head) >= 2 && [2]byte(head[:2]) == gzipMagic:
+		return false
+	case len(head) >= 4 && [4]byte(head[:4]) == binaryMagic:
+		return false
+	case len(head) >= 1 && head[0] == '{':
+		return false
+	}
+	return true
 }
 
 // remainingBytes reports how many bytes of r are left to read, or -1 when r
@@ -107,68 +130,169 @@ func remainingBytes(r io.Reader) int64 {
 // conversions that do not escape, so a line costs no allocation; the error
 // messages quote the same trimmed line and fields as strings.Fields would.
 func scanText(r io.Reader, fn EdgeFunc) (Header, error) {
+	return scanTextPass(r, false, fn)
+}
+
+// scanTextPass is scanText with a count mode: with count set, the third
+// field of an edge line is neither parsed nor validated, and fn receives
+// p = 0. A counting pass needs only the endpoints, and strconv.ParseFloat is
+// about half of a line's parse.
+func scanTextPass(r io.Reader, count bool, fn EdgeFunc) (Header, error) {
+	t := newTextPass()
+	if err := t.scan(r, count, fn); err != nil {
+		return t.h, err
+	}
+	return t.finish()
+}
+
+// textPass is what a text scan has learned so far: the header (Vertices is
+// the last directive's count, -1 before any directive), the largest
+// endpoint, and the number of lines read.
+type textPass struct {
+	h    Header
+	maxV int
+	line int
+}
+
+func newTextPass() textPass { return textPass{h: Header{Vertices: -1}, maxV: -1} }
+
+// scan reads r's lines into t, delivering each edge to fn. With count set it
+// skips the probability field, as scanTextPass describes.
+func (t *textPass) scan(r io.Reader, count bool, fn EdgeFunc) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	h := Header{Vertices: -1}
-	maxV := -1
-	line := 0
 	var lf lineFields
 	for sc.Scan() {
-		line++
-		lf.split(sc.Bytes())
-		if lf.n == 0 || lf.field(0)[0] == '#' {
-			continue
-		}
-		if string(lf.field(0)) == "vertices" {
-			if lf.n != 2 {
-				return h, fmt.Errorf("graphio: line %d: malformed vertices directive: %w", line, ErrFormat)
+		t.line++
+		line := sc.Bytes()
+		u, v, pf, ok := plainEdge(line)
+		if !ok {
+			lf.split(line)
+			if lf.n == 0 || lf.field(0)[0] == '#' {
+				continue
 			}
-			v, err := strconv.Atoi(string(lf.field(1)))
-			if err != nil || v < 0 {
-				return h, fmt.Errorf("graphio: line %d: bad vertex count %q: %w", line, lf.field(1), ErrFormat)
+			if string(lf.field(0)) == "vertices" {
+				if lf.n != 2 {
+					return fmt.Errorf("graphio: line %d: malformed vertices directive: %w", t.line, ErrFormat)
+				}
+				v, err := strconv.Atoi(string(lf.field(1)))
+				if err != nil || v < 0 {
+					return fmt.Errorf("graphio: line %d: bad vertex count %q: %w", t.line, lf.field(1), ErrFormat)
+				}
+				t.h.Vertices, t.h.Declared = v, true
+				continue
 			}
-			h.Vertices, h.Declared = v, true
-			continue
+			if lf.n != 3 {
+				return fmt.Errorf("graphio: line %d: want 'u v p', got %q: %w", t.line, lf.trimmed(), ErrFormat)
+			}
+			var err error
+			if u, err = strconv.Atoi(string(lf.field(0))); err != nil {
+				return fmt.Errorf("graphio: line %d: bad vertex %q: %w", t.line, lf.field(0), ErrFormat)
+			}
+			if v, err = strconv.Atoi(string(lf.field(1))); err != nil {
+				return fmt.Errorf("graphio: line %d: bad vertex %q: %w", t.line, lf.field(1), ErrFormat)
+			}
+			pf = lf.field(2)
 		}
-		if lf.n != 3 {
-			return h, fmt.Errorf("graphio: line %d: want 'u v p', got %q: %w", line, lf.trimmed(), ErrFormat)
-		}
-		u, err := strconv.Atoi(string(lf.field(0)))
-		if err != nil {
-			return h, fmt.Errorf("graphio: line %d: bad vertex %q: %w", line, lf.field(0), ErrFormat)
-		}
-		v, err := strconv.Atoi(string(lf.field(1)))
-		if err != nil {
-			return h, fmt.Errorf("graphio: line %d: bad vertex %q: %w", line, lf.field(1), ErrFormat)
-		}
-		p, err := strconv.ParseFloat(string(lf.field(2)), 64)
-		if err != nil {
-			return h, fmt.Errorf("graphio: line %d: bad probability %q: %w", line, lf.field(2), ErrFormat)
+		p := 0.0
+		if !count {
+			var err error
+			if p, err = strconv.ParseFloat(string(pf), 64); err != nil {
+				return fmt.Errorf("graphio: line %d: bad probability %q: %w", t.line, pf, ErrFormat)
+			}
 		}
 		if u < 0 || v < 0 || u > maxEndpoint || v > maxEndpoint {
-			return h, fmt.Errorf("graphio: line %d: vertex out of range: %w", line, ErrFormat)
+			return fmt.Errorf("graphio: line %d: vertex out of range: %w", t.line, ErrFormat)
 		}
-		if u > maxV {
-			maxV = u
-		}
-		if v > maxV {
-			maxV = v
-		}
-		h.Edges++
+		t.maxV = max(t.maxV, u, v)
+		t.h.Edges++
 		if err := fn(u, v, p); err != nil {
-			return h, err
+			return err
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return h, fmt.Errorf("graphio: %v: %w", err, ErrFormat)
+		return fmt.Errorf("graphio: %v: %w", err, ErrFormat)
 	}
-	if !h.Declared {
-		h.Vertices = maxV + 1
+	return nil
+}
+
+// finish resolves the header once every line is read: without a directive,
+// the vertex count is max endpoint + 1.
+func (t *textPass) finish() (Header, error) {
+	if !t.h.Declared {
+		t.h.Vertices = t.maxV + 1
 	}
-	if maxV >= h.Vertices {
-		return h, fmt.Errorf("graphio: edge endpoint %d exceeds declared vertex count %d: %w", maxV, h.Vertices, ErrFormat)
+	if t.maxV >= t.h.Vertices {
+		return t.h, fmt.Errorf("graphio: edge endpoint %d exceeds declared vertex count %d: %w", t.maxV, t.h.Vertices, ErrFormat)
 	}
-	return h, nil
+	return t.h, nil
+}
+
+// merge folds into t the header and largest endpoint of the pass over the
+// lines that follow t's: edges add up, and a directive there overrides t's,
+// since the last one in the input wins.
+func (t *textPass) merge(next textPass) {
+	t.h.Edges += next.h.Edges
+	if next.h.Declared {
+		t.h.Vertices, t.h.Declared = next.h.Vertices, true
+	}
+	t.maxV = max(t.maxV, next.maxV)
+}
+
+// plainEdge parses, in one walk, the edge lines most files consist of:
+// optional ASCII white space, two runs of 1–9 ASCII digits and one run of
+// ASCII non-space bytes, with ASCII white space between the runs and nothing
+// but ASCII white space after them. It returns the endpoints and the third
+// field; ok is false for every other line, which lineFields and strconv
+// parse instead. On a line it accepts, strings.Fields finds the same three
+// fields and strconv.Atoi the same two values, and nine digits keep both
+// endpoints below maxEndpoint.
+func plainEdge(line []byte) (u, v int, p []byte, ok bool) {
+	i := skipSpace(line, 0)
+	if u, i = digitRun(line, i); i < 0 {
+		return 0, 0, nil, false
+	}
+	j := skipSpace(line, i)
+	if j == i {
+		return 0, 0, nil, false
+	}
+	if v, i = digitRun(line, j); i < 0 {
+		return 0, 0, nil, false
+	}
+	j = skipSpace(line, i)
+	if j == i {
+		return 0, 0, nil, false
+	}
+	i = j
+	for i < len(line) && byteClass[line[i]] == fieldByte {
+		i++
+	}
+	if i == j || skipSpace(line, i) != len(line) {
+		return 0, 0, nil, false
+	}
+	return u, v, line[j:i], true
+}
+
+// digitRun reads up to nine ASCII digits of b from i, returning their value
+// and the index after them, or -1 when there are none.
+func digitRun(b []byte, i int) (n, next int) {
+	start := i
+	for ; i < len(b) && i-start < 9 && b[i]-'0' <= 9; i++ {
+		n = n*10 + int(b[i]-'0')
+	}
+	if i == start {
+		return 0, -1
+	}
+	return n, i
+}
+
+// skipSpace returns the index of the first byte of b from i on that is not
+// ASCII white space.
+func skipSpace(b []byte, i int) int {
+	for i < len(b) && byteClass[b[i]] == spaceByte {
+		i++
+	}
+	return i
 }
 
 func scanBinary(r io.Reader, remaining int64, fn EdgeFunc) (Header, error) {
@@ -325,29 +449,298 @@ func scanJSON(r io.Reader, fn EdgeFunc) (Header, error) {
 	return h, nil
 }
 
-// replayScan adapts r to the replayable two-pass contract of
-// uncertain.FromEdgeScanner. Seekable readers rewind and re-parse — nothing
-// but the finished CSR is ever resident. Non-seekable readers spool the
-// decoded edges on the first pass (~20 bytes/edge, far below the adjacency-
-// map builder this replaces) and replay the spool.
-func replayScan(r io.Reader, scan func(io.Reader, EdgeFunc) (Header, error)) edgeScan {
-	if s, ok := r.(io.ReadSeeker); ok {
-		if pos, err := s.Seek(0, io.SeekCurrent); err == nil {
-			return func(fn EdgeFunc) (Header, error) {
-				if _, err := s.Seek(pos, io.SeekStart); err != nil {
-					return Header{}, fmt.Errorf("graphio: rewinding input: %w", err)
-				}
-				return scan(s, fn)
+// parser parses one whole input, as ScanEdges does. With count set, a text
+// input's probabilities are not parsed: fn receives p = 0 for each edge.
+type parser func(r io.Reader, count bool, fn EdgeFunc) (Header, error)
+
+// minChunkBytes is the smallest text input buildGraph splits across CPUs.
+// Below it, the goroutines and per-chunk degree arrays cost about what the
+// split saves.
+const minChunkBytes = 64 << 10
+
+// scanWorkers is the number of CPUs a load or a component labelling may use.
+func scanWorkers() int { return min(runtime.GOMAXPROCS(0), maxScanWorkers) }
+
+// buildGraph parses r into its CSR in two passes: a count pass that sizes
+// every row, then uncertain.FromDegrees's fill pass, which validates every
+// edge as it places it. How the passes read r depends on r:
+//
+//   - A seekable input is rewound for the second pass. Its count pass parses
+//     the endpoints only and validates nothing (parse's count mode). A text
+//     input that is also an io.ReaderAt, that holds at least minBytes and
+//     that sniffs as uncompressed text is cut at line starts into up to
+//     workers chunks, and both passes run every chunk at once (buildChunks).
+//     Everything else is one chunk.
+//   - Such a load reports the first error it meets, not the first error in
+//     the input, and a chunk counts lines from its own start. So on any
+//     failure the load runs again as one chunk, with every edge parsed and
+//     validated in the count pass (buildStream with checked set). That
+//     sequence reports the input's first fault, as the parse meets it.
+//   - A non-seekable input, such as an HTTP request body, runs that checked
+//     sequence straight away. Its count pass spools the decoded edges, ~16
+//     bytes each, and the fill replays the spool.
+//
+// Beyond the finished CSR, a load holds about 2·chunks int32 per vertex while
+// it runs: a degree array per chunk, and one more per chunk but the last
+// (FromDegrees). The degree arrays grow with the largest endpoint seen, up to
+// the bound degreeCounter keeps until checkVertices has checked the count.
+func buildGraph(r io.Reader, parse parser, workers int, minBytes int64) (*uncertain.Graph, Header, error) {
+	s, ok := r.(io.ReadSeeker)
+	var pos int64
+	if ok {
+		var err error
+		pos, err = s.Seek(0, io.SeekCurrent)
+		ok = err == nil
+	}
+	if !ok {
+		return buildStream(spoolScan(r, parse), true)
+	}
+	rewound := func(count bool, fn EdgeFunc) (Header, error) {
+		if _, err := s.Seek(pos, io.SeekStart); err != nil {
+			return Header{}, fmt.Errorf("graphio: rewinding input: %w", err)
+		}
+		return parse(s, count, fn)
+	}
+	var g *uncertain.Graph
+	var hdr Header
+	var err error
+	if ra, cuts := planChunks(s, pos, workers, minBytes); cuts != nil {
+		g, hdr, err = buildChunks(ra, cuts)
+	} else {
+		g, hdr, err = buildStream(rewound, false)
+	}
+	if err == nil {
+		return g, hdr, nil
+	}
+	return buildStream(rewound, true)
+}
+
+// buildStream builds the CSR from one stream that scan parses twice. The
+// count pass runs in parse's count mode unless checked is set; then it
+// parses every edge whole and validates it with uncertain.CheckEdge, so the
+// load fails on the input's first bad line or edge.
+func buildStream(scan func(count bool, fn EdgeFunc) (Header, error), checked bool) (*uncertain.Graph, Header, error) {
+	var c degreeCounter
+	hdr, err := scan(!checked, func(u, v int, p float64) error {
+		if checked {
+			if err := uncertain.CheckEdge(u, v, p); err != nil {
+				return err
 			}
 		}
+		c.add(u, v)
+		return nil
+	})
+	if err != nil {
+		return nil, hdr, err
 	}
+	if err := checkVertices(hdr); err != nil {
+		return nil, hdr, err
+	}
+	if 2*hdr.Edges > math.MaxInt32 {
+		return nil, hdr, fmt.Errorf("uncertain: %d edges exceed the CSR index range", hdr.Edges)
+	}
+	g, err := uncertain.FromDegrees([][]int32{c.degrees(hdr.Vertices)}, []uncertain.EdgeScan{
+		func(emit func(u, v int, p float64) error) (int, error) {
+			h, err := scan(false, emit)
+			return h.Vertices, err
+		},
+	})
+	if err != nil {
+		return nil, hdr, err
+	}
+	return g, hdr, nil
+}
+
+// checkVertices rejects a vertex count, declared or inferred as max
+// endpoint + 1, that the edges cannot justify, by the binary header's rule:
+// more than 2m + 2²⁰ vertices for m edges, or more than the int32 vertex IDs
+// can number. Counts are checked once the scan knows m, before anything of
+// their size is allocated.
+func checkVertices(h Header) error {
+	if h.Vertices > maxEndpoint+1 || int64(h.Vertices) > 2*h.Edges+1<<20 {
+		return fmt.Errorf("graphio: implausible vertex count: %d vertices for %d edges: %w", h.Vertices, h.Edges, ErrFormat)
+	}
+	return nil
+}
+
+// degreeCounter counts the degrees of one pass's edges. Its array covers the
+// endpoints seen so far, but only up to 2k + 2²⁰ after k edges: an edge with a
+// larger endpoint waits in far until the scan has checked every endpoint
+// against the vertex count and checkVertices has bounded that count. So an
+// input of a few bytes that names a huge endpoint fails without allocating
+// that endpoint's array, and one that names its high IDs first holds at most
+// 8 bytes per edge more.
+type degreeCounter struct {
+	deg   []int32
+	far   []int32 // endpoints of the waiting edges, two per edge
+	edges int64
+}
+
+func (c *degreeCounter) add(u, v int) {
+	c.edges++
+	if hi := max(u, v); hi >= len(c.deg) {
+		if int64(hi) >= 2*c.edges+1<<20 {
+			c.far = append(c.far, int32(u), int32(v))
+			return
+		}
+		c.deg = growDegrees(c.deg, hi+1)
+	}
+	c.deg[u]++
+	c.deg[v]++
+}
+
+// degrees returns the counted degrees on n vertices. n exceeds every
+// endpoint: the scan checked them all.
+func (c *degreeCounter) degrees(n int) []int32 {
+	deg := growDegrees(c.deg, n)
+	for _, x := range c.far {
+		deg[x]++
+	}
+	return deg
+}
+
+// growDegrees extends deg to n entries, zero beyond its old length. Its
+// capacity grows to a power of two, so endpoints that rise through the input
+// cost O(n) copying in total, and how often a pass allocates depends only on
+// the powers of two its endpoints cross.
+func growDegrees(deg []int32, n int) []int32 {
+	if n > cap(deg) {
+		grown := make([]int32, len(deg), max(1<<bits.Len(uint(n-1)), 256))
+		copy(grown, deg)
+		deg = grown
+	}
+	return deg[:n]
+}
+
+// planChunks returns the chunk plan for the input r from pos on: the
+// boundaries of up to workers byte ranges, each starting at a line start, or
+// nil when the input is one chunk. It splits only an io.ReaderAt of known
+// size that holds at least minBytes and sniffs as uncompressed text; how
+// many chunks it cuts does not depend on the size.
+func planChunks(r io.ReadSeeker, pos int64, workers int, minBytes int64) (io.ReaderAt, []int64) {
+	ra, ok := r.(io.ReaderAt)
+	size := remainingBytes(r)
+	if !ok || workers < 2 || size < max(minBytes, 1) {
+		return nil, nil
+	}
+	var head [4]byte
+	n, err := ra.ReadAt(head[:min(size, 4)], pos)
+	if err != nil || !sniffText(head[:n]) {
+		return nil, nil
+	}
+	cuts := make([]int64, workers+1)
+	cuts[0], cuts[workers] = pos, pos+size
+	buf := make([]byte, 512)
+	for k := 1; k < workers; k++ {
+		// lineStart reads the byte before c, so c stays past pos.
+		c := max(pos+size*int64(k)/int64(workers), cuts[k-1], pos+1)
+		if cuts[k], err = lineStart(ra, c, pos+size, buf); err != nil {
+			return nil, nil
+		}
+	}
+	return ra, cuts
+}
+
+// lineStart returns the first line start at or after off (pos < off ≤ end):
+// the offset just past the first newline at or after off−1, or end when
+// there is none.
+func lineStart(ra io.ReaderAt, off, end int64, buf []byte) (int64, error) {
+	for at := off - 1; at < end; {
+		n, err := ra.ReadAt(buf[:min(int64(len(buf)), end-at)], at)
+		if i := bytes.IndexByte(buf[:n], '\n'); i >= 0 {
+			return at + int64(i) + 1, nil
+		}
+		if n == 0 {
+			if err == nil {
+				err = io.ErrNoProgress
+			}
+			return 0, err
+		}
+		at += int64(n)
+	}
+	return end, nil
+}
+
+// buildChunks runs buildGraph's two passes over the text chunks
+// [cuts[k], cuts[k+1]) of ra, every chunk at once. Each chunk counts into a
+// degree array of its own, and the merged header takes the last vertices
+// directive in input order (max endpoint + 1 without one). Its errors are
+// not the checked sequence's, so buildGraph re-runs the load on any failure.
+func buildChunks(ra io.ReaderAt, cuts []int64) (*uncertain.Graph, Header, error) {
+	w := len(cuts) - 1
+	chunk := func(k int) io.Reader { return io.NewSectionReader(ra, cuts[k], cuts[k+1]-cuts[k]) }
+	passes := make([]textPass, w)
+	counters := make([]degreeCounter, w)
+	errs := make([]error, w)
+	var wg sync.WaitGroup
+	count := func(k int) {
+		t := newTextPass()
+		var c degreeCounter
+		errs[k] = t.scan(chunk(k), true, func(u, v int, _ float64) error {
+			c.add(u, v)
+			return nil
+		})
+		passes[k], counters[k] = t, c
+	}
+	for k := 1; k < w; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			count(k)
+		}()
+	}
+	count(0)
+	wg.Wait()
+	merged := newTextPass()
+	for k, err := range errs {
+		if err != nil {
+			return nil, Header{}, err
+		}
+		merged.merge(passes[k])
+	}
+	hdr, err := merged.finish()
+	if err == nil {
+		err = checkVertices(hdr)
+	}
+	if err != nil {
+		return nil, hdr, err
+	}
+	degs := make([][]int32, w)
+	fills := make([]uncertain.EdgeScan, w)
+	for k := range degs {
+		degs[k] = counters[k].degrees(hdr.Vertices)
+		fills[k] = func(emit func(u, v int, p float64) error) (int, error) {
+			t := newTextPass()
+			if err := t.scan(chunk(k), false, emit); err != nil {
+				return -1, err
+			}
+			if t != passes[k] {
+				return -1, errChanged
+			}
+			return -1, nil
+		}
+	}
+	g, err := uncertain.FromDegrees(degs, fills)
+	if err != nil {
+		return nil, hdr, err
+	}
+	return g, hdr, nil
+}
+
+// errChanged reports an input whose passes disagree.
+var errChanged = fmt.Errorf("graphio: input changed between passes: %w", ErrFormat)
+
+// spoolScan adapts the non-seekable input r to buildStream's two passes: the
+// first parses r whole, spooling the decoded edges in ~16 bytes each, and
+// the second replays the spool.
+func spoolScan(r io.Reader, parse parser) func(bool, EdgeFunc) (Header, error) {
 	var sp spool
 	scanned := false
-	return func(fn EdgeFunc) (Header, error) {
+	return func(_ bool, fn EdgeFunc) (Header, error) {
 		if scanned {
 			return sp.replay(fn)
 		}
-		h, err := scan(r, func(u, v int, p float64) error {
+		h, err := parse(r, false, func(u, v int, p float64) error {
 			sp.add(u, v, p)
 			return fn(u, v, p)
 		})
@@ -379,34 +772,6 @@ func (s *spool) replay(fn EdgeFunc) (Header, error) {
 		}
 	}
 	return s.hdr, nil
-}
-
-// buildGraph drives uncertain.FromEdgeScanner over a replayable scan,
-// producing the sorted CSR directly.
-func buildGraph(scan edgeScan) (*uncertain.Graph, Header, error) {
-	var hdr Header
-	g, err := uncertain.FromEdgeScanner(func(emit func(int, int, float64) error) (int, error) {
-		h, err := scan(EdgeFunc(emit))
-		if err != nil {
-			return 0, err
-		}
-		hdr = h
-		return h.Vertices, nil
-	})
-	if err != nil {
-		return nil, hdr, err
-	}
-	return g, hdr, nil
-}
-
-// OpenCSR streams the graph at path into its final CSR form, reopening the
-// file for each of the two build passes so peak memory is the finished CSR
-// plus one int32 per vertex — never an edge list or adjacency map. Format
-// and compression are sniffed from content like Load.
-func OpenCSR(path string) (*uncertain.Graph, Header, error) {
-	return buildGraph(func(fn EdgeFunc) (Header, error) {
-		return scanFile(path, fn)
-	})
 }
 
 func scanFile(path string, fn EdgeFunc) (Header, error) {
@@ -464,8 +829,9 @@ func (u *unionFind) union(a, b int) {
 // one being filled) stays trivial next to the O(vertices) forests.
 const dsuChunkEdges = 1 << 15
 
-// maxScanWorkers caps the labeling workers; the decode is a single sequential
-// stream, so a handful of union workers is enough to keep up with it.
+// maxScanWorkers caps the goroutines of one load: the chunks a text file is
+// split into, and the labeling workers, which a handful is enough to keep up
+// with a single sequential decode.
 const maxScanWorkers = 8
 
 // scanComponentForest parses the input once, unions every edge into a
@@ -486,10 +852,7 @@ func scanComponentForest(scan edgeScan) (Header, *unionFind, []int32, error) {
 		deg[u]++
 		deg[v]++
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > maxScanWorkers {
-		workers = maxScanWorkers
-	}
+	workers := scanWorkers()
 	if workers < 2 {
 		var uf unionFind
 		hdr, err := scan(func(u, v int, p float64) error {
@@ -573,6 +936,9 @@ func scanComponentBatches(scan edgeScan, maxEdges int, fn func(batch *uncertain.
 	if err != nil {
 		return err
 	}
+	if err := checkVertices(hdr); err != nil {
+		return err
+	}
 	n := hdr.Vertices
 	uf.grow(n)
 	deg = append(deg, make([]int32, n-len(deg))...) // scanners keep endpoints below n
@@ -603,7 +969,6 @@ func scanComponentBatches(scan edgeScan, maxEdges int, fn func(batch *uncertain.
 	// batch. Every vertex is in exactly one batch, and a batch's fill only
 	// looks up its own vertices, so one array serves both.
 	oldToNew := deg
-	changed := fmt.Errorf("graphio: input changed between passes: %w", ErrFormat)
 	for start := 0; start < count; {
 		end := start + 1
 		sum := edgesPer[start]
@@ -621,22 +986,22 @@ func scanComponentBatches(scan edgeScan, maxEdges int, fn func(batch *uncertain.
 				newToOld = append(newToOld, v)
 			}
 		}
-		g, err := uncertain.FromDegrees(batchDeg, func(emit func(u, v int, p float64) error) (int, error) {
+		g, err := uncertain.FromDegrees([][]int32{batchDeg}, []uncertain.EdgeScan{func(emit func(u, v int, p float64) error) (int, error) {
 			_, err := scan(func(u, v int, p float64) error {
 				if u >= n || v >= n {
-					return changed
+					return errChanged
 				}
 				c := comp[u]
 				if c < lo || c >= hi {
 					return nil
 				}
 				if comp[v] != c {
-					return changed
+					return errChanged
 				}
 				return emit(int(oldToNew[u]), int(oldToNew[v]), p)
 			})
 			return len(newToOld), err
-		})
+		}})
 		if err != nil {
 			return err
 		}

@@ -161,31 +161,6 @@ func TestBinaryHeaderVertexClamp(t *testing.T) {
 	}
 }
 
-func TestOpenCSRMatchesLoadFile(t *testing.T) {
-	g := testGraph(t)
-	dir := t.TempDir()
-	for _, name := range []string{"g.ug", "g.ugb", "g.json", "g.ugb.gz"} {
-		path := filepath.Join(dir, name)
-		if err := SaveFile(path, g); err != nil {
-			t.Fatalf("SaveFile(%s): %v", name, err)
-		}
-		got, hdr, err := OpenCSR(path)
-		if err != nil {
-			t.Fatalf("OpenCSR(%s): %v", name, err)
-		}
-		if hdr.Vertices != g.NumVertices() || hdr.Edges != int64(g.NumEdges()) {
-			t.Errorf("%s: header %+v", name, hdr)
-		}
-		want, err := LoadFile(path)
-		if err != nil {
-			t.Fatalf("LoadFile(%s): %v", name, err)
-		}
-		if !reflect.DeepEqual(got.Edges(), want.Edges()) || got.NumVertices() != want.NumVertices() {
-			t.Errorf("%s: OpenCSR and LoadFile disagree", name)
-		}
-	}
-}
-
 // nonSeeker hides any Seek method so the spool replay path is exercised.
 type nonSeeker struct{ r *bytes.Reader }
 

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"slices"
 	"testing"
 )
@@ -23,6 +22,35 @@ func scanOf(n int, edges []Edge) EdgeScan {
 	}
 }
 
+// degreesOf counts the degrees of edges on n vertices, skipping endpoints
+// outside [0, n), as a counting pass would before its fill.
+func degreesOf(n int, edges []Edge) []int32 {
+	deg := make([]int32, n)
+	for _, e := range edges {
+		for _, x := range []int{e.U, e.V} {
+			if x >= 0 && x < n {
+				deg[x]++
+			}
+		}
+	}
+	return deg
+}
+
+// chunked splits edges at the given cut points into chunks with their
+// counted degrees and fills; every fill reports an unknown vertex count, as
+// a chunk of a file does.
+func chunked(n int, edges []Edge, cuts ...int) ([][]int32, []EdgeScan) {
+	bounds := append(append([]int{0}, cuts...), len(edges))
+	var degs [][]int32
+	var fills []EdgeScan
+	for k := 0; k+1 < len(bounds); k++ {
+		part := edges[bounds[k]:bounds[k+1]]
+		degs = append(degs, degreesOf(n, part))
+		fills = append(fills, scanOf(-1, part))
+	}
+	return degs, fills
+}
+
 func randomEdges(rng *rand.Rand, n int, density float64) []Edge {
 	var edges []Edge
 	for u := 0; u < n; u++ {
@@ -35,40 +63,53 @@ func randomEdges(rng *rand.Rand, n int, density float64) []Edge {
 	return edges
 }
 
-func TestFromEdgeScannerMatchesFromEdges(t *testing.T) {
+// TestFromDegreesChunksMatchOneChunk: however an edge stream is cut into
+// chunks, FromDegrees builds the arrays a one-chunk build of the whole
+// stream builds, and the graph FromEdges builds from it — also when the
+// stream's order leaves rows to sort.
+func TestFromDegreesChunksMatchOneChunk(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 30; trial++ {
 		n := 1 + rng.Intn(40)
 		edges := randomEdges(rng, n, rng.Float64())
+		if trial%2 == 1 {
+			rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+			for i := range edges {
+				if rng.Intn(2) == 0 {
+					edges[i].U, edges[i].V = edges[i].V, edges[i].U
+				}
+			}
+		}
 		want, err := FromEdges(n, edges)
 		if err != nil {
 			t.Fatalf("FromEdges: %v", err)
 		}
-		got, err := FromEdgeScanner(scanOf(n, edges))
+		one, err := FromDegrees([][]int32{degreesOf(n, edges)}, []EdgeScan{scanOf(n, edges)})
 		if err != nil {
-			t.Fatalf("FromEdgeScanner: %v", err)
+			t.Fatalf("one chunk: %v", err)
 		}
-		if got.NumVertices() != want.NumVertices() || got.NumEdges() != want.NumEdges() {
-			t.Fatalf("shape mismatch: got %d/%d want %d/%d",
-				got.NumVertices(), got.NumEdges(), want.NumVertices(), want.NumEdges())
+		if !reflect.DeepEqual(one.Edges(), want.Edges()) {
+			t.Fatalf("trial %d: one chunk and FromEdges differ", trial)
 		}
-		if !reflect.DeepEqual(got.Edges(), want.Edges()) {
-			t.Fatalf("edge sets differ")
+		for w := 2; w <= 4; w++ {
+			cuts := make([]int, w-1)
+			for i := range cuts {
+				cuts[i] = rng.Intn(len(edges) + 1)
+			}
+			slices.Sort(cuts)
+			got, err := FromDegrees(chunked(n, edges, cuts...))
+			if err != nil {
+				t.Fatalf("trial %d, cuts %v: %v", trial, cuts, err)
+			}
+			if !reflect.DeepEqual(got, one) {
+				t.Fatalf("trial %d, cuts %v: arrays differ from the one-chunk build", trial, cuts)
+			}
 		}
 	}
 }
 
-func TestFromEdgeScannerInfersVertexCount(t *testing.T) {
-	g, err := FromEdgeScanner(scanOf(-1, []Edge{{U: 0, V: 5, P: 0.5}}))
-	if err != nil {
-		t.Fatalf("FromEdgeScanner: %v", err)
-	}
-	if g.NumVertices() != 6 {
-		t.Fatalf("inferred %d vertices, want 6", g.NumVertices())
-	}
-}
-
-func TestFromEdgeScannerErrors(t *testing.T) {
+func TestFromDegreesErrors(t *testing.T) {
+	good := Edge{U: 0, V: 2, P: 0.5}
 	cases := []struct {
 		name string
 		n    int
@@ -77,34 +118,71 @@ func TestFromEdgeScannerErrors(t *testing.T) {
 	}{
 		{"self loop", 3, Edge{U: 1, V: 1, P: 0.5}, ErrSelfLoop},
 		{"negative endpoint", 3, Edge{U: -1, V: 1, P: 0.5}, ErrVertexRange},
-		{"endpoint beyond count", 3, Edge{U: 0, V: 7, P: 0.5}, ErrVertexRange},
 		{"zero probability", 3, Edge{U: 0, V: 1, P: 0}, ErrProbRange},
 		{"probability above one", 3, Edge{U: 0, V: 1, P: 1.5}, ErrProbRange},
 	}
 	for _, tc := range cases {
-		if _, err := FromEdgeScanner(scanOf(tc.n, []Edge{tc.e})); !errors.Is(err, tc.want) {
+		if _, err := FromDegrees([][]int32{degreesOf(tc.n, []Edge{tc.e})}, []EdgeScan{scanOf(tc.n, []Edge{tc.e})}); !errors.Is(err, tc.want) {
 			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
 		}
+		// The bad edge in the second of two chunks, then in both: the
+		// first chunk's error is the one reported.
+		if _, err := FromDegrees(chunked(tc.n, []Edge{good, tc.e}, 1)); !errors.Is(err, tc.want) {
+			t.Errorf("%s in chunk 1: got %v, want %v", tc.name, err, tc.want)
+		}
+		selfLoop := Edge{U: 2, V: 2, P: 0.5}
+		if _, err := FromDegrees(chunked(tc.n, []Edge{tc.e, selfLoop}, 1)); !errors.Is(err, tc.want) {
+			t.Errorf("%s in chunk 0, a self-loop in chunk 1: got %v, want %v", tc.name, err, tc.want)
+		}
 	}
-	dup := []Edge{{U: 0, V: 1, P: 0.5}, {U: 1, V: 0, P: 0.5}}
-	if _, err := FromEdgeScanner(scanOf(2, dup)); !errors.Is(err, ErrDuplicateEdge) {
-		t.Errorf("duplicate edge: got %v, want ErrDuplicateEdge", err)
+	// An endpoint beyond the counted vertices has no slot to go to.
+	beyond := []Edge{{U: 0, V: 7, P: 0.5}}
+	if _, err := FromDegrees([][]int32{degreesOf(3, beyond)}, []EdgeScan{scanOf(3, beyond)}); err == nil || err.Error() != errUnstableScan().Error() {
+		t.Errorf("endpoint beyond count: got %v, want %v", err, errUnstableScan())
+	}
+	for _, cuts := range [][]int{nil, {1}} {
+		dup := []Edge{{U: 0, V: 1, P: 0.5}, {U: 1, V: 0, P: 0.5}}
+		if _, err := FromDegrees(chunked(2, dup, cuts...)); !errors.Is(err, ErrDuplicateEdge) {
+			t.Errorf("duplicate edge, cuts %v: got %v, want ErrDuplicateEdge", cuts, err)
+		}
+	}
+	if _, err := FromDegrees(nil, nil); err == nil {
+		t.Error("no chunks accepted")
+	}
+	if _, err := FromDegrees([][]int32{make([]int32, 2)}, nil); err == nil {
+		t.Error("a degree array without a fill accepted")
+	}
+	if _, err := FromDegrees([][]int32{make([]int32, 2), make([]int32, 3)}, []EdgeScan{scanOf(-1, nil), scanOf(-1, nil)}); err == nil {
+		t.Error("degree arrays of different lengths accepted")
 	}
 }
 
-func TestFromEdgeScannerUnstableScan(t *testing.T) {
-	pass := 0
-	unstable := func(emit func(u, v int, p float64) error) (int, error) {
-		pass++
-		if pass == 1 {
-			if err := emit(0, 1, 0.5); err != nil {
-				return 0, err
-			}
-		}
-		// Second pass emits nothing.
-		return 2, nil
+// TestFromDegreesUnstableScan: a fill that emits other edges than its
+// degrees counted fails as a non-replayable scan, whether it leaves its
+// share of a row short, runs past it into the next chunk's share, or reports
+// another vertex count.
+func TestFromDegreesUnstableScan(t *testing.T) {
+	e01, e02, e12 := Edge{U: 0, V: 1, P: 0.5}, Edge{U: 0, V: 2, P: 0.5}, Edge{U: 1, V: 2, P: 0.5}
+	counted := [][]Edge{{e01}, {e02}}
+	cases := []struct {
+		name  string
+		fills []EdgeScan
+	}{
+		{"chunk 0 short", []EdgeScan{scanOf(-1, nil), scanOf(-1, counted[1])}},
+		{"chunk 1 short", []EdgeScan{scanOf(-1, counted[0]), scanOf(-1, nil)}},
+		{"chunk 0 past its share", []EdgeScan{scanOf(-1, []Edge{e01, e02}), scanOf(-1, nil)}},
+		{"chunk 1 past its share", []EdgeScan{scanOf(-1, counted[0]), scanOf(-1, []Edge{e02, e12})}},
+		{"chunks swapped", []EdgeScan{scanOf(-1, counted[1]), scanOf(-1, counted[0])}},
+		{"another vertex count", []EdgeScan{scanOf(3, counted[0]), scanOf(4, counted[1])}},
 	}
-	if _, err := FromEdgeScanner(unstable); err == nil {
+	for _, tc := range cases {
+		degs := [][]int32{degreesOf(3, counted[0]), degreesOf(3, counted[1])}
+		if _, err := FromDegrees(degs, tc.fills); err == nil || err.Error() != errUnstableScan().Error() {
+			t.Errorf("%s: got %v, want %v", tc.name, err, errUnstableScan())
+		}
+	}
+	// One chunk: a second pass that emits nothing.
+	if _, err := FromDegrees([][]int32{degreesOf(2, []Edge{e01})}, []EdgeScan{scanOf(2, nil)}); err == nil {
 		t.Fatal("unstable scan accepted")
 	}
 }
@@ -217,42 +295,6 @@ func ExampleGraph_ShardByComponent() {
 	// 0 [0 2] 1
 	// 1 [1 4] 1
 	// 2 [3] 0
-}
-
-// pathScan emits the path 0–1–2–…–(n−1) in ascending order, so the largest
-// endpoint rises by one with every edge: a degree array reallocated to each
-// new maximum copies O(n²) bytes on this input.
-func pathScan(n int) EdgeScan {
-	return func(emit func(u, v int, p float64) error) (int, error) {
-		for u := 0; u+1 < n; u++ {
-			if err := emit(u, u+1, 0.5); err != nil {
-				return 0, err
-			}
-		}
-		return -1, nil
-	}
-}
-
-// TestFromEdgeScannerAllocatesLinearly: building a CSR allocates O(n + m)
-// bytes even when every edge raises the largest endpoint. The bound is three
-// times the finished CSR: the CSR itself, the degree array's geometric
-// growth (about five times its final size at append's growth rate), and
-// room for -race builds, which allocate more. Regrowing the array to each
-// new maximum would copy ~2n² = 5 GB here.
-func TestFromEdgeScannerAllocatesLinearly(t *testing.T) {
-	const n = 50_000
-	scan := pathScan(n)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	g, err := FromEdgeScanner(scan)
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		t.Fatal(err)
-	}
-	csr := uint64(4*(n+1) + 2*g.NumEdges()*(4+8)) // offsets, nbrs, probs
-	if got := after.TotalAlloc - before.TotalAlloc; got > 3*csr {
-		t.Fatalf("FromEdgeScanner allocated %d bytes for a %d-byte CSR", got, csr)
-	}
 }
 
 // TestSortRowsAllocatesOncePerGraph: rows that already ascend are only

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -137,6 +138,25 @@ func TestRunShardBatchLimitAndCount(t *testing.T) {
 	}
 	if lines := sortedLines(out.String()); len(lines) != 2 {
 		t.Fatalf("batched limit: got %d lines %q, want 2", len(lines), lines)
+	}
+}
+
+// TestRunShardBatchFarEndpoint: a 17-byte file naming the largest vertex ID
+// fails under -shard-batch with the vertex-count error a plain load gives,
+// before anything of that vertex's size is allocated.
+func TestRunShardBatchFarEndpoint(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "far.ug")
+	if err := os.WriteFile(path, []byte("0 2147483647 0.5\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, want := graphio.LoadFile(path)
+	if !errors.Is(want, graphio.ErrFormat) || !strings.Contains(want.Error(), "implausible vertex count") {
+		t.Fatalf("LoadFile: %v, want an implausible vertex count", want)
+	}
+	var out bytes.Buffer
+	err := run(context.Background(), []string{"-in", path, "-quiet", "-shard-batch", "4"}, &out)
+	if err == nil || err.Error() != want.Error() || !errors.Is(err, graphio.ErrFormat) {
+		t.Fatalf("-shard-batch 4: got %v, want %v", err, want)
 	}
 }
 

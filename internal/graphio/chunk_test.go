@@ -3,6 +3,7 @@ package graphio
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -268,14 +269,18 @@ func TestLoadAllocatesLinearly(t *testing.T) {
 	}
 }
 
-// TestVertexCountsChecked: in every format, a vertex count the edges cannot
-// justify (over 2m + 2²⁰ for m edges, or past the int32 IDs), whether
-// declared or inferred from the largest endpoint, and an endpoint beyond the
-// declared count, fail with an error before anything of their size is
-// allocated; the largest plausible count still loads. Every input is a few
-// bytes. Before the check, the huge counts panicked the loader, and the
-// others allocated arrays of their count or endpoint.
-func TestVertexCountsChecked(t *testing.T) {
+// vertexCountCase is an input of a few bytes in one format, and the vertex
+// count it loads with, or -1 when it must fail.
+type vertexCountCase struct {
+	format, data string
+	vertices     int
+}
+
+// vertexCountCases are TestVertexCountsChecked's inputs. Every count a row
+// must reject, declared or inferred, lies past 2m + 2²⁰ for m edges or past
+// the int32 IDs, or an endpoint lies past the declared count; the rows that
+// load sit on the boundary.
+func vertexCountCases() []vertexCountCase {
 	binaryFile := func(n, m uint64, edges ...[2]uint32) string {
 		var buf bytes.Buffer
 		buf.WriteString("UGRF")
@@ -292,18 +297,7 @@ func TestVertexCountsChecked(t *testing.T) {
 		limit = 1 << 20 // 2m + 2²⁰ at m = 0
 		far   = 1 << 22 // an endpoint whose arrays take 16 MiB
 	)
-	// allocated runs load and reports the bytes it allocated.
-	allocated := func(load func()) uint64 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		load()
-		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
-	}
-	cases := []struct {
-		format, data string
-		vertices     int // -1: must fail
-	}{
+	return []vertexCountCase{
 		{"text", "vertices 9223372036854775807\n", -1},
 		{"text", fmt.Sprintf("vertices %d\n", limit+1), -1},
 		{"text", fmt.Sprintf("vertices %d\n", limit), limit},
@@ -312,6 +306,7 @@ func TestVertexCountsChecked(t *testing.T) {
 		{"text", fmt.Sprintf("0 %d 0.5\n", limit+2), -1},
 		{"text", fmt.Sprintf("0 %d 0.5\n", limit+1), limit + 2},
 		{"text", fmt.Sprintf("vertices 6\n0 %d 0.5\n", far), -1},
+		{"text", "0 2147483647 0.5\n", -1}, // the largest ID: 2³¹ vertices
 		{"json", `{"vertices": 9223372036854775807, "edges": []}`, -1},
 		{"json", fmt.Sprintf(`{"vertices": %d, "edges": []}`, limit+1), -1},
 		{"json", fmt.Sprintf(`{"vertices": %d, "edges": [{"u": 0, "v": 1, "p": 0.5}]}`, limit+2), limit + 2},
@@ -321,6 +316,27 @@ func TestVertexCountsChecked(t *testing.T) {
 		{"binary", binaryFile(limit+2, 1, [2]uint32{0, 1}), limit + 2},
 		{"binary", binaryFile(6, 1, [2]uint32{0, far}), -1},
 	}
+}
+
+// TestVertexCountsChecked: in every format, a vertex count the edges cannot
+// justify (over 2m + 2²⁰ for m edges, or past the int32 IDs), whether
+// declared or inferred from the largest endpoint, and an endpoint beyond the
+// declared count, fail with an error before anything of their size is
+// allocated; the largest plausible count still loads. Every input is a few
+// bytes. Before the check, the huge counts panicked the loader, and the
+// others allocated arrays of their count or endpoint. The component batches
+// fail on the same inputs with LoadFile's error, allocating as little.
+func TestVertexCountsChecked(t *testing.T) {
+	const limit = 1 << 20
+	// allocated runs load and reports the bytes it allocated.
+	allocated := func(load func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		load()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	cases := vertexCountCases()
 	for _, tc := range cases {
 		readers := map[string]io.Reader{
 			"seekable":     strings.NewReader(tc.data),
@@ -342,14 +358,29 @@ func TestVertexCountsChecked(t *testing.T) {
 			}
 		}
 	}
-	// The component batches count vertices as the loads do.
-	for _, data := range []string{fmt.Sprintf("vertices %d\n", limit+1), fmt.Sprintf("0 %d 0.5\n", limit+2)} {
-		path := filepath.Join(t.TempDir(), "g.ug")
-		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+	dir := t.TempDir()
+	for i, tc := range cases {
+		if tc.vertices >= 0 {
+			continue
+		}
+		path := filepath.Join(dir, fmt.Sprintf("g%d", i))
+		if err := os.WriteFile(path, []byte(tc.data), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := ScanComponentBatches(path, 0, func(*uncertain.Graph, []int) error { return nil }); err == nil {
-			t.Errorf("ScanComponentBatches %q: accepted", data)
+		_, want := LoadFile(path)
+		if !errors.Is(want, ErrFormat) {
+			t.Errorf("LoadFile %s %q: %v, want an ErrFormat", tc.format, tc.data, want)
+			continue
+		}
+		var err error
+		bytes := allocated(func() {
+			err = ScanComponentBatches(path, 0, func(*uncertain.Graph, []int) error { return nil })
+		})
+		switch {
+		case err == nil || err.Error() != want.Error():
+			t.Errorf("ScanComponentBatches %s %q: got %v, want %v", tc.format, tc.data, err, want)
+		case bytes > 1<<20:
+			t.Errorf("ScanComponentBatches %s %q: allocated %d bytes to fail", tc.format, tc.data, bytes)
 		}
 	}
 	for _, tc := range []struct {

@@ -13,6 +13,7 @@ import (
 	"math/bits"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -458,8 +459,13 @@ type parser func(r io.Reader, count bool, fn EdgeFunc) (Header, error)
 // split saves.
 const minChunkBytes = 64 << 10
 
-// scanWorkers is the number of CPUs a load or a component labelling may use.
+// scanWorkers is the number of CPUs a load may use: the chunks a big text
+// file is cut into.
 func scanWorkers() int { return min(runtime.GOMAXPROCS(0), maxScanWorkers) }
+
+// maxScanWorkers caps the chunks of one load, and so its goroutines and the
+// degree arrays it holds at once (see buildGraph).
+const maxScanWorkers = 8
 
 // buildGraph parses r into its CSR in two passes: a count pass that sizes
 // every row, then uncertain.FromDegrees's fill pass, which validates every
@@ -576,17 +582,20 @@ type degreeCounter struct {
 	edges int64
 }
 
-func (c *degreeCounter) add(u, v int) {
+// add counts the edge {u, v}, or holds it back in far; it reports whether
+// it counted the edge.
+func (c *degreeCounter) add(u, v int) bool {
 	c.edges++
 	if hi := max(u, v); hi >= len(c.deg) {
 		if int64(hi) >= 2*c.edges+1<<20 {
 			c.far = append(c.far, int32(u), int32(v))
-			return
+			return false
 		}
 		c.deg = growDegrees(c.deg, hi+1)
 	}
 	c.deg[u]++
 	c.deg[v]++
+	return true
 }
 
 // degrees returns the counted degrees on n vertices. n exceeds every
@@ -783,148 +792,53 @@ func scanFile(path string, fn EdgeFunc) (Header, error) {
 	return ScanEdges(f, fn)
 }
 
-// unionFind is a union-by-min disjoint-set forest: every root is the
-// smallest member of its set, so component IDs assigned by scanning vertices
-// in ascending order match the smallest-member ordering used by
-// Graph.ShardByComponent and Components.
-type unionFind struct{ parent []int32 }
-
-func (u *unionFind) grow(n int) {
-	for len(u.parent) < n {
-		u.parent = append(u.parent, int32(len(u.parent)))
-	}
-}
-
-func (u *unionFind) find(v int) int {
-	r := v
-	for int(u.parent[r]) != r {
-		r = int(u.parent[r])
-	}
-	for int(u.parent[v]) != v {
-		u.parent[v], v = int32(r), int(u.parent[v])
-	}
-	return r
-}
-
-func (u *unionFind) union(a, b int) {
-	hi := a
-	if b > hi {
-		hi = b
-	}
-	u.grow(hi + 1)
-	ra, rb := u.find(a), u.find(b)
-	if ra == rb {
-		return
-	}
-	if ra < rb {
-		u.parent[rb] = int32(ra)
-	} else {
-		u.parent[ra] = int32(rb)
-	}
-}
-
-// dsuChunkEdges is the edge-chunk granularity of the parallel labeling pass:
-// big enough that handing a chunk to a worker costs far less than decoding
-// it, small enough that peak buffered memory (one chunk per worker plus the
-// one being filled) stays trivial next to the O(vertices) forests.
-const dsuChunkEdges = 1 << 15
-
-// maxScanWorkers caps the goroutines of one load: the chunks a text file is
-// split into, and the labeling workers, which a handful is enough to keep up
-// with a single sequential decode.
-const maxScanWorkers = 8
-
-// scanComponentForest parses the input once, unions every edge into a
-// disjoint-set forest, and counts every vertex's degree. With multiple CPUs
-// the decode stays sequential (it is one file) but the union work is chunked
-// out to workers, each with a private forest, merged once at the end;
-// union-by-min makes the merged forest identical to the sequential one
-// regardless of chunk scheduling. Degrees are counted on the decoding
-// goroutine; the array grows by append, geometrically, with the largest
-// endpoint seen. Peak memory stays O(vertices) per worker plus a few bounded
-// edge chunks.
-func scanComponentForest(scan edgeScan) (Header, *unionFind, []int32, error) {
-	var deg []int32
-	count := func(u, v int) {
-		if hi := max(u, v); hi >= len(deg) {
-			deg = append(deg, make([]int32, hi+1-len(deg))...)
-		}
-		deg[u]++
-		deg[v]++
-	}
-	workers := scanWorkers()
-	if workers < 2 {
-		var uf unionFind
-		hdr, err := scan(func(u, v int, p float64) error {
-			uf.union(u, v)
-			count(u, v)
-			return nil
-		})
-		return hdr, &uf, deg, err
-	}
-
-	chunks := make(chan []int32, workers)
-	pool := sync.Pool{New: func() any { return make([]int32, 0, 2*dsuChunkEdges) }}
-	forests := make([]*unionFind, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(uf *unionFind) {
-			defer wg.Done()
-			for c := range chunks {
-				for i := 0; i < len(c); i += 2 {
-					uf.union(int(c[i]), int(c[i+1]))
-				}
-				pool.Put(c[:0])
-			}
-		}(func() *unionFind { forests[w] = new(unionFind); return forests[w] }())
-	}
-
-	buf := pool.Get().([]int32)
-	hdr, err := scan(func(u, v int, p float64) error {
-		count(u, v)
-		buf = append(buf, int32(u), int32(v))
-		if len(buf) >= 2*dsuChunkEdges {
-			chunks <- buf
-			buf = pool.Get().([]int32)
+// labelComponents is the batch scan's first pass. It parses the input once,
+// counting every vertex's degree with a degreeCounter and unioning each edge
+// the counter accepts into one uncertain.Forest; the edges the counter holds
+// back join the forest once checkVertices has bounded the vertex count, so a
+// far endpoint is never allocated for before that check. It returns every
+// vertex's component, numbered by smallest member as ShardByComponent
+// numbers its shards, the number of components, and the degrees. Both arrays
+// hold exactly n entries, since they live through every batch fill.
+func labelComponents(scan edgeScan) ([]int32, int, []int32, error) {
+	var c degreeCounter
+	var f uncertain.Forest
+	hdr, err := scan(func(u, v int, _ float64) error {
+		if c.add(u, v) {
+			f.Union(u, v)
 		}
 		return nil
 	})
-	if len(buf) > 0 {
-		chunks <- buf
+	if err == nil {
+		err = checkVertices(hdr)
 	}
-	close(chunks)
-	wg.Wait()
 	if err != nil {
-		return hdr, nil, nil, err
+		return nil, 0, nil, err
 	}
-
-	master := forests[0]
-	for _, f := range forests[1:] {
-		for v := range f.parent {
-			if p := int(f.parent[v]); p != v {
-				master.union(v, p) // union grows the master as needed
-			}
-		}
+	for i := 0; i < len(c.far); i += 2 {
+		f.Union(int(c.far[i]), int(c.far[i+1]))
 	}
-	return hdr, master, deg, nil
+	comp, count := f.Labels(hdr.Vertices)
+	return comp, count, slices.Clone(c.degrees(hdr.Vertices)), nil
 }
 
 // ScanComponentBatches mines the support components of the graph at path
-// without ever materializing the whole CSR. One pass labels components with
-// a union-find and counts every vertex's degree; components are closed, so
-// a vertex's degree within its batch is its degree in the file, and a
-// component's edge count is half its degree sum. Consecutive components (in
-// smallest-member order, matching ShardByComponent) are then greedily packed
-// into batches of at most maxEdges edges — a single component larger than
-// maxEdges gets a batch to itself; maxEdges <= 0 means one batch for
-// everything. Each batch is filled by one more pass with a component filter,
-// straight into its CSR (uncertain.FromDegrees validates every edge as it
-// lands), and handed to fn as a standalone graph whose vertex i corresponds
-// to newToOld[i] in the file's ID space (ascending, so canonical orderings
-// survive the mapping). The file is parsed 1 + (number of batches) times.
-// Peak memory is O(vertices) bookkeeping plus the largest batch's CSR. A
-// non-nil error from fn aborts the iteration and is returned verbatim.
+// without ever materializing the whole CSR. One pass counts every vertex's
+// degree and labels components with a union-find (labelComponents), holding
+// an edge with a far endpoint back until the vertex count is checked, as a
+// load does. Components are closed, so a vertex's degree within its batch is
+// its degree in the file, and a component's edge count is half its degree
+// sum. Consecutive components (in smallest-member order, matching
+// ShardByComponent) are then greedily packed into batches of at most
+// maxEdges edges — a single component larger than maxEdges gets a batch to
+// itself; maxEdges <= 0 means one batch for everything. Each batch is filled
+// by one more pass with a component filter, straight into its CSR
+// (uncertain.FromDegrees validates every edge as it lands), and handed to fn
+// as a standalone graph whose vertex i corresponds to newToOld[i] in the
+// file's ID space (ascending, so canonical orderings survive the mapping).
+// The file is parsed 1 + (number of batches) times. Peak memory is
+// O(vertices) bookkeeping plus the largest batch's CSR. A non-nil error from
+// fn aborts the iteration and is returned verbatim.
 func ScanComponentBatches(path string, maxEdges int, fn func(batch *uncertain.Graph, newToOld []int) error) error {
 	return scanComponentBatches(func(efn EdgeFunc) (Header, error) {
 		return scanFile(path, efn)
@@ -932,29 +846,11 @@ func ScanComponentBatches(path string, maxEdges int, fn func(batch *uncertain.Gr
 }
 
 func scanComponentBatches(scan edgeScan, maxEdges int, fn func(batch *uncertain.Graph, newToOld []int) error) error {
-	hdr, uf, deg, err := scanComponentForest(scan)
-	if err != nil {
+	comp, count, deg, err := labelComponents(scan)
+	if err != nil || count == 0 {
 		return err
 	}
-	if err := checkVertices(hdr); err != nil {
-		return err
-	}
-	n := hdr.Vertices
-	uf.grow(n)
-	deg = append(deg, make([]int32, n-len(deg))...) // scanners keep endpoints below n
-	comp := make([]int32, n)
-	count := 0
-	for v := 0; v < n; v++ {
-		if r := uf.find(v); r == v {
-			comp[v] = int32(count)
-			count++
-		} else {
-			comp[v] = comp[r] // r < v: union-by-min roots are minimal
-		}
-	}
-	if count == 0 {
-		return nil
-	}
+	n := len(comp)
 	// Every edge adds 2 to its component's degree sum.
 	edgesPer := make([]int64, count)
 	for v, d := range deg {

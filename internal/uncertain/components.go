@@ -15,9 +15,9 @@ func (g *Graph) ExpectedDegree(u int) float64 {
 // each as an ascending vertex list, ordered by smallest member. Isolated
 // vertices form singleton components. Support connectivity is the coarsest
 // possible pruning unit for clique enumeration: no clique spans two
-// components, so large inputs can be mined component by component. Large
-// graphs are labeled by a chunked parallel union-find (see componentForest);
-// the output is identical to a sequential scan.
+// components, so large inputs can be mined component by component. One
+// sequential pass unions every edge into a Forest, whose labels number the
+// components.
 func (g *Graph) Components() [][]int {
 	n := g.NumVertices()
 	comp, count := g.componentLabels()

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -95,13 +96,16 @@ func TestQuickAdjacencyMatchesEdges(t *testing.T) {
 	}
 }
 
-// TestParallelComponentLabelsMatchBFS pins the chunked parallel union-find
-// (componentForest) against a reference BFS labeling on a graph large enough
-// to cross the dsuParVertices threshold, including many isolated vertices
-// and multi-vertex components spanning worker boundaries.
-func TestParallelComponentLabelsMatchBFS(t *testing.T) {
+// TestComponentLabelsMatchBFS pins the forest's labels (componentLabels)
+// against a reference BFS labeling on a graph with many isolated vertices,
+// small chains and large components, and checks that the labels do not
+// depend on the order of the unions: a Forest fed the same edges in three
+// random orders, either endpoint first, labels every vertex alike. That is
+// what lets graphio's streamed batch scan number components as
+// ShardByComponent does.
+func TestComponentLabelsMatchBFS(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	n := dsuParVertices + 1000
+	n := 1<<14 + 1000
 	var edges []Edge
 	// Sparse random edges leave a mix of large components, small chains,
 	// and isolated vertices.
@@ -115,7 +119,8 @@ func TestParallelComponentLabelsMatchBFS(t *testing.T) {
 		}
 		edges = append(edges, Edge{U: u, V: v, P: 0.5})
 	}
-	g, err := FromEdges(n, dedupEdges(edges))
+	edges = dedupEdges(edges)
+	g, err := FromEdges(n, edges)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,6 +161,21 @@ func TestParallelComponentLabelsMatchBFS(t *testing.T) {
 	for v := 0; v < n; v++ {
 		if comp[v] != ref[v] {
 			t.Fatalf("comp[%d] = %d, want %d", v, comp[v], ref[v])
+		}
+	}
+
+	for order := 0; order < 3; order++ {
+		rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+		var f Forest
+		for _, e := range edges {
+			if rng.Intn(2) == 0 {
+				e.U, e.V = e.V, e.U
+			}
+			f.Union(e.U, e.V)
+		}
+		got, gotCount := f.Labels(n)
+		if gotCount != count || !slices.Equal(got, comp) {
+			t.Fatalf("order %d: labels differ from the row scan's (%d and %d components)", order, gotCount, count)
 		}
 	}
 }

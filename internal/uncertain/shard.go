@@ -1,10 +1,6 @@
 package uncertain
 
-import (
-	"iter"
-	"runtime"
-	"sync"
-)
+import "iter"
 
 // Shard is one support component extracted as a self-contained graph.
 // Vertex i of G corresponds to NewToOld[i] in the parent graph; NewToOld is
@@ -33,134 +29,88 @@ func (g *Graph) NumComponents() int {
 	return count
 }
 
-// dsu is a union-by-min disjoint-set forest: every root is the smallest
-// member of its set. Union is commutative and associative, so per-worker
-// forests built from disjoint edge chunks merge into exactly the forest a
-// sequential scan produces.
-type dsu struct{ parent []int32 }
+// Forest is a union-by-min disjoint-set forest over the vertices 0, 1, …:
+// every root is the smallest member of its set. The zero value is an empty
+// forest, and Union grows it to cover its endpoints. Every set's root, and
+// so every label, is the same whatever order the unions come in.
+type Forest struct{ parent []int32 }
 
-func newDSU(n int) dsu {
-	p := make([]int32, n)
-	for i := range p {
-		p[i] = int32(i)
+// Union joins the sets of u and v.
+func (f *Forest) Union(u, v int) {
+	if hi := max(u, v); hi >= len(f.parent) {
+		f.grow(hi + 1)
 	}
-	return dsu{parent: p}
+	p := f.parent
+	ru, rv := find(p, u), find(p, v)
+	switch {
+	case ru < rv:
+		p[rv] = int32(ru)
+	case rv < ru:
+		p[ru] = int32(rv)
+	}
 }
 
-func (d dsu) find(v int) int {
-	r := v
-	for int(d.parent[r]) != r {
-		r = int(d.parent[r])
+// grow extends the forest to the vertices 0..n−1, each new one a set of its
+// own.
+func (f *Forest) grow(n int) {
+	for v := len(f.parent); v < n; v++ {
+		f.parent = append(f.parent, int32(v))
 	}
-	for int(d.parent[v]) != v {
-		d.parent[v], v = int32(r), int(d.parent[v])
+}
+
+// find returns the root of v in the forest parent, and points every vertex
+// on the way at it.
+func find(parent []int32, v int) int {
+	r := v
+	for int(parent[r]) != r {
+		r = int(parent[r])
+	}
+	for int(parent[v]) != v {
+		parent[v], v = int32(r), int(parent[v])
 	}
 	return r
 }
 
-func (d dsu) union(a, b int) {
-	ra, rb := d.find(a), d.find(b)
-	switch {
-	case ra == rb:
-	case ra < rb:
-		d.parent[rb] = int32(ra)
-	default:
-		d.parent[ra] = int32(rb)
+// Labels numbers the sets of the vertices 0..n−1 by smallest member, the
+// order of Components and ShardByComponent, and returns every vertex's
+// number and how many sets there are. Every vertex passed to Union must be
+// below n. Labels empties the forest. The labels take over its array when
+// that has a capacity of exactly n, and are a new array of capacity n
+// otherwise, so they keep none of the room a growing forest leaves spare.
+func (f *Forest) Labels(n int) ([]int32, int) {
+	if cap(f.parent) != n {
+		f.parent = append(make([]int32, 0, n), f.parent...)
 	}
-}
-
-// Parallel labeling kicks in only when the support graph is big enough to
-// amortize the per-worker forest allocations and the single merge pass.
-const (
-	dsuParVertices = 1 << 14
-	maxDSUWorkers  = 8
-)
-
-// componentForest unions every support edge into one forest. Large graphs
-// split the CSR into edge-balanced vertex ranges, one private forest per
-// worker, merged once at the end — the classic chunked union-find. Each
-// worker only reads its own rows and writes its own forest, and union-by-min
-// makes the merged result independent of scheduling, so the labels are
-// bit-identical to the sequential scan.
-func (g *Graph) componentForest() dsu {
-	n := g.n
-	workers := runtime.GOMAXPROCS(0)
-	if workers > maxDSUWorkers {
-		workers = maxDSUWorkers
-	}
-	if n < dsuParVertices || workers < 2 {
-		d := newDSU(n)
-		for v := 0; v < n; v++ {
-			for i := g.offsets[v]; i < g.offsets[v+1]; i++ {
-				if w := int(g.nbrs[i]); w > v {
-					d.union(v, w)
-				}
-			}
-		}
-		return d
-	}
-	// Edge-balanced ranges: cut vertex boundaries so each worker scans
-	// roughly the same number of CSR entries, not the same number of rows.
-	bounds := make([]int, 0, workers+1)
-	bounds = append(bounds, 0)
-	total := int64(g.offsets[n])
-	for w := 1; w < workers; w++ {
-		target := total * int64(w) / int64(workers)
-		v := bounds[len(bounds)-1]
-		for v < n && int64(g.offsets[v]) < target {
-			v++
-		}
-		bounds = append(bounds, v)
-	}
-	bounds = append(bounds, n)
-
-	forests := make([]dsu, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			d := newDSU(n)
-			for v := lo; v < hi; v++ {
-				for i := g.offsets[v]; i < g.offsets[v+1]; i++ {
-					if x := int(g.nbrs[i]); x > v {
-						d.union(v, x)
-					}
-				}
-			}
-			forests[w] = d
-		}(w, bounds[w], bounds[w+1])
-	}
-	wg.Wait()
-	master := forests[0]
-	for _, f := range forests[1:] {
-		for v := 0; v < n; v++ {
-			if p := int(f.parent[v]); p != v {
-				master.union(v, p)
-			}
+	f.grow(n)
+	comp := f.parent
+	f.parent = nil
+	// A vertex's parent is itself or a smaller member of its set, whose
+	// label is already in place when vertices are numbered in ascending order.
+	count := 0
+	for v, p := range comp {
+		if int(p) == v {
+			comp[v] = int32(count)
+			count++
+		} else {
+			comp[v] = comp[p]
 		}
 	}
-	return master
+	return comp, count
 }
 
 // componentLabels labels every vertex with its component ID (components
 // numbered by smallest member, matching Components()) and returns the label
-// array and component count. The roots of the union-by-min forest are each
-// component's smallest member, so assigning IDs in ascending vertex order
-// reproduces the smallest-member numbering exactly.
+// array and component count.
 func (g *Graph) componentLabels() ([]int32, int) {
-	forest := g.componentForest()
-	comp := make([]int32, g.n)
-	count := 0
+	f := Forest{parent: make([]int32, 0, g.n)}
 	for v := 0; v < g.n; v++ {
-		if r := forest.find(v); r == v {
-			comp[v] = int32(count)
-			count++
-		} else {
-			comp[v] = comp[r] // r < v: union-by-min roots are minimal
+		for i := g.offsets[v]; i < g.offsets[v+1]; i++ {
+			if w := int(g.nbrs[i]); w > v {
+				f.Union(v, w)
+			}
 		}
 	}
-	return comp, count
+	return f.Labels(g.n)
 }
 
 // ShardByComponent yields one Shard per support component, in ID order
